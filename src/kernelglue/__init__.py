@@ -24,6 +24,7 @@ from .errors import (
     LabelCollisionError,
     LabelNotFoundError,
     MathError,
+    NonFiniteError,
     NotATreeError,
     NotHermitianError,
     NotPsdError,
@@ -33,7 +34,6 @@ from .errors import (
 from .kernels import (
     DEFAULT_BASEPOINT_TOL,
     DEFAULT_PSD_TOL,
-    GluePoint,
     IndexedKernel,
     PsdCertificate,
     SchurSplit,
@@ -71,7 +71,6 @@ __all__ = [
     "EmptyBatchError",
     "FactorizationFailureError",
     "FileFormatError",
-    "GluePoint",
     "GluedRealization",
     "GluingTree",
     "IndexedKernel",
@@ -81,6 +80,7 @@ __all__ = [
     "LabelCollisionError",
     "LabelNotFoundError",
     "MathError",
+    "NonFiniteError",
     "NotATreeError",
     "NotHermitianError",
     "NotPsdError",

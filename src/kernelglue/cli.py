@@ -39,7 +39,7 @@ from .trees import glue_tree
 COMMANDS = ("glue", "check", "realize", "sample", "verify", "glue-tree")
 
 # Commands that read two kernel files; the rest read one file.
-_TWO_INPUT = {"glue": True, "verify": True}
+_TWO_INPUT = {"glue", "verify"}
 _SAMPLING = {"sample", "verify"}
 
 
@@ -63,7 +63,7 @@ class RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.command not in COMMANDS:
         raise InvalidParameterError(f"unknown command {config.command!r}")
-    expected = 2 if _TWO_INPUT.get(config.command) else 1
+    expected = 2 if config.command in _TWO_INPUT else 1
     if len(config.inputs) != expected:
         raise InvalidParameterError(
             f"{config.command} takes {expected} input file(s), got {len(config.inputs)}"

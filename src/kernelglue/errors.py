@@ -39,6 +39,10 @@ class NotHermitianError(ValidationError):
     code = "NotHermitian"
 
 
+class NonFiniteError(ValidationError):
+    code = "NonFinite"
+
+
 class IntersectionNotSingletonError(ValidationError):
     code = "IntersectionNotSingleton"
 

@@ -8,7 +8,10 @@ cross entry through the shared point.
 
 Positive semidefiniteness is certified by two independent routes, a
 direct eigendecomposition and a Schur-complement reduction at a unit
-basepoint, so each can serve as an oracle for the other.
+basepoint, so each can serve as an oracle for the other.  Both, and the
+realization's covariance factor, share one eigenvalue threshold rule.
+Glue points and basepoints are plain label strings, and entries must
+be finite (``NonFiniteError`` otherwise).
 
 All types are immutable after construction (arrays are write-locked)
 and all operations are pure, so values are safe to share across threads.
@@ -16,6 +19,7 @@ and all operations are pure, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +29,9 @@ from .errors import (
     DimensionMismatchError,
     DuplicateLabelError,
     IntersectionNotSingletonError,
+    InvalidParameterError,
     LabelNotFoundError,
+    NonFiniteError,
     NotHermitianError,
     NumericalFailureError,
 )
@@ -63,14 +69,44 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _is_hermitian_exact(m: np.ndarray) -> bool:
-    return bool(np.array_equal(m, m.conj().T))
+def _check_hermitian(m: np.ndarray, name: str) -> None:
+    """Require exact conjugate symmetry; the error names the worst pair."""
+    if not np.array_equal(m, m.conj().T):
+        dev = np.abs(m - m.conj().T)
+        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        raise NotHermitianError(
+            f"{name}[{j},{i}] != conj({name}[{i},{j}]), deviation {dev[i, j]:.3e}"
+        )
 
 
-def _worst_hermitian_violation(m: np.ndarray) -> tuple[int, int, float]:
-    dev = np.abs(m - m.conj().T)
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    return int(i), int(j), float(dev[i, j])
+def _check_tolerance(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
+
+
+def _check_unit_diagonal(value: complex, where: str, tol: float) -> None:
+    """The one unit-basepoint rule: ``|value - 1| <= tol``."""
+    _check_tolerance("basepoint_tol", tol)
+    value = complex(value)
+    if abs(value - 1.0) > tol:
+        raise BasepointNotUnitError(f"{where} is {value}, not 1 within {tol:g}")
+
+
+def _psd_eigh(matrix: np.ndarray, tol: float):
+    """Eigendecomposition plus the relative PSD verdict.
+
+    Returns ``(w, v, scale, verdict)`` with ascending eigenvalues ``w``,
+    ``scale = max(1, |w|_max)`` and ``verdict = w_min >= -tol * scale``;
+    an empty matrix passes.  Every PSD decision in the package is made here.
+    """
+    _check_tolerance("tol", tol)
+    try:
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    verdict = w.size == 0 or bool(w[0] >= -tol * scale)
+    return w, v, scale, verdict
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +139,12 @@ class IndexedKernel:
             raise DimensionMismatchError(
                 f"{len(labels)} labels but a {m.shape[0]}x{m.shape[1]} matrix"
             )
-        if not _is_hermitian_exact(m):
-            i, j, dev = _worst_hermitian_violation(m)
-            raise NotHermitianError(
-                f"entries[{j},{i}] != conj(entries[{i},{j}]), deviation {dev:.3e}"
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise NonFiniteError(
+                f"entry ({labels[i]!r}, {labels[j]!r}) is {complex(m[i, j])}, not finite"
             )
+        _check_hermitian(m, "entries")
         object.__setattr__(self, "entries", _lock(m))
 
     @property
@@ -143,13 +180,6 @@ class IndexedKernel:
         return f"IndexedKernel(labels={self.labels}, dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class GluePoint:
-    """The distinguished shared label at which two kernels are joined."""
-
-    label: str
-
-
 @dataclass(frozen=True, eq=False)
 class SchurSplit:
     """Decomposition of a kernel at a unit basepoint s0.
@@ -175,15 +205,8 @@ class SchurSplit:
             raise DimensionMismatchError(
                 f"alpha has length {alpha.shape[0]} but block is {block.shape[0]}x{block.shape[0]}"
             )
-        if not _is_hermitian_exact(block):
-            i, j, dev = _worst_hermitian_violation(block)
-            raise NotHermitianError(
-                f"block[{j},{i}] != conj(block[{i},{j}]), deviation {dev:.3e}"
-            )
-        if abs(corner - 1.0) > self.basepoint_tol:
-            raise BasepointNotUnitError(
-                f"corner entry is {corner}, not 1 within {self.basepoint_tol:g}"
-            )
+        _check_hermitian(block, "block")
+        _check_unit_diagonal(corner, "corner entry", self.basepoint_tol)
         object.__setattr__(self, "corner", corner)
         object.__setattr__(self, "alpha", _lock(alpha))
         object.__setattr__(self, "block", _lock(block))
@@ -224,24 +247,16 @@ def make_kernel(labels, entries) -> IndexedKernel:
     return IndexedKernel(tuple(labels), entries)
 
 
-def _glue_label(x0) -> str:
-    return x0.label if isinstance(x0, GluePoint) else str(x0)
-
-
-def _check_unit_diagonal(k: IndexedKernel, label: str, tol: float) -> int:
+def _unit_index(k: IndexedKernel, label: str, tol: float) -> int:
     i = k.index(label)
-    value = complex(k.entries[i, i])
-    if abs(value - 1.0) > tol:
-        raise BasepointNotUnitError(
-            f"kernel entry at ({label!r}, {label!r}) is {value}, not 1 within {tol:g}"
-        )
+    _check_unit_diagonal(k.entries[i, i], f"kernel entry at ({label!r}, {label!r})", tol)
     return i
 
 
 def markov_product(
     k1: IndexedKernel,
     k2: IndexedKernel,
-    x0: GluePoint | str,
+    x0: str,
     *,
     basepoint_tol: float = DEFAULT_BASEPOINT_TOL,
 ) -> IndexedKernel:
@@ -255,15 +270,14 @@ def markov_product(
     Both kernels must carry the value 1 at the glue point diagonal,
     within ``basepoint_tol``.
     """
-    label = _glue_label(x0)
     shared = set(k1.labels) & set(k2.labels)
-    if shared != {label}:
+    if shared != {x0}:
         raise IntersectionNotSingletonError(
-            f"label sets must intersect exactly in {{{label!r}}}, "
+            f"label sets must intersect exactly in {{{x0!r}}}, "
             f"got intersection {sorted(shared)}"
         )
-    i1 = _check_unit_diagonal(k1, label, basepoint_tol)
-    i2 = _check_unit_diagonal(k2, label, basepoint_tol)
+    i1 = _unit_index(k1, x0, basepoint_tol)
+    i2 = _unit_index(k2, x0, basepoint_tol)
 
     n1 = k1.dim
     rest2 = [i for i in range(k2.dim) if i != i2]
@@ -290,17 +304,10 @@ def markov_product(
 
 
 def _eigen_certificate(matrix: np.ndarray, tol: float) -> PsdCertificate:
-    if matrix.shape[0] == 0:
-        return PsdCertificate(True, 0.0, None, float(tol))
-    try:
-        w, v = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, float(np.abs(w).max()))
-    lam_min = float(w[0])
-    verdict = lam_min >= -tol * scale
+    w, v, _, verdict = _psd_eigh(matrix, tol)
+    lam_min = float(w[0]) if w.size else 0.0
     witness = None if verdict else v[:, 0]
-    return PsdCertificate(bool(verdict), lam_min, witness, float(tol))
+    return PsdCertificate(verdict, lam_min, witness, float(tol))
 
 
 def psd_check_eigen(k: IndexedKernel, tol: float = DEFAULT_PSD_TOL) -> PsdCertificate:
@@ -324,16 +331,11 @@ def schur_reduce(
     ``alpha`` collects the s0-row over the remaining labels in kernel
     order; ``block`` is the kernel restricted to those labels.
     """
-    i0 = k.index(_glue_label(s0))
-    corner = complex(k.entries[i0, i0])
-    if abs(corner - 1.0) > basepoint_tol:
-        raise BasepointNotUnitError(
-            f"kernel entry at ({s0!r}, {s0!r}) is {corner}, not 1 within {basepoint_tol:g}"
-        )
+    i0 = _unit_index(k, s0, basepoint_tol)
     rest = [i for i in range(k.dim) if i != i0]
     alpha = k.entries[i0, rest]
     block = k.entries[np.ix_(rest, rest)]
-    return SchurSplit(corner, alpha, block, basepoint_tol=basepoint_tol)
+    return SchurSplit(k.entries[i0, i0], alpha, block, basepoint_tol=basepoint_tol)
 
 
 def psd_check_schur(split: SchurSplit, tol: float = DEFAULT_PSD_TOL) -> PsdCertificate:
@@ -346,19 +348,18 @@ def psd_check_schur(split: SchurSplit, tol: float = DEFAULT_PSD_TOL) -> PsdCerti
     return _eigen_certificate(split.schur_complement(), tol)
 
 
-def normalize_at_basepoint(k: IndexedKernel, x0: GluePoint | str) -> IndexedKernel:
+def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:
     """Rescale a kernel so the diagonal entry at ``x0`` becomes exactly 1.
 
     Only legal when that entry is real and strictly positive (the
     rescaling then preserves positive semidefiniteness).  Never applied
     implicitly by any other operation.
     """
-    i0 = k.index(_glue_label(x0))
+    i0 = k.index(x0)
     value = complex(k.entries[i0, i0])
     if not (value.imag == 0.0 and value.real > 0.0):
         raise BasepointNotUnitError(
-            f"cannot normalize: entry at ({_glue_label(x0)!r}) is {value}, "
-            "not real positive"
+            f"cannot normalize: entry at ({x0!r}) is {value}, not real positive"
         )
     # Componentwise real division keeps conjugate symmetry exact and
     # makes the basepoint diagonal exactly 1.0.

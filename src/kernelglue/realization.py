@@ -2,11 +2,14 @@
 
 A PSD kernel with a unit basepoint s0 is realized by a Gaussian family
 indexed by the remaining labels, with mean ``K(s, s0)`` and covariance
-``K(s, t) - K(s, s0) K(s0, t)``; pinning the basepoint coordinate to the
-constant 1 makes the second moments ``E(X_s conj(X_t))`` reproduce the
-kernel.  Gluing two such realizations with independent randomness and
-estimating second moments empirically reproduces the Markov product,
-which is what ``verify_realization`` checks end to end.
+``K(s, t) - K(s, s0) K(s0, t)``, the Schur complement at s0; pinning the
+basepoint coordinate to the constant 1 makes the second moments
+``E(X_s conj(X_t))`` reproduce the kernel.  The kernel is PSD exactly
+when that covariance is, so ``realize_process`` rejects with
+``NotPsdError`` any kernel whose covariance does not factor.  Gluing two
+such realizations with independent randomness and estimating second
+moments empirically reproduces the Markov product, which is what
+``verify_realization`` checks end to end.
 
 Centered draws are circularly-symmetric complex Gaussians (real and
 imaginary parts each of variance 1/2), so only the Hermitian covariance
@@ -23,28 +26,26 @@ import numpy as np
 
 from .errors import (
     BasepointMismatchError,
-    BasepointNotUnitError,
     DimensionMismatchError,
     EmptyBatchError,
     FactorizationFailureError,
     InvalidParameterError,
     LabelCollisionError,
-    NotHermitianError,
     NotPsdError,
 )
 from .kernels import (
     DEFAULT_BASEPOINT_TOL,
     DEFAULT_PSD_TOL,
-    GluePoint,
     IndexedKernel,
     PsdCertificate,
-    _glue_label,
-    _is_hermitian_exact,
+    _check_hermitian,
+    _check_tolerance,
     _lock,
-    _worst_hermitian_violation,
+    _psd_eigh,
     markov_product,
     mirror_upper,
     psd_check_eigen,
+    schur_reduce,
 )
 
 # Fixed tags mixed with the user seed to derive the two independent
@@ -85,11 +86,7 @@ class RealizationSpec:
                 f"{len(labels)} labels, mean of length {mean.shape[0]}, "
                 f"covariance {cov.shape[0]}x{cov.shape[0]}"
             )
-        if not _is_hermitian_exact(cov):
-            i, j, dev = _worst_hermitian_violation(cov)
-            raise NotHermitianError(
-                f"covariance[{j},{i}] != conj(covariance[{i},{j}]), deviation {dev:.3e}"
-            )
+        _check_hermitian(cov, "covariance")
         if not 0 <= self.basepoint_index <= len(labels):
             raise InvalidParameterError(
                 f"basepoint_index {self.basepoint_index} out of range"
@@ -120,14 +117,11 @@ class RealizationSpec:
         tolerance of zero are clipped to zero (rank-deficient covariances
         sit exactly on the PSD boundary), anything lower fails.
         """
-        if self.dim == 0:
-            return np.zeros((0, 0), dtype=np.complex128)
         target = self.covariance.real if self.is_real else self.covariance
-        w, v = np.linalg.eigh(target)
-        scale = max(1.0, float(np.abs(w).max()))
-        if w[0] < -self.tol * scale:
+        w, v, scale, verdict = _psd_eigh(target, self.tol)
+        if not verdict:
             raise FactorizationFailureError(
-                f"covariance has eigenvalue {w[0]:.3e} below -{self.tol:g}*{scale:g}"
+                f"covariance has min eigenvalue {w[0]:.6e} below -{self.tol:g}*{scale:g}"
             )
         factor = (v * np.sqrt(np.clip(w, 0.0, None))).astype(np.complex128)
         return _lock(factor)
@@ -178,41 +172,32 @@ class SampleBatch:
 
 def realize_process(
     k: IndexedKernel,
-    s0: GluePoint | str,
+    s0: str,
     tol: float = DEFAULT_PSD_TOL,
     *,
     basepoint_tol: float = DEFAULT_BASEPOINT_TOL,
 ) -> RealizationSpec:
     """Build the Gaussian realization spec of a PSD kernel at basepoint s0.
 
-    mean(s) = K(s, s0) and cov(s, t) = K(s, t) - K(s, s0) K(s0, t); the
-    covariance coincides with the Schur complement of the kernel at s0.
+    mean(s) = K(s, s0) and cov(s, t) = K(s, t) - K(s, s0) K(s0, t), the
+    Schur complement at s0.  Factoring that covariance is the PSD check:
+    the spec comes back with ``factor`` computed, or ``NotPsdError``.
     """
-    label = _glue_label(s0)
-    i0 = k.index(label)
-    corner = complex(k.entries[i0, i0])
-    if abs(corner - 1.0) > basepoint_tol:
-        raise BasepointNotUnitError(
-            f"kernel entry at ({label!r}, {label!r}) is {corner}, not 1 within "
-            f"{basepoint_tol:g}"
-        )
-    cert = psd_check_eigen(k, tol)
-    if not cert.verdict:
-        raise NotPsdError(
-            f"kernel is not PSD: min eigenvalue {cert.min_eigenvalue:.6e} at tol {tol:g}"
-        )
-    rest = [i for i in range(k.dim) if i != i0]
-    mean = k.entries[rest, i0]
-    block = k.entries[np.ix_(rest, rest)]
-    cov = mirror_upper(block - np.outer(mean, mean.conj()))
-    return RealizationSpec(
-        labels=tuple(k.labels[i] for i in rest),
-        basepoint=label,
-        mean=mean,
-        covariance=cov,
+    split = schur_reduce(k, s0, basepoint_tol=basepoint_tol)
+    i0 = k.index(s0)
+    spec = RealizationSpec(
+        labels=k.labels[:i0] + k.labels[i0 + 1 :],
+        basepoint=s0,
+        mean=split.alpha.conj(),
+        covariance=split.schur_complement(),
         basepoint_index=i0,
         tol=tol,
     )
+    try:
+        spec.factor
+    except FactorizationFailureError as exc:
+        raise NotPsdError(f"kernel is not PSD at basepoint {s0!r}: {exc}") from exc
+    return spec
 
 
 def glue_realizations(spec1: RealizationSpec, spec2: RealizationSpec) -> GluedRealization:
@@ -334,7 +319,7 @@ def _max_entry_variance(batch: SampleBatch, moments: IndexedKernel) -> float:
 def verify_realization(
     k1: IndexedKernel,
     k2: IndexedKernel,
-    x0: GluePoint | str,
+    x0: str,
     n: int,
     seed: int,
     mc_tol: float | None = None,
@@ -351,6 +336,8 @@ def verify_realization(
     ``5 * sqrt(v_max / n)`` with ``v_max`` the largest per-entry sample
     variance estimated from the batch.
     """
+    if mc_tol is not None:
+        _check_tolerance("mc_tol", mc_tol)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
     certificate = psd_check_eigen(product, tol)
     spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NotATreeError
+from .errors import IntersectionNotSingletonError, InvalidParameterError, NotATreeError
 from .kernels import DEFAULT_BASEPOINT_TOL, IndexedKernel, markov_product
 
 
@@ -33,6 +33,11 @@ class GluingTree:
                 raise NotATreeError(f"edge ({i}, {j}, {label!r}) references a missing node")
             if i == j:
                 raise NotATreeError(f"edge ({i}, {j}, {label!r}) is a self-loop")
+            for node in (i, j):
+                if label not in nodes[node].labels:
+                    raise IntersectionNotSingletonError(
+                        f"edge ({i}, {j}, {label!r}): node {node} has no label {label!r}"
+                    )
             edges.append((i, j, label))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", tuple(edges))

@@ -8,6 +8,10 @@ import numpy as np
 
 from kernelglue import GluingTree, IndexedKernel, make_kernel
 
+#: Tolerance values the library must reject: each one is either not
+#: finite or not positive.
+BAD_TOLERANCES = (float("nan"), 0.0, -1e-9, float("inf"))
+
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Average with the conjugate transpose; the result is exactly Hermitian."""

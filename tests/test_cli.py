@@ -174,6 +174,58 @@ class TestRun:
         assert status == 2
         assert doc["error"] == "IntersectionNotSingleton"
 
+    def test_non_finite_entries_exit_two(self, workdir):
+        # Python's json reads NaN and Infinity tokens, and 1e400 overflows to inf
+        for token in ("NaN", "Infinity", "-Infinity", "1e400"):
+            text = (
+                '{"labels": ["x0", "a"], "entries": '
+                f'[[[1, 0], [{token}, 0]], [[{token}, 0], [1, 0]]]}}'
+            )
+            path = str(workdir["dir"] / "nonfinite.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            for command in ("check", "realize"):
+                status, doc = run(RunConfig(command, [path]))
+                assert status == 2
+                assert doc["error"] == "NonFinite"
+                assert "entry ('x0', 'a')" in doc["message"]
+
+    def test_covariance_that_does_not_factor_exits_one(self, workdir):
+        # the kernel clears the full-matrix eigenvalue threshold, but its
+        # covariance at x0 is -1e-3 and cannot be factored or sampled
+        band = {
+            "labels": ["x0", "a"],
+            "entries": [[[1, 0], [1e4, 0]], [[1e4, 0], [1e8 - 1e-3, 0]]],
+        }
+        path = str(workdir["dir"] / "band.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(dump_document(band))
+        assert run(RunConfig("check", [path]))[0] == 0
+        configs = [
+            RunConfig("realize", [path]),
+            RunConfig("sample", [path], samples=10),
+            RunConfig("verify", [path, workdir["k2"]], glue_label="x0", samples=10),
+        ]
+        for config in configs:
+            status, doc = run(config)
+            assert status == 1
+            assert doc["error"] == "NotPsd"
+
+    def test_covariance_eigensolver_failure_exits_one(self, workdir, monkeypatch):
+        # the 2x2 kernel decomposes, its 1x1 covariance does not
+        eigh = np.linalg.eigh
+
+        def fail_on_covariance(a):
+            if np.shape(a) == (1, 1):
+                raise np.linalg.LinAlgError("no convergence")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", fail_on_covariance)
+        for command in ("realize", "sample"):
+            status, doc = run(RunConfig(command, [workdir["k1"]], samples=10))
+            assert status == 1
+            assert doc["error"] == "NumericalFailure"
+
     def test_missing_file_and_parse_errors(self, workdir):
         status, doc = run(RunConfig("check", [str(workdir["dir"] / "absent.json")]))
         assert status == 2
@@ -294,6 +346,14 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("InvalidParameter: ")
+
+    def test_mc_tol_nan_is_invalid(self, workdir, capsys):
+        code = main(
+            ["verify", workdir["k1"], workdir["k2"], "--glue-label", "x0",
+             "--samples", "1000", "--mc-tol", "nan"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("InvalidParameter: mc_tol")
 
     def test_mc_tol_flag_forces_failure(self, workdir, capsys):
         code = main(

@@ -5,14 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_glued_pair, random_gram_kernel, random_unit_corner_hermitian
+from helpers import (
+    BAD_TOLERANCES,
+    random_glued_pair,
+    random_gram_kernel,
+    random_unit_corner_hermitian,
+)
 from kernelglue import (
     BasepointNotUnitError,
     DimensionMismatchError,
     DuplicateLabelError,
-    GluePoint,
     IntersectionNotSingletonError,
+    InvalidParameterError,
     LabelNotFoundError,
+    NonFiniteError,
     NotHermitianError,
     NumericalFailureError,
     SchurSplit,
@@ -57,6 +63,17 @@ class TestMakeKernel:
             make_kernel(["a", "b"], np.ones((2, 3)))
         with pytest.raises(DimensionMismatchError):
             make_kernel([], np.zeros((0, 0)))
+
+    def test_non_finite_entries_rejected(self):
+        # checked before conjugate symmetry, naming the first bad label pair
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)):
+            m = np.eye(3, dtype=complex)
+            m[1, 2] = bad
+            m[2, 1] = np.conj(bad)
+            with pytest.raises(NonFiniteError, match=r"\('b', 'c'\)"):
+                make_kernel(["a", "b", "c"], m)
+        with pytest.raises(NonFiniteError, match=r"\('a', 'a'\)"):
+            make_kernel(["a"], [[np.nan]])
 
     def test_entries_are_locked(self):
         k = make_kernel(["a", "b"], np.eye(2))
@@ -109,7 +126,7 @@ class TestMarkovProduct:
         c, d = 0.5, 0.5 + 0.5j
         k1 = make_kernel(["x0", "a"], [[1, c], [np.conj(c), 1]])
         k2 = make_kernel(["x0", "b"], [[1, d], [np.conj(d), 1]])
-        prod = markov_product(k1, k2, GluePoint("x0"))
+        prod = markov_product(k1, k2, "x0")
         assert prod.labels == ("x0", "a", "b")
         assert prod.entry("a", "b") == 0.25 + 0.25j
         assert prod.entry("b", "a") == 0.25 - 0.25j
@@ -193,6 +210,17 @@ class TestMarkovProduct:
             markov_product(k1_off, k2, "x0")
         markov_product(k1_off, k2, "x0", basepoint_tol=1e-11)
 
+    def test_basepoint_tolerance_validated(self):
+        k1 = make_kernel(["x0", "a"], np.eye(2))
+        k2 = make_kernel(["x0", "b"], np.eye(2))
+        for bad in BAD_TOLERANCES:
+            with pytest.raises(InvalidParameterError, match="basepoint_tol"):
+                markov_product(k1, k2, "x0", basepoint_tol=bad)
+            with pytest.raises(InvalidParameterError, match="basepoint_tol"):
+                schur_reduce(k1, "x0", basepoint_tol=bad)
+            with pytest.raises(InvalidParameterError, match="basepoint_tol"):
+                SchurSplit(1.0, np.zeros(1), np.eye(1), basepoint_tol=bad)
+
     def test_glue_point_off_corner(self):
         # the shared label need not sit first in either operand
         rng = np.random.default_rng(14)
@@ -247,6 +275,14 @@ class TestPsdCheckEigen:
         monkeypatch.setattr(np.linalg, "eigh", boom)
         with pytest.raises(NumericalFailureError):
             psd_check_eigen(make_kernel(["a"], [[1.0]]))
+
+    def test_tolerance_validated(self):
+        k = make_kernel(["s0", "a"], np.eye(2))
+        for bad in BAD_TOLERANCES:
+            with pytest.raises(InvalidParameterError, match="^tol "):
+                psd_check_eigen(k, bad)
+            with pytest.raises(InvalidParameterError, match="^tol "):
+                psd_check_schur(schur_reduce(k, "s0"), bad)
 
 
 class TestSchurReduce:

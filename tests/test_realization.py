@@ -5,7 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_glued_pair, random_gram_kernel
+from helpers import (
+    BAD_TOLERANCES,
+    random_glued_pair,
+    random_gram_kernel,
+    random_unit_corner_hermitian,
+)
 from kernelglue import (
     BasepointMismatchError,
     BasepointNotUnitError,
@@ -14,6 +19,7 @@ from kernelglue import (
     InvalidParameterError,
     LabelCollisionError,
     NotPsdError,
+    NumericalFailureError,
     RealizationSpec,
     estimate_second_moments,
     glue_realizations,
@@ -37,6 +43,32 @@ def cd_pair():
     k1 = two_point_kernel(0.5)
     k2 = make_kernel(["x0", "b"], [[1, 0.5 + 0.5j], [0.5 - 0.5j, 1]])
     return k1, k2
+
+
+def near_boundary_kernel(rng, kind):
+    """Kernel with unit basepoint "s0" (at a random position) near the PSD boundary.
+
+    "gram": rank-deficient Gram matrix with column norms from 1e-1 to 1e4;
+    "shifted": the same with a +-(1e-13..1e-6)*scale shift of the other
+    diagonal entries; "indefinite": clearly not PSD.
+    """
+    n = int(rng.integers(2, 8))
+    labels = ["s0"] + [f"t{i}" for i in range(1, n)]
+    if kind == "indefinite":
+        k = make_kernel(labels, random_unit_corner_hermitian(rng, n, psd=False).entries)
+    else:
+        rank = int(rng.integers(1, n))
+        v = rng.standard_normal((rank, n)) + 1j * rng.standard_normal((rank, n))
+        v = v / np.linalg.norm(v, axis=0) * 10.0 ** rng.uniform(-1, 4, n)
+        v[:, 0] /= np.linalg.norm(v[:, 0])
+        m = mirror_upper(v.conj().T @ v)
+        if kind == "shifted":
+            scale = float(np.abs(m).max())
+            shift = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -6) * scale
+            m[np.arange(1, n), np.arange(1, n)] += shift
+        m[0, 0] = 1.0
+        k = make_kernel(labels, m)
+    return k.restrict([labels[i] for i in rng.permutation(n)])
 
 
 class TestRealizeProcess:
@@ -109,6 +141,61 @@ class TestRealizeProcess:
         spec = RealizationSpec(("a",), "x0", [0.0], [[-1.0]])
         with pytest.raises(FactorizationFailureError):
             spec.factor
+
+    def test_covariance_that_does_not_factor_is_not_psd(self):
+        # The full kernel clears its eigenvalue threshold (scale 1e8), but
+        # its covariance 1e8 - 1e-3 - 1e8 = -1e-3 does not factor.
+        k = make_kernel(["x0", "a"], [[1, 1e4], [1e4, 1e8 - 1e-3]])
+        assert psd_check_eigen(k).verdict
+        with pytest.raises(NotPsdError, match="min eigenvalue -1.0"):
+            realize_process(k, "x0")
+
+    def test_tolerance_validated(self):
+        k = two_point_kernel(0.5)
+        for bad in BAD_TOLERANCES:
+            with pytest.raises(InvalidParameterError, match="^tol "):
+                realize_process(k, "x0", bad)
+            with pytest.raises(InvalidParameterError, match="basepoint_tol"):
+                realize_process(k, "x0", basepoint_tol=bad)
+            with pytest.raises(InvalidParameterError, match="^tol "):
+                RealizationSpec(("a",), "x0", [0.5], [[0.75]], tol=bad).factor
+
+    def test_eigensolver_failure_is_reported(self, monkeypatch):
+        def boom(_):
+            raise np.linalg.LinAlgError("no convergence")
+
+        spec = RealizationSpec(("a",), "x0", [0.5], [[0.75]])
+        monkeypatch.setattr(np.linalg, "eigh", boom)
+        with pytest.raises(NumericalFailureError):
+            spec.factor
+        with pytest.raises(NumericalFailureError):
+            realize_process(two_point_kernel(0.5), "x0")
+
+
+class TestNearBoundaryGate:
+    def test_realize_either_factors_or_rejects(self):
+        # Factoring the covariance is the only PSD gate: every kernel comes
+        # back with a usable factor or raises NotPsdError, never a late
+        # FactorizationFailureError, and accepted specs are the Schur pieces.
+        rng = np.random.default_rng(20261018)
+        outcomes = {}
+        for trial in range(2100):
+            kind = ("gram", "shifted", "indefinite")[trial % 3]
+            k = near_boundary_kernel(rng, kind)
+            try:
+                spec = realize_process(k, "s0")
+            except NotPsdError:
+                outcomes[kind, False] = outcomes.get((kind, False), 0) + 1
+                continue
+            outcomes[kind, True] = outcomes.get((kind, True), 0) + 1
+            assert "factor" in vars(spec)
+            assert spec.factor.shape == (k.dim - 1, k.dim - 1)
+            assert np.isfinite(spec.factor).all()
+            split = schur_reduce(k, "s0")
+            assert np.array_equal(spec.mean, split.alpha.conj())
+            assert np.array_equal(spec.covariance, split.schur_complement())
+        assert outcomes.get(("indefinite", True), 0) == 0
+        assert outcomes[("gram", True)] > 0 and outcomes[("shifted", False)] > 0
 
 
 class TestSampling:
@@ -278,6 +365,27 @@ class TestVerifyRealization:
         k2 = make_kernel(["x0", "b"], np.eye(2))
         with pytest.raises(BasepointNotUnitError):
             verify_realization(bad, k2, "x0", 100, seed=0)
+
+    def test_mc_tol_validated(self):
+        k1, k2 = cd_pair()
+        for bad in BAD_TOLERANCES:
+            with pytest.raises(InvalidParameterError, match="mc_tol"):
+                verify_realization(k1, k2, "x0", n=100, seed=0, mc_tol=bad)
+
+    def test_three_eigendecompositions(self, monkeypatch):
+        # one for the product's certificate, one per operand's covariance,
+        # which both certifies the operand and factors it for sampling
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        k1, k2 = cd_pair()
+        verify_realization(k1, k2, "x0", n=1000, seed=0)
+        assert calls == [(3, 3), (1, 1), (1, 1)]
 
     def test_rejects_zero_samples(self):
         k1, k2 = cd_pair()

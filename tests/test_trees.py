@@ -51,6 +51,20 @@ class TestGluingTreeValidation:
         with pytest.raises(NotATreeError):
             glue_tree(tree)
 
+    def test_edge_label_must_belong_to_both_endpoints(self):
+        # node 0 = {a, x} has no "b", whichever order the edges come in
+        nodes = (
+            correlation_kernel("a", "x"),
+            correlation_kernel("x", "b"),
+            correlation_kernel("b", "c"),
+        )
+        for edges in (((0, 1, "x"), (0, 2, "b")), ((0, 2, "b"), (0, 1, "x"))):
+            with pytest.raises(
+                IntersectionNotSingletonError, match=r"edge \(0, 2, 'b'\): node 0 "
+            ):
+                GluingTree(nodes, edges)
+        GluingTree(nodes, ((0, 1, "x"), (1, 2, "b")))
+
     def test_empty_tree_rejected(self):
         with pytest.raises(NotATreeError):
             glue_tree(GluingTree((), ()))
