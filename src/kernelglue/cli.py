@@ -30,6 +30,7 @@ from .fileio import (
 from .kernels import (
     DEFAULT_BASEPOINT_TOL,
     DEFAULT_PSD_TOL,
+    _check_tolerance,
     markov_product,
     psd_check_eigen,
 )
@@ -68,12 +69,10 @@ def _validate(config: RunConfig) -> None:
         raise InvalidParameterError(
             f"{config.command} takes {expected} input file(s), got {len(config.inputs)}"
         )
-    if not config.tol > 0.0:
-        raise InvalidParameterError(f"tol must be positive, got {config.tol}")
-    if not config.basepoint_tol > 0.0:
-        raise InvalidParameterError(
-            f"basepoint tolerance must be positive, got {config.basepoint_tol}"
-        )
+    _check_tolerance("tol", config.tol)
+    _check_tolerance("basepoint_tol", config.basepoint_tol)
+    if config.mc_tol is not None:
+        _check_tolerance("mc_tol", config.mc_tol)
     if config.command in _SAMPLING and config.samples < 1:
         raise InvalidParameterError(
             f"sample count must be >= 1, got {config.samples}"
@@ -86,11 +85,6 @@ def _require_glue_label(config: RunConfig) -> str:
     if not config.glue_label:
         raise InvalidParameterError(f"{config.command} requires --glue-label")
     return config.glue_label
-
-
-def _basepoint(config: RunConfig, kernel) -> str:
-    # realize/sample default to the kernel's first label as basepoint.
-    return config.glue_label if config.glue_label else kernel.labels[0]
 
 
 def _execute(config: RunConfig) -> tuple[int, dict | str]:
@@ -109,24 +103,17 @@ def _execute(config: RunConfig) -> tuple[int, dict | str]:
         cert = psd_check_eigen(load_kernel(config.inputs[0]), config.tol)
         return (0 if cert.verdict else 1), certificate_to_document(cert)
 
-    if cmd == "realize":
+    if cmd in ("realize", "sample"):
         kernel = load_kernel(config.inputs[0])
+        # The basepoint defaults to the kernel's first label.
         spec = realize_process(
             kernel,
-            _basepoint(config, kernel),
+            config.glue_label or kernel.labels[0],
             config.tol,
             basepoint_tol=config.basepoint_tol,
         )
-        return 0, realization_to_document(spec)
-
-    if cmd == "sample":
-        kernel = load_kernel(config.inputs[0])
-        spec = realize_process(
-            kernel,
-            _basepoint(config, kernel),
-            config.tol,
-            basepoint_tol=config.basepoint_tol,
-        )
+        if cmd == "realize":
+            return 0, realization_to_document(spec)
         batch = sample_realization(
             spec, config.samples, config.seed, real_mode=config.real_mode
         )
@@ -213,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "realize": "mean/covariance realization of one kernel at a basepoint",
         "sample": "draw realization samples as a tabular export",
         "verify": "sample the glued process and compare moments to the product",
-        "glue-tree": "fold a tree of kernels into one glued kernel",
+        "glue-tree": "glue a tree of kernels into one kernel",
     }
     for name in COMMANDS:
         sub.add_parser(name, parents=[common], help=helps[name])

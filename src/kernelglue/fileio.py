@@ -20,9 +20,9 @@ from .realization import RealizationSpec, SampleBatch, VerificationReport
 from .trees import GluingTree
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _to_pairs(a: np.ndarray) -> list:
+    """Nested lists like ``a`` with each complex entry as ``[re, im]``."""
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def pair_to_complex(obj) -> complex:
@@ -35,14 +35,6 @@ def pair_to_complex(obj) -> complex:
     return complex(float(obj[0]), float(obj[1]))
 
 
-def matrix_to_rows(m: np.ndarray) -> list[list[list[float]]]:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(m)]
-
-
-def vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v).reshape(-1)]
-
-
 def _require(doc: dict, key: str, kind: str):
     if not isinstance(doc, dict) or key not in doc:
         raise FileFormatError(f"{kind} document is missing the {key!r} field")
@@ -50,7 +42,7 @@ def _require(doc: dict, key: str, kind: str):
 
 
 def kernel_to_document(k: IndexedKernel) -> dict:
-    return {"labels": list(k.labels), "entries": matrix_to_rows(k.entries)}
+    return {"labels": list(k.labels), "entries": _to_pairs(k.entries)}
 
 
 def kernel_from_document(doc: dict) -> IndexedKernel:
@@ -101,7 +93,7 @@ def certificate_to_document(cert: PsdCertificate) -> dict:
         "verdict": bool(cert.verdict),
         "min_eigenvalue": float(cert.min_eigenvalue),
         "tolerance_used": float(cert.tolerance_used),
-        "witness": None if cert.witness is None else vector_to_pairs(cert.witness),
+        "witness": None if cert.witness is None else _to_pairs(cert.witness),
     }
 
 
@@ -110,8 +102,8 @@ def realization_to_document(spec: RealizationSpec) -> dict:
         "labels": list(spec.labels),
         "basepoint": spec.basepoint,
         "basepoint_index": spec.basepoint_index,
-        "mean": vector_to_pairs(spec.mean),
-        "covariance": matrix_to_rows(spec.covariance),
+        "mean": _to_pairs(spec.mean),
+        "covariance": _to_pairs(spec.covariance),
     }
 
 

@@ -253,6 +253,49 @@ def _unit_index(k: IndexedKernel, label: str, tol: float) -> int:
     return i
 
 
+def _glue_chain(
+    first: IndexedKernel, steps: list[tuple[IndexedKernel, str]], basepoint_tol: float
+) -> IndexedKernel:
+    """Glue each ``(kernel, x0)`` of ``steps`` in turn onto ``first``.
+
+    The result is allocated once at its final size.  Labels come in
+    placement order; each new kernel is copied bitwise onto its own
+    labels (the glue point keeps its placed diagonal), and every cross
+    entry is ``placed(s, x0) * kernel(x0, t)`` or its conjugate.
+    """
+    n = first.dim + sum(k.dim - 1 for k, _ in steps)
+    out = np.zeros((n, n), dtype=np.complex128)
+    out[: first.dim, : first.dim] = first.entries
+    labels = list(first.labels)
+    index = {label: i for i, label in enumerate(labels)}
+    for k, x0 in steps:
+        shared = {label for label in k.labels if label in index}
+        if shared != {x0}:
+            raise IntersectionNotSingletonError(
+                f"label sets must intersect exactly in {{{x0!r}}}, "
+                f"got intersection {sorted(shared)}"
+            )
+        ix0 = index[x0]
+        _check_unit_diagonal(
+            out[ix0, ix0], f"kernel entry at ({x0!r}, {x0!r})", basepoint_tol
+        )
+        i2 = _unit_index(k, x0, basepoint_tol)
+        rest = [i for i in range(k.dim) if i != i2]
+        m, end = len(labels), len(labels) + len(rest)
+        cross = np.outer(out[:m, ix0], k.entries[i2, rest])
+        out[:m, m:end] = cross
+        out[m:end, :m] = cross.conj().T
+        # Row and column x0 of the new block overwrite the cross entries
+        # computed through the placed diagonal.
+        out[ix0, m:end] = k.entries[i2, rest]
+        out[m:end, ix0] = k.entries[rest, i2]
+        out[m:end, m:end] = k.entries[np.ix_(rest, rest)]
+        for i in rest:
+            index[k.labels[i]] = len(labels)
+            labels.append(k.labels[i])
+    return IndexedKernel(tuple(labels), out)
+
+
 def markov_product(
     k1: IndexedKernel,
     k2: IndexedKernel,
@@ -270,37 +313,7 @@ def markov_product(
     Both kernels must carry the value 1 at the glue point diagonal,
     within ``basepoint_tol``.
     """
-    shared = set(k1.labels) & set(k2.labels)
-    if shared != {x0}:
-        raise IntersectionNotSingletonError(
-            f"label sets must intersect exactly in {{{x0!r}}}, "
-            f"got intersection {sorted(shared)}"
-        )
-    i1 = _unit_index(k1, x0, basepoint_tol)
-    i2 = _unit_index(k2, x0, basepoint_tol)
-
-    n1 = k1.dim
-    rest2 = [i for i in range(k2.dim) if i != i2]
-    n = n1 + len(rest2)
-    labels = k1.labels + tuple(k2.labels[i] for i in rest2)
-
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[:n1, :n1] = k1.entries
-    # Bitwise copy of the second operand onto its (glue-point-shared)
-    # positions; the single overlapping diagonal entry keeps operand 1's
-    # value so both restrictions are exact when the corners agree.
-    pos2 = np.array([i1 if i == i2 else n1 + rest2.index(i) for i in range(k2.dim)])
-    out[np.ix_(pos2, pos2)] = k2.entries
-    out[i1, i1] = k1.entries[i1, i1]
-
-    rows1 = [i for i in range(n1) if i != i1]
-    if rows1 and rest2:
-        cross = np.outer(k1.entries[rows1, i1], k2.entries[i2, rest2])
-        cols = np.arange(n1, n)
-        out[np.ix_(rows1, cols)] = cross
-        out[np.ix_(cols, rows1)] = cross.conj().T
-
-    return IndexedKernel(labels, out)
+    return _glue_chain(k1, [(k2, x0)], basepoint_tol)
 
 
 def _eigen_certificate(matrix: np.ndarray, tol: float) -> PsdCertificate:

@@ -7,9 +7,10 @@ basepoint coordinate to the constant 1 makes the second moments
 ``E(X_s conj(X_t))`` reproduce the kernel.  The kernel is PSD exactly
 when that covariance is, so ``realize_process`` rejects with
 ``NotPsdError`` any kernel whose covariance does not factor.  Gluing two
-such realizations with independent randomness and estimating second
-moments empirically reproduces the Markov product, which is what
-``verify_realization`` checks end to end.
+such realizations with independent randomness (both written into one
+batch, assembled once) and estimating second moments empirically
+reproduces the Markov product, which is what ``verify_realization``
+checks end to end.
 
 Centered draws are circularly-symmetric complex Gaussians (real and
 imaginary parts each of variance 1/2), so only the Hermitian covariance
@@ -220,6 +221,23 @@ def glue_realizations(spec1: RealizationSpec, spec2: RealizationSpec) -> GluedRe
     return GluedRealization(spec1, spec2, labels)
 
 
+def _draws(spec: RealizationSpec, n: int, seed: int, real_mode: bool) -> np.ndarray:
+    """The n x dim draws ``mean + L z`` for the non-basepoint labels."""
+    L = spec.factor
+    rng = np.random.default_rng(seed)
+    if real_mode:
+        if not spec.is_real:
+            raise InvalidParameterError(
+                "real mode requires a real-valued mean and covariance"
+            )
+        z = rng.standard_normal((n, spec.dim))
+        return spec.mean.real + z @ L.real.T
+    zr = rng.standard_normal((n, spec.dim))
+    zi = rng.standard_normal((n, spec.dim))
+    z = (zr + 1j * zi) * math.sqrt(0.5)
+    return spec.mean + z @ L.T
+
+
 def sample_realization(
     spec: RealizationSpec,
     n: int,
@@ -236,23 +254,8 @@ def sample_realization(
     """
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    L = spec.factor
-    rng = np.random.default_rng(seed)
-    if real_mode:
-        if not spec.is_real:
-            raise InvalidParameterError(
-                "real mode requires a real-valued mean and covariance"
-            )
-        z = rng.standard_normal((n, spec.dim))
-        draws = spec.mean.real + z @ L.real.T
-    else:
-        zr = rng.standard_normal((n, spec.dim))
-        zi = rng.standard_normal((n, spec.dim))
-        z = (zr + 1j * zi) * math.sqrt(0.5)
-        draws = spec.mean + z @ L.T
-    samples = np.insert(
-        np.asarray(draws, dtype=np.complex128), spec.basepoint_index, 1.0, axis=1
-    )
+    draws = _draws(spec, n, seed, real_mode)
+    samples = np.insert(draws, spec.basepoint_index, 1.0, axis=1)
     return SampleBatch(spec.full_labels, samples, seed)
 
 
@@ -267,16 +270,20 @@ def sample_glued(
 
     Sub-seeds are derived by mixing the user seed with two fixed tag
     constants through a deterministic splitting function, so runs are
-    reproducible while the component processes stay independent.
+    reproducible while the component processes stay independent.  Both
+    components are written into one batch allocated at its final size.
     """
-    batch1 = sample_realization(
-        glued.spec1, n, _subseed(seed, _STREAM_TAGS[0]), real_mode=real_mode
-    )
-    batch2 = sample_realization(
-        glued.spec2, n, _subseed(seed, _STREAM_TAGS[1]), real_mode=real_mode
-    )
-    part2 = np.delete(batch2.samples, glued.spec2.basepoint_index, axis=1)
-    samples = np.hstack([batch1.samples, part2])
+    if n < 1:
+        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+    spec1, spec2 = glued.spec1, glued.spec2
+    i, d1 = spec1.basepoint_index, spec1.dim + 1
+    samples = np.empty((n, len(glued.labels)), dtype=np.complex128)
+    draws1 = _draws(spec1, n, _subseed(seed, _STREAM_TAGS[0]), real_mode)
+    samples[:, :i] = draws1[:, :i]
+    samples[:, i] = 1.0
+    samples[:, i + 1 : d1] = draws1[:, i:]
+    del draws1  # freed before the second draw, which lowers the peak
+    samples[:, d1:] = _draws(spec2, n, _subseed(seed, _STREAM_TAGS[1]), real_mode)
     return SampleBatch(glued.labels, samples, seed)
 
 

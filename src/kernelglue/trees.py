@@ -1,8 +1,8 @@
 """Iterated Markov products along a tree of kernels.
 
 Kernels sit on the nodes; each edge names the single label its two
-endpoint kernels share.  Folding the binary Markov product over the
-edges glues everything into one kernel on the union of all labels, and
+endpoint kernels share.  Gluing every node at its edge label assembles
+one kernel on the union of all labels, written once at its final size;
 the result is independent of traversal order because cross entries
 compose multiplicatively along tree paths.
 """
@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import IntersectionNotSingletonError, InvalidParameterError, NotATreeError
-from .kernels import DEFAULT_BASEPOINT_TOL, IndexedKernel, markov_product
+from .kernels import DEFAULT_BASEPOINT_TOL, IndexedKernel, _glue_chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +76,13 @@ def glue_tree(
     basepoint_tol: float = DEFAULT_BASEPOINT_TOL,
     traversal: str = "bfs",
 ) -> IndexedKernel:
-    """Fold the Markov product over the tree's edges.
+    """Glue the tree's kernels at their edge labels, assembled once.
 
-    The canonical output uses a breadth-first traversal from node 0;
-    "dfs" is accepted as an alternative order (the results agree
-    entrywise up to label permutation, which is a tested property, not
-    an assumption).
+    The result equals the Markov product applied edge by edge in
+    traversal order, bit for bit.  The canonical output uses a
+    breadth-first traversal from node 0; "dfs" is accepted as an
+    alternative order (the results agree entrywise up to label
+    permutation, which is a tested property, not an assumption).
     """
     if traversal not in ("bfs", "dfs"):
         raise InvalidParameterError(f"traversal must be 'bfs' or 'dfs', got {traversal!r}")
@@ -92,7 +93,5 @@ def glue_tree(
             f"{len(tree.nodes)} nodes need {len(tree.nodes) - 1} edges to form a tree, "
             f"got {len(tree.edges)}"
         )
-    result = tree.nodes[0]
-    for v, label in _traversal(tree, traversal):
-        result = markov_product(result, tree.nodes[v], label, basepoint_tol=basepoint_tol)
-    return result
+    steps = [(tree.nodes[v], label) for v, label in _traversal(tree, traversal)]
+    return _glue_chain(tree.nodes[0], steps, basepoint_tol)

@@ -155,6 +155,12 @@ class TestRun:
             RunConfig("sample", [workdir["k1"]], samples=0),
             RunConfig("verify", [workdir["k1"], workdir["k2"]], glue_label="x0", seed=-1),
             RunConfig("nonsense", [workdir["k1"]]),
+            # tolerances follow the library's rule on every command
+            RunConfig(
+                "glue", [workdir["k1"], workdir["k2"]], glue_label="x0", tol=float("inf")
+            ),
+            RunConfig("check", [workdir["k1"]], basepoint_tol=float("inf")),
+            RunConfig("sample", [workdir["k1"]], samples=10, mc_tol=-1.0),
         ]
         for config in cases:
             status, doc = run(config)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -306,6 +308,50 @@ class TestGluedRealization:
         m21 = estimate_second_moments(sample_glued(g21, 200000, seed=9))
         aligned = m21.restrict(m12.labels)
         assert np.abs(aligned.entries - m12.entries).max() < 0.02
+
+
+    def test_sample_count_validated(self):
+        k1, k2 = cd_pair()
+        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
+        with pytest.raises(InvalidParameterError):
+            sample_glued(glued, 0, seed=0)
+
+
+def golden_specs(real_mode):
+    """Specs whose basepoint is neither first nor last in its kernel."""
+    rng = np.random.default_rng(20261018)
+    k1 = random_gram_kernel(rng, ("a0", "a1", "x0", "a2"), not real_mode)
+    k2 = random_gram_kernel(rng, ("b0", "x0", "b1"), not real_mode)
+    return realize_process(k1, "x0"), realize_process(k2, "x0")
+
+
+def batch_digest(batch):
+    return hashlib.sha256(repr(batch.labels).encode() + batch.samples.tobytes()).hexdigest()
+
+
+class TestGoldenSamples:
+    """sha256 of labels and sample bytes, pinned so the draws stay bitwise stable."""
+
+    SINGLE = {
+        False: "9c8d90fdace61274b073b85f6b432a5b2be4dc3fa88c4add2cf95b9fe4ae012e",
+        True: "492a4522d17a95600a1ccc2a51378479a8012f4f8c84ac407d2afdca3f394627",
+    }
+    GLUED = {
+        False: "d544403662960361086734127db21ae3b7c7ec7a175caa447481a535b26ba19c",
+        True: "6cae3a84c689d5feaadd5f907eb9f2b320cc3419f8c6a68a968fb163396ee664",
+    }
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_sample_realization(self, real_mode):
+        spec1, _ = golden_specs(real_mode)
+        batch = sample_realization(spec1, 64, 123, real_mode=real_mode)
+        assert batch_digest(batch) == self.SINGLE[real_mode]
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_sample_glued(self, real_mode):
+        glued = glue_realizations(*golden_specs(real_mode))
+        batch = sample_glued(glued, 64, 123, real_mode=real_mode)
+        assert batch_digest(batch) == self.GLUED[real_mode]
 
 
 class TestEstimateSecondMoments:

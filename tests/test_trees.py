@@ -9,6 +9,7 @@ from helpers import path_product_oracle, random_gluing_tree, random_gram_kernel
 from kernelglue import (
     BasepointNotUnitError,
     GluingTree,
+    IndexedKernel,
     IntersectionNotSingletonError,
     InvalidParameterError,
     NotATreeError,
@@ -17,6 +18,7 @@ from kernelglue import (
     markov_product,
     psd_check_eigen,
 )
+from kernelglue.trees import _traversal
 
 
 def correlation_kernel(a, b, c=0.5):
@@ -155,3 +157,50 @@ class TestGlueTree:
         k3 = make_kernel(["a", "b"], [[2.0, 0], [0, 1.0]])
         with pytest.raises(BasepointNotUnitError):
             glue_tree(GluingTree((k1, k3), ((0, 1, "a"),)))
+
+    def test_non_unit_label_placed_earlier_rejected(self):
+        # node 1 brings "b" with diagonal 2; node 2 is glued at "b" later
+        nodes = (
+            correlation_kernel("x0", "a"),
+            make_kernel(["a", "b"], [[1.0, 0.5], [0.5, 2.0]]),
+            correlation_kernel("b", "c"),
+        )
+        tree = GluingTree(nodes, ((0, 1, "a"), (1, 2, "b")))
+        with pytest.raises(BasepointNotUnitError, match=r"\('b', 'b'\) is \(2\+0j\)"):
+            glue_tree(tree)
+
+
+def folded(tree, traversal):
+    """Reference: the binary Markov product applied edge by edge."""
+    result = tree.nodes[0]
+    for v, label in _traversal(tree, traversal):
+        result = markov_product(result, tree.nodes[v], label)
+    return result
+
+
+class TestAssembly:
+    def test_equals_edge_by_edge_fold_bitwise(self):
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            tree = random_gluing_tree(rng, max_nodes=10, max_size=6)
+            for traversal in ("bfs", "dfs"):
+                expected = folded(tree, traversal)
+                result = glue_tree(tree, traversal=traversal)
+                assert result.labels == expected.labels
+                assert result.entries.tobytes() == expected.entries.tobytes()
+
+    def test_builds_one_kernel(self, monkeypatch):
+        nodes = tuple(correlation_kernel(f"c{i}", f"c{i + 1}", 0.9) for i in range(24))
+        edges = tuple((i, i + 1, f"c{i + 1}") for i in range(23))
+        tree = GluingTree(nodes, edges)
+        built = []
+        post_init = IndexedKernel.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(IndexedKernel, "__post_init__", counting)
+        result = glue_tree(tree)
+        assert len(built) == 1 and built[0] is result
+        assert result.dim == 25
