@@ -52,13 +52,16 @@ def kernel_from_document(doc: dict) -> IndexedKernel:
         raise FileFormatError("kernel 'labels' must be an array of strings")
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise FileFormatError("kernel 'entries' must be an array of rows")
-    entries = [[pair_to_complex(z) for z in row] for row in rows]
-    lengths = {len(row) for row in entries}
-    if len(entries) != len(labels) or lengths not in ({len(labels)}, set()):
-        raise FileFormatError(
-            f"kernel 'entries' must be a {len(labels)}x{len(labels)} matrix"
-        )
-    return make_kernel(labels, entries)
+    n = len(labels)
+    for row in rows:
+        for z in row:
+            if type(z) is not list or len(z) != 2 or not type(z[0]) is type(z[1]) is float:
+                pair_to_complex(z)  # the full rule: raises on a bad entry
+    if len(rows) != n or {len(row) for row in rows} not in ({n}, set()):
+        raise FileFormatError(f"kernel 'entries' must be a {n}x{n} matrix")
+    # [re, im] pairs are the memory layout of complex128: the view is bitwise exact
+    pairs = np.array(rows, dtype=np.float64).reshape(n, n, 2).view(np.complex128)
+    return make_kernel(labels, pairs[..., 0])
 
 
 def tree_to_document(tree: GluingTree) -> dict:

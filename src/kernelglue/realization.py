@@ -7,19 +7,18 @@ basepoint coordinate to the constant 1 makes the second moments
 ``E(X_s conj(X_t))`` reproduce the kernel.  The kernel is PSD exactly
 when that covariance is, so ``realize_process`` rejects with
 ``NotPsdError`` any kernel whose covariance does not factor.  Gluing two
-such realizations with independent randomness (both written into one
-batch, assembled once) and estimating second moments empirically
-reproduces the Markov product, which is what ``verify_realization``
-checks end to end.
-
-Centered draws are circularly-symmetric complex Gaussians (real and
-imaginary parts each of variance 1/2), so only the Hermitian covariance
-matters; a real mode is available for real-valued kernels.
+such realizations with independent randomness reproduces the Markov
+product, which ``verify_realization`` checks end to end.  Draws come in
+blocks of ``_CHUNK_ROWS`` rows, and the verification sums its moments
+block by block without holding the batch, so its memory does not grow
+with n.  Draws are circularly-symmetric complex Gaussians (real and
+imaginary parts each of variance 1/2), or real ones in real mode.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,6 +51,9 @@ from .kernels import (
 # Fixed tags mixed with the user seed to derive the two independent
 # sub-streams of a glued realization.
 _STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
+
+# Rows per sampling block; 2**11 to 2**16 run equally fast, 2**18 slower.
+_CHUNK_ROWS = 1 << 14
 
 
 def _subseed(seed: int, tag: int) -> int:
@@ -221,21 +223,44 @@ def glue_realizations(spec1: RealizationSpec, spec2: RealizationSpec) -> GluedRe
     return GluedRealization(spec1, spec2, labels)
 
 
-def _draws(spec: RealizationSpec, n: int, seed: int, real_mode: bool) -> np.ndarray:
-    """The n x dim draws ``mean + L z`` for the non-basepoint labels."""
+def _draws(spec: RealizationSpec, rng, m: int, real_mode: bool) -> np.ndarray:
+    """The m x dim draws ``mean + L z`` for the non-basepoint labels."""
     L = spec.factor
-    rng = np.random.default_rng(seed)
     if real_mode:
-        if not spec.is_real:
-            raise InvalidParameterError(
-                "real mode requires a real-valued mean and covariance"
-            )
-        z = rng.standard_normal((n, spec.dim))
-        return spec.mean.real + z @ L.real.T
-    zr = rng.standard_normal((n, spec.dim))
-    zi = rng.standard_normal((n, spec.dim))
-    z = (zr + 1j * zi) * math.sqrt(0.5)
-    return spec.mean + z @ L.T
+        return spec.mean.real + rng.standard_normal((m, spec.dim)) @ L.real.T
+    zr = rng.standard_normal((m, spec.dim))
+    zi = rng.standard_normal((m, spec.dim))
+    return spec.mean + ((zr + 1j * zi) * math.sqrt(0.5)) @ L.T
+
+
+def _place(block: np.ndarray, specs, rngs, real_mode: bool) -> np.ndarray:
+    """Fill a block: the first spec around its basepoint column of ones, then any second."""
+    m, i, stop = len(block), specs[0].basepoint_index, specs[0].dim + 1
+    draws = _draws(specs[0], rngs[0], m, real_mode)
+    block[:, :i] = draws[:, :i]
+    block[:, i] = 1.0
+    block[:, i + 1 : stop] = draws[:, i:]
+    if len(specs) == 2:
+        block[:, stop:] = _draws(specs[1], rngs[1], m, real_mode)
+    return block
+
+
+def _sample_blocks(specs, n: int, seed: int, real_mode: bool, whole: bool = False):
+    """Check the arguments, then return a buffer and a lazy iterator filling
+    it with the n rows ``_CHUNK_ROWS`` at a time (the whole batch if
+    ``whole``, else one reused block).  One spec draws from ``seed``, a
+    glued pair from one sub-seed each, ``zr`` then ``zi`` per block."""
+    if n < 1:
+        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+    if real_mode and not all(spec.is_real for spec in specs):
+        raise InvalidParameterError("real mode requires a real-valued mean and covariance")
+    seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    out = np.empty((n if whole else min(n, _CHUNK_ROWS), 1 + sum(s.dim for s in specs)), complex)
+    return out, (
+        _place(out[start if whole else 0 :][: min(_CHUNK_ROWS, n - start)], specs, rngs, real_mode)
+        for start in range(0, n, _CHUNK_ROWS)
+    )
 
 
 def sample_realization(
@@ -252,10 +277,8 @@ def sample_realization(
     real-valued specs).  Identical (spec, seed, n) give bitwise-identical
     batches.
     """
-    if n < 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    draws = _draws(spec, n, seed, real_mode)
-    samples = np.insert(draws, spec.basepoint_index, 1.0, axis=1)
+    samples, blocks = _sample_blocks((spec,), n, seed, real_mode, whole=True)
+    deque(blocks, maxlen=0)  # fills samples
     return SampleBatch(spec.full_labels, samples, seed)
 
 
@@ -273,32 +296,38 @@ def sample_glued(
     reproducible while the component processes stay independent.  Both
     components are written into one batch allocated at its final size.
     """
-    if n < 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-    spec1, spec2 = glued.spec1, glued.spec2
-    i, d1 = spec1.basepoint_index, spec1.dim + 1
-    samples = np.empty((n, len(glued.labels)), dtype=np.complex128)
-    draws1 = _draws(spec1, n, _subseed(seed, _STREAM_TAGS[0]), real_mode)
-    samples[:, :i] = draws1[:, :i]
-    samples[:, i] = 1.0
-    samples[:, i + 1 : d1] = draws1[:, i:]
-    del draws1  # freed before the second draw, which lowers the peak
-    samples[:, d1:] = _draws(spec2, n, _subseed(seed, _STREAM_TAGS[1]), real_mode)
+    samples, blocks = _sample_blocks((glued.spec1, glued.spec2), n, seed, real_mode, whole=True)
+    deque(blocks, maxlen=0)  # fills samples
     return SampleBatch(glued.labels, samples, seed)
+
+
+def _moment_sums(blocks, n: int, fourth: bool = False):
+    """Sums over all n rows of ``X.T @ X.conj()`` and, if ``fourth``, of
+    ``A.T @ A`` with ``A = |X|**2``, added block by block in order."""
+    if n < 2:
+        raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
+    gram = quartic = None
+    for X in blocks:
+        g = X.T @ X.conj()
+        gram = g if gram is None else np.add(gram, g, out=gram)
+        if fourth:
+            a2 = np.abs(X) ** 2
+            q = a2.T @ a2
+            quartic = q if quartic is None else np.add(quartic, q, out=quartic)
+    return gram, quartic
 
 
 def estimate_second_moments(batch: SampleBatch) -> IndexedKernel:
     """Empirical kernel: entry(s, t) = mean over rows of Y_s conj(Y_t).
 
-    The upper triangle is computed and mirrored by conjugation, so the
-    output is exactly Hermitian (and PSD, being an empirical Gram
-    matrix); the basepoint diagonal comes out exactly 1.
+    Summed over the row blocks ``verify_realization`` uses, to the same
+    bits.  The upper triangle is mirrored by conjugation, so the output
+    is exactly Hermitian (and PSD, being an empirical Gram matrix); the
+    basepoint diagonal comes out exactly 1.
     """
-    if batch.n < 2:
-        raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {batch.n}")
-    X = batch.samples
-    gram = (X.T @ X.conj()) / batch.n
-    return IndexedKernel(batch.labels, mirror_upper(gram))
+    blocks = np.split(batch.samples, range(_CHUNK_ROWS, batch.n, _CHUNK_ROWS))
+    gram, _ = _moment_sums(blocks, batch.n)
+    return IndexedKernel(batch.labels, mirror_upper(gram / batch.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,14 +342,6 @@ class VerificationReport:
     n_samples: int
     seed: int
     passed: bool
-
-
-def _max_entry_variance(batch: SampleBatch, moments: IndexedKernel) -> float:
-    """Largest per-entry sample variance of Y_s conj(Y_t) across the batch."""
-    a2 = np.abs(batch.samples) ** 2
-    second = (a2.T @ a2) / batch.n
-    var = second - np.abs(moments.entries) ** 2
-    return float(max(var.max(), 0.0))
 
 
 def verify_realization(
@@ -338,10 +359,10 @@ def verify_realization(
     """Full constructive check that gluing preserves positivity.
 
     Forms the Markov product and its PSD certificate, samples the glued
-    realization, estimates second moments, and compares them entrywise
-    to the exact product.  When ``mc_tol`` is None the pass threshold is
-    ``5 * sqrt(v_max / n)`` with ``v_max`` the largest per-entry sample
-    variance estimated from the batch.
+    realization block by block, sums second moments as it goes, and
+    compares them entrywise to the exact product.  When ``mc_tol`` is
+    None the pass threshold is ``5 * sqrt(v_max / n)`` with ``v_max`` the
+    largest per-entry sample variance, summed from the same draws.
     """
     if mc_tol is not None:
         _check_tolerance("mc_tol", mc_tol)
@@ -350,16 +371,17 @@ def verify_realization(
     spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)
     spec2 = realize_process(k2, x0, tol, basepoint_tol=basepoint_tol)
     glued = glue_realizations(spec1, spec2)
-    batch = sample_glued(glued, n, seed, real_mode=real_mode)
-    empirical = estimate_second_moments(batch)
-    if empirical.labels != product.labels:
+    if glued.labels != product.labels:
         raise DimensionMismatchError(
             "internal label order mismatch between product and glued samples"
         )
+    _, blocks = _sample_blocks((spec1, spec2), n, seed, real_mode)
+    gram, quartic = _moment_sums(blocks, n, fourth=mc_tol is None)
+    empirical = IndexedKernel(glued.labels, mirror_upper(gram / n))
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
-        v_max = _max_entry_variance(batch, empirical)
-        mc_tol = 5.0 * math.sqrt(v_max / batch.n)
+        var = quartic / n - np.abs(empirical.entries) ** 2
+        mc_tol = 5.0 * math.sqrt(max(var.max(), 0.0) / n)
     passed = bool(certificate.verdict and max_dev <= mc_tol)
     return VerificationReport(
         product=product,
@@ -367,7 +389,7 @@ def verify_realization(
         empirical=empirical,
         max_abs_deviation=max_dev,
         mc_tol=float(mc_tol),
-        n_samples=batch.n,
+        n_samples=n,
         seed=int(seed),
         passed=passed,
     )

@@ -88,6 +88,34 @@ class TestKernelDocuments:
         with pytest.raises(FileFormatError):
             kernel_from_document({"labels": ["a", "b"], "entries": [[[1, 0]]]})
 
+    def test_loader_is_bitwise_the_per_entry_conversion(self):
+        big = 2**70 + 1  # rounds on conversion to float
+        rows = [
+            [[1, 0], (-0.0, 5e-324), [1e-310, -0.0]],
+            [[-0.0, -5e-324], (3, -0.0), [big, 7]],
+            [(1e-310, 0.0), [big, -7], [-0.0, 0.0]],
+        ]
+        k = kernel_from_document({"labels": ["a", "b", "c"], "entries": rows})
+        expected = np.array([[pair_to_complex(z) for z in row] for row in rows])
+        assert k.entries.tobytes() == expected.tobytes()
+        assert np.signbit(k.entries.real[0, 1]) and np.signbit(k.entries.imag[0, 2])
+
+    def test_loader_messages_unchanged(self):
+        cases = [
+            ([[[True, False]]], "expected a two-element [re, im] array, got [True, False]"),
+            ([[["1", "0"]]], "expected a two-element [re, im] array, got ['1', '0']"),
+            ([[[1.0, 0.0, 0.0]]], "expected a two-element [re, im] array, got [1.0, 0.0, 0.0]"),
+            ([[[1, 0]], [[1, 0], [1, 0]]], "kernel 'entries' must be a 1x1 matrix"),
+            # a bad entry is reported before a ragged shape
+            ([[[1, 0]], [[1, 0], [1, None]]], "expected a two-element [re, im] array, got [1, None]"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(FileFormatError) as info:
+                kernel_from_document({"labels": ["a"], "entries": rows})
+            assert str(info.value) == message
+        with pytest.raises(FileFormatError, match=r"must be a 2x2 matrix"):
+            kernel_from_document({"labels": ["a", "b"], "entries": [[[1, 0], [0, 0]], [[1, 0]]]})
+
     def test_hermitian_violation_caught_on_load(self):
         doc = {
             "labels": ["a", "b"],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from kernelglue import (
     schur_reduce,
     verify_realization,
 )
+from kernelglue import realization
+from kernelglue.realization import _CHUNK_ROWS
 
 
 def two_point_kernel(c):
@@ -352,6 +356,78 @@ class TestGoldenSamples:
         glued = glue_realizations(*golden_specs(real_mode))
         batch = sample_glued(glued, 64, 123, real_mode=real_mode)
         assert batch_digest(batch) == self.GLUED[real_mode]
+
+
+class TestBlockStream:
+    """Sampling runs in blocks of ``_CHUNK_ROWS`` rows; these pin the stream
+    across a block boundary and tie ``verify_realization`` to it."""
+
+    SINGLE = {
+        False: "42cd23e406eb835fd9e5c8c764fa0de9794339420e03b7e5f85fc0c0b7e152d5",
+        True: "cbeb225923443125188e3aca8729e93bc4dc7360071cc5cb855bc880e22969ab",
+    }
+    GLUED = {
+        False: "53d182d93a5e77d6f8a3a381dd877aedeb1238ead1277659516afc4585ed2e50",
+        True: "99c60362d453da0bb0ae28f8cf74f2ae5e88483382fddec4cce7677e91a53e8d",
+    }
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_sample_realization_across_blocks(self, real_mode):
+        spec1, _ = golden_specs(real_mode)
+        batch = sample_realization(spec1, _CHUNK_ROWS + 5, 123, real_mode=real_mode)
+        assert batch_digest(batch) == self.SINGLE[real_mode]
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_sample_glued_across_blocks(self, real_mode):
+        glued = glue_realizations(*golden_specs(real_mode))
+        batch = sample_glued(glued, _CHUNK_ROWS + 5, 123, real_mode=real_mode)
+        assert batch_digest(batch) == self.GLUED[real_mode]
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_verify_streams_the_sampled_batch(self, real_mode):
+        rng = np.random.default_rng(2027)
+        k1 = random_gram_kernel(rng, ("a0", "x0", "a1"), not real_mode)
+        k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
+        n = 2 * _CHUNK_ROWS + 7  # three blocks, the last one short
+        report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
+        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
+        batch = sample_glued(glued, n, 31, real_mode=real_mode)
+        moments = estimate_second_moments(batch)
+        assert report.empirical.entries.tobytes() == moments.entries.tobytes()
+        a2 = np.abs(batch.samples) ** 2
+        var = (a2.T @ a2) / n - np.abs(moments.entries) ** 2
+        expected = 5.0 * math.sqrt(max(var.max(), 0.0) / n)
+        assert report.mc_tol == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert report.n_samples == n
+
+    def test_verify_memory_does_not_hold_the_batch(self):
+        rng = np.random.default_rng(404)
+        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
+        k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)))
+        tracemalloc.start()
+        try:
+            report = verify_realization(k1, k2, "x0", 200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        # the whole 2e5 x 63 complex batch alone is 192 MiB
+        assert peak < 150 * 2**20
+
+    def test_argument_errors_come_before_any_draw(self, monkeypatch):
+        k1, k2 = cd_pair()
+        complex_k = make_kernel(["x0", "c"], [[1, 0.5j], [-0.5j, 1]])
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(realization, "_draws", no_draws)
+        with pytest.raises(InvalidParameterError):
+            verify_realization(k1, k2, "x0", 0, seed=0)
+        with pytest.raises(EmptyBatchError):
+            verify_realization(k1, k2, "x0", 1, seed=0)
+        with pytest.raises(InvalidParameterError, match="real mode"):
+            verify_realization(k1, complex_k, "x0", 100, seed=0, real_mode=True)
 
 
 class TestEstimateSecondMoments:
