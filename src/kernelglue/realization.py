@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -154,9 +154,11 @@ class SampleBatch:
     labels: tuple[str, ...]
     samples: np.ndarray
     seed: int
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        samples = np.array(self.samples, dtype=np.complex128)
+    def __post_init__(self, _owned):
+        # the caller's array is copied; a sampler hands over (_owned) its own buffer
+        samples = np.array(self.samples, dtype=np.complex128, order="C", copy=not _owned)
         if samples.ndim != 2 or samples.shape[1] != len(self.labels):
             raise DimensionMismatchError(
                 f"samples of shape {samples.shape} do not match {len(self.labels)} labels"
@@ -279,7 +281,7 @@ def sample_realization(
     """
     samples, blocks = _sample_blocks((spec,), n, seed, real_mode, whole=True)
     deque(blocks, maxlen=0)  # fills samples
-    return SampleBatch(spec.full_labels, samples, seed)
+    return SampleBatch(spec.full_labels, samples, seed, _owned=True)
 
 
 def sample_glued(
@@ -298,22 +300,32 @@ def sample_glued(
     """
     samples, blocks = _sample_blocks((glued.spec1, glued.spec2), n, seed, real_mode, whole=True)
     deque(blocks, maxlen=0)  # fills samples
-    return SampleBatch(glued.labels, samples, seed)
+    return SampleBatch(glued.labels, samples, seed, _owned=True)
 
 
 def _moment_sums(blocks, n: int, fourth: bool = False):
     """Sums over all n rows of ``X.T @ X.conj()`` and, if ``fourth``, of
-    ``A.T @ A`` with ``A = |X|**2``, added block by block in order."""
+    ``A.T @ A`` with ``A = |X|**2``, added block by block in order.
+
+    The Gram sum is taken as the real ``V.T @ V`` of ``V``, the
+    C-contiguous block viewed as its ``[re, im]`` float columns, which
+    numpy runs as a symmetric rank-k update (half the flops of the
+    complex product and no conjugate copy); its four interleaved
+    quarters give the complex sum after the last block.
+    """
     if n < 2:
         raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
-    gram = quartic = None
+    real_gram = quartic = None
     for X in blocks:
-        g = X.T @ X.conj()
-        gram = g if gram is None else np.add(gram, g, out=gram)
+        V = X.view(np.float64)
+        g = V.T @ V
+        real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
         if fourth:
             a2 = np.abs(X) ** 2
             q = a2.T @ a2
             quartic = q if quartic is None else np.add(quartic, q, out=quartic)
+    re, im = real_gram[0::2], real_gram[1::2]
+    gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
     return gram, quartic
 
 

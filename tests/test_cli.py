@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from helpers import random_glued_pair, random_gluing_tree, random_gram_kernel
 from kernelglue import make_kernel, markov_product
 from kernelglue.cli import RunConfig, main, run
-from kernelglue.fileio import dump_document, kernel_to_document
+from kernelglue.fileio import dump_document, kernel_to_document, tree_to_document
 
 
 @pytest.fixture
@@ -379,3 +381,55 @@ class TestMain:
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
+
+
+class TestGoldenOutputs:
+    """sha256 of ``--no-timestamp`` documents, pinned so the JSON writer stays
+    byte for byte ``json.dumps(doc, indent=2) + "\\n"`` on real outputs."""
+
+    DIGESTS = {
+        "glue-tree": "2c6a787786e109720c1950a4e83aca0bdd0e7598d9a2b0d56a288dc0f38cdb54",
+        "glue": "3c71e5b9554cfea98e600db15e6e026c7dfec94b94b0b9026066875fd9b8b5e5",
+        "check-psd": "f403fcad55c1a9e728f482cd9864940edda1ff81e0cb1808af4353178c642bb1",
+        "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
+        "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("golden")
+        rng = np.random.default_rng(20261018)
+        k1, k2 = random_glued_pair(rng, max_dim=6)
+        # signed zeros and subnormals next to an indefinite 2x2 block
+        indefinite = make_kernel(
+            ["a", "b", "c"],
+            [[1, 2 + 5e-324j, -0.0], [2 - 5e-324j, 1, 1e-310j], [-0.0, -1e-310j, 1]],
+        )
+        docs = {
+            "tree": tree_to_document(random_gluing_tree(rng, max_nodes=12, max_size=6)),
+            "k1": kernel_to_document(k1),
+            "k2": kernel_to_document(k2),
+            "psd": kernel_to_document(random_gram_kernel(rng, tuple("pqrstu"))),
+            "indefinite": kernel_to_document(indefinite),
+        }
+        for name, doc in docs.items():
+            (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        return {name: str(tmp / f"{name}.json") for name in docs}
+
+    @pytest.mark.parametrize(
+        "case, argv, status",
+        [
+            ("glue-tree", ["glue-tree", "{tree}"], 0),
+            ("glue", ["glue", "{k1}", "{k2}", "--glue-label", "x0"], 0),
+            ("check-psd", ["check", "{psd}"], 0),
+            ("check-indefinite", ["check", "{indefinite}"], 1),
+            ("realize", ["realize", "{psd}", "--glue-label", "r"], 0),
+        ],
+    )
+    def test_document_bytes(self, inputs, tmp_path, case, argv, status):
+        out = tmp_path / "out.json"
+        args = [a.format(**inputs) for a in argv] + ["--no-timestamp", "--output", str(out)]
+        assert main(args) == status
+        data = out.read_bytes()
+        assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[case]

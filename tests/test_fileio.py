@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_glued_pair, random_gram_kernel
 from kernelglue import (
@@ -249,3 +252,44 @@ class TestFiles:
         text = dump_document({"labels": []})
         assert text.endswith("\n")
         assert json.loads(text) == {"labels": []}
+
+
+# Values the writer must format exactly as json does: the extremes of float
+# repr, the non-finite values json spells NaN and Infinity, and strings that
+# need escaping or are not ASCII.
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]),
+)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _floats,
+    st.text(),
+    st.sampled_from(["\u00e9\u4e2d\U0001f600", '"\\\n\t\x00\u2028', "\ud800"]),
+)
+# float rows take the writer's fast path; ragged and mixed rows must not
+_rows = st.lists(
+    st.lists(st.one_of(_floats, st.integers(), st.booleans()), max_size=4),
+    max_size=4,
+)
+_values = st.recursive(
+    st.one_of(_scalars, _rows, st.lists(st.lists(_floats, max_size=3), max_size=5)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.integers(), st.none()), inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumpDocument:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.dictionaries(st.text(), _values, max_size=5))
+    @example({})
+    @example({"a": [], "b": {}, "c": [[]], "d": [[], [1.0]], "e": {"f": [[0.0, -0.0]]}})
+    @example({"rows": [[1.0, math.nan], [math.inf, 2.0]], "mixed": [[1, 2.0, True]]})
+    def test_bytes_are_json_dumps_indent_2(self, doc):
+        assert dump_document(doc) == json.dumps(doc, indent=2) + "\n"

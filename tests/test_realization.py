@@ -414,6 +414,20 @@ class TestBlockStream:
         # the whole 2e5 x 63 complex batch alone is 192 MiB
         assert peak < 150 * 2**20
 
+    def test_sample_glued_holds_the_batch_once(self):
+        rng = np.random.default_rng(404)
+        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
+        k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)))
+        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
+        tracemalloc.start()
+        try:
+            batch = sample_glued(glued, 200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a second copy of the 2e5 x 63 complex batch would double the peak
+        assert peak < 1.3 * batch.samples.nbytes
+
     def test_argument_errors_come_before_any_draw(self, monkeypatch):
         k1, k2 = cd_pair()
         complex_k = make_kernel(["x0", "c"], [[1, 0.5j], [-0.5j, 1]])
@@ -428,6 +442,25 @@ class TestBlockStream:
             verify_realization(k1, k2, "x0", 1, seed=0)
         with pytest.raises(InvalidParameterError, match="real mode"):
             verify_realization(k1, complex_k, "x0", 100, seed=0, real_mode=True)
+
+
+class TestSampleBatch:
+    def test_caller_array_is_copied(self):
+        rows = np.array([[1.0, 0.5 + 0.5j], [1.0, -0.25j]])
+        batch = realization.SampleBatch(("x0", "a"), rows, seed=3)
+        rows[0, 1] = 99.0
+        assert batch.samples[0, 1] == 0.5 + 0.5j
+        assert not batch.samples.flags.writeable
+
+    def test_fortran_order_array_gives_the_same_moments(self):
+        k1, k2 = cd_pair()
+        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
+        batch = sample_glued(glued, 1000, seed=4)
+        fortran = realization.SampleBatch(
+            batch.labels, np.asfortranarray(batch.samples), batch.seed
+        )
+        expected = estimate_second_moments(batch).entries
+        assert estimate_second_moments(fortran).entries.tobytes() == expected.tobytes()
 
 
 class TestEstimateSecondMoments:
