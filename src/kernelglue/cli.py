@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="shared label x0 (glue/verify) or basepoint (realize/sample)")
     common.add_argument("--output", default=None,
                         help="write the document here instead of stdout")
-    common.add_argument("--no-timestamp", action="store_true",
+    common.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                         help="omit the timestamp field for byte-identical reruns")
     common.add_argument("--real-mode", action="store_true",
                         help="sample real Gaussians (real-valued kernels only)")
@@ -208,20 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        inputs=list(args.inputs),
-        output=args.output,
-        tol=args.tol,
-        basepoint_tol=args.basepoint_tol,
-        seed=args.seed,
-        samples=args.samples,
-        mc_tol=args.mc_tol,
-        glue_label=args.glue_label,
-        real_mode=args.real_mode,
-        timestamp=not args.no_timestamp,
-    )
+    config = RunConfig(**vars(_build_parser().parse_args(argv)))
     status, document = run(config)
     if isinstance(document, dict) and "error" in document:
         print(f"{document['error']}: {document['message']}", file=sys.stderr)

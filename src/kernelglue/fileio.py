@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .kernels import IndexedKernel, PsdCertificate, make_kernel
-from .realization import RealizationSpec, SampleBatch, VerificationReport
+from .realization import _CHUNK_ROWS, RealizationSpec, SampleBatch, VerificationReport
 from .trees import GluingTree
 
 
@@ -126,18 +126,19 @@ def report_to_document(report: VerificationReport) -> dict:
     }
 
 
-def _format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
 def format_sample_batch(batch: SampleBatch) -> str:
     """Tabular export: a header carrying seed and labels, one row per draw,
     comma-separated complex values as ``re+imi`` with 17 significant digits.
+
+    Each block of ``_CHUNK_ROWS`` rows is one ``%`` of a repeated row
+    template over the block's ``[re, im]`` floats.
     """
-    lines = [f"# seed={batch.seed} labels={','.join(batch.labels)}"]
-    for row in batch.samples:
-        lines.append(",".join(_format_complex(z) for z in row))
-    return "\n".join(lines) + "\n"
+    parts = [f"# seed={batch.seed} labels={','.join(batch.labels)}\n"]
+    row = ",".join(["%.17g%+.17gi"] * len(batch.labels)) + "\n"
+    for start in range(0, batch.n, _CHUNK_ROWS):
+        block = batch.samples[start : start + _CHUNK_ROWS]
+        parts.append(row * len(block) % tuple(block.view(np.float64).ravel().tolist()))
+    return "".join(parts)
 
 
 def load_document(path: str) -> dict:

@@ -9,9 +9,11 @@ cross entry through the shared point.
 Positive semidefiniteness is certified by two independent routes, a
 direct eigendecomposition and a Schur-complement reduction at a unit
 basepoint, so each can serve as an oracle for the other.  Both, and the
-realization's covariance factor, share one eigenvalue threshold rule.
-Glue points and basepoints are plain label strings, and entries must
-be finite (``NonFiniteError`` otherwise).
+realization's covariance factor, share one eigenvalue threshold rule;
+an eigenvalue or Schur complement that overflows is a numerical failure.
+Every value type here and in ``realization`` takes distinct string labels
+(``_labels``) and finite complex arrays of the expected shape, matrices
+exactly Hermitian (``_array``); errors name entries by label.
 
 All types are immutable after construction (arrays are write-locked)
 and all operations are pure, so values are safe to share across threads.
@@ -69,14 +71,37 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_hermitian(m: np.ndarray, name: str) -> None:
-    """Require exact conjugate symmetry; the error names the worst pair."""
-    if not np.array_equal(m, m.conj().T):
-        dev = np.abs(m - m.conj().T)
+def _labels(labels) -> tuple[str, ...]:
+    """Labels as a tuple of distinct strings; the first repeat raises."""
+    labels = tuple(str(l) for l in labels)
+    if len(set(labels)) != len(labels):
+        repeat = next(l for i, l in enumerate(labels) if l in labels[:i])
+        raise DuplicateLabelError(f"label {repeat!r} appears more than once")
+    return labels
+
+
+def _array(value, name: str, n: int, ndim: int, labels=None) -> np.ndarray:
+    """The one rule for a value type's complex array: a locked complex128
+    copy of shape ``(n,) * ndim`` with finite entries, and a matrix must be
+    exactly Hermitian.  Errors name entries by label, else by index."""
+
+    def at(*index) -> str:
+        keys = [labels[i] if labels is not None else int(i) for i in index]
+        return f"({', '.join(map(repr, keys))})"
+
+    a = np.array(value, dtype=np.complex128)
+    if a.shape != (n,) * ndim:
+        raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {(n,) * ndim}")
+    if not np.isfinite(a).all():
+        index = tuple(np.argwhere(~np.isfinite(a))[0])
+        raise NonFiniteError(f"{name} entry {at(*index)} is {complex(a[index])}, not finite")
+    if ndim == 2 and not np.array_equal(a, a.conj().T):
+        dev = np.abs(a - a.conj().T)
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise NotHermitianError(
-            f"{name}[{j},{i}] != conj({name}[{i},{j}]), deviation {dev[i, j]:.3e}"
+            f"{name} entry {at(j, i)} != conj(entry {at(i, j)}), deviation {dev[i, j]:.3e}"
         )
+    return _lock(a)
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -88,7 +113,7 @@ def _check_unit_diagonal(value: complex, where: str, tol: float) -> None:
     """The one unit-basepoint rule: ``|value - 1| <= tol``."""
     _check_tolerance("basepoint_tol", tol)
     value = complex(value)
-    if abs(value - 1.0) > tol:
+    if not abs(value - 1.0) <= tol:
         raise BasepointNotUnitError(f"{where} is {value}, not 1 within {tol:g}")
 
 
@@ -97,13 +122,18 @@ def _psd_eigh(matrix: np.ndarray, tol: float):
 
     Returns ``(w, v, scale, verdict)`` with ascending eigenvalues ``w``,
     ``scale = max(1, |w|_max)`` and ``verdict = w_min >= -tol * scale``;
-    an empty matrix passes.  Every PSD decision in the package is made here.
+    an empty matrix passes.  Every PSD decision in the package is made here,
+    and none is made on an eigenvalue that overflowed to infinity.
     """
     _check_tolerance("tol", tol)
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise NumericalFailureError(
+            f"eigenvalues {w.min()} to {w.max()} are not all finite (float64 overflow)"
+        )
     scale = max(1.0, float(np.abs(w).max(initial=0.0)))
     verdict = w.size == 0 or bool(w[0] >= -tol * scale)
     return w, v, scale, verdict
@@ -114,38 +144,19 @@ class IndexedKernel:
     """A Hermitian kernel over an ordered finite set of string labels.
 
     ``entries[i, j]`` is the kernel value between ``labels[i]`` and
-    ``labels[j]``.  Construction validates that labels are distinct, the
-    matrix is square of matching dimension, and conjugate symmetry holds
-    exactly; nothing is repaired.
+    ``labels[j]``.  Construction requires at least one label and applies
+    the package's rule for labels and arrays; nothing is repaired.
     """
 
     labels: tuple[str, ...]
     entries: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(str(l) for l in self.labels)
-        object.__setattr__(self, "labels", labels)
-        seen = set()
-        for l in labels:
-            if l in seen:
-                raise DuplicateLabelError(f"label {l!r} appears more than once")
-            seen.add(l)
+        labels = _labels(self.labels)
         if not labels:
             raise DimensionMismatchError("a kernel needs at least one label")
-        m = np.array(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"entries must be square, got shape {m.shape}")
-        if m.shape[0] != len(labels):
-            raise DimensionMismatchError(
-                f"{len(labels)} labels but a {m.shape[0]}x{m.shape[1]} matrix"
-            )
-        if not np.isfinite(m).all():
-            i, j = np.argwhere(~np.isfinite(m))[0]
-            raise NonFiniteError(
-                f"entry ({labels[i]!r}, {labels[j]!r}) is {complex(m[i, j])}, not finite"
-            )
-        _check_hermitian(m, "entries")
-        object.__setattr__(self, "entries", _lock(m))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "entries", _array(self.entries, "kernel", len(labels), 2, labels))
 
     @property
     def dim(self) -> int:
@@ -196,20 +207,10 @@ class SchurSplit:
     basepoint_tol: float = DEFAULT_BASEPOINT_TOL
 
     def __post_init__(self):
-        corner = complex(self.corner)
-        alpha = np.array(self.alpha, dtype=np.complex128).reshape(-1)
-        block = np.array(self.block, dtype=np.complex128)
-        if block.ndim != 2 or block.shape[0] != block.shape[1]:
-            raise DimensionMismatchError(f"block must be square, got shape {block.shape}")
-        if alpha.shape[0] != block.shape[0]:
-            raise DimensionMismatchError(
-                f"alpha has length {alpha.shape[0]} but block is {block.shape[0]}x{block.shape[0]}"
-            )
-        _check_hermitian(block, "block")
-        _check_unit_diagonal(corner, "corner entry", self.basepoint_tol)
-        object.__setattr__(self, "corner", corner)
-        object.__setattr__(self, "alpha", _lock(alpha))
-        object.__setattr__(self, "block", _lock(block))
+        object.__setattr__(self, "alpha", _array(self.alpha, "alpha", np.size(self.alpha), 1))
+        object.__setattr__(self, "block", _array(self.block, "block", self.alpha.size, 2))
+        object.__setattr__(self, "corner", complex(self.corner))
+        _check_unit_diagonal(self.corner, "corner entry", self.basepoint_tol)
 
     @property
     def dim(self) -> int:
@@ -218,6 +219,8 @@ class SchurSplit:
     def schur_complement(self) -> np.ndarray:
         """The reduced matrix ``block - alpha* alpha`` (exactly Hermitian)."""
         reduced = self.block - np.outer(self.alpha.conj(), self.alpha)
+        if not np.isfinite(reduced).all():
+            raise NumericalFailureError("the Schur complement overflows float64")
         return mirror_upper(reduced)
 
 
@@ -238,8 +241,8 @@ class PsdCertificate:
 
     def __post_init__(self):
         if self.witness is not None:
-            w = np.array(self.witness, dtype=np.complex128).reshape(-1)
-            object.__setattr__(self, "witness", _lock(w))
+            w = _array(self.witness, "witness", np.size(self.witness), 1)
+            object.__setattr__(self, "witness", w)
 
 
 def make_kernel(labels, entries) -> IndexedKernel:

@@ -12,15 +12,16 @@ product, which ``verify_realization`` checks end to end.  Draws come in
 blocks of ``_CHUNK_ROWS`` rows, and the verification sums its moments
 block by block without holding the batch, so its memory does not grow
 with n.  Draws are circularly-symmetric complex Gaussians (real and
-imaginary parts each of variance 1/2), or real ones in real mode.
+imaginary parts each of variance 1/2), or real ones in real mode.  The
+value types here check labels and arrays by the rule of ``kernels``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from .kernels import (
     DEFAULT_PSD_TOL,
     IndexedKernel,
     PsdCertificate,
-    _check_hermitian,
+    _array,
     _check_tolerance,
+    _labels,
     _lock,
     _psd_eigh,
     markov_product,
@@ -66,9 +68,10 @@ class RealizationSpec:
 
     ``labels`` indexes the non-basepoint coordinates; ``basepoint_index``
     remembers where the basepoint sat in the source kernel's label order
-    so sampled batches and glued products line up column-for-column.
-    ``tol`` is the relative PSD tolerance used when factoring the
-    covariance.
+    so sampled batches and glued products line up column-for-column, so
+    it is an integer in ``[0, dim]``, and the basepoint is not itself a
+    coordinate label.  ``tol`` is the relative PSD tolerance used when
+    factoring the covariance.
     """
 
     labels: tuple[str, ...]
@@ -79,24 +82,17 @@ class RealizationSpec:
     tol: float = DEFAULT_PSD_TOL
 
     def __post_init__(self):
-        labels = tuple(str(l) for l in self.labels)
-        mean = np.array(self.mean, dtype=np.complex128).reshape(-1)
-        cov = np.array(self.covariance, dtype=np.complex128)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise DimensionMismatchError(f"covariance must be square, got {cov.shape}")
-        if not (len(labels) == mean.shape[0] == cov.shape[0]):
-            raise DimensionMismatchError(
-                f"{len(labels)} labels, mean of length {mean.shape[0]}, "
-                f"covariance {cov.shape[0]}x{cov.shape[0]}"
-            )
-        _check_hermitian(cov, "covariance")
-        if not 0 <= self.basepoint_index <= len(labels):
-            raise InvalidParameterError(
-                f"basepoint_index {self.basepoint_index} out of range"
-            )
+        labels, basepoint, i = _labels(self.labels), str(self.basepoint), self.basepoint_index
+        n = len(labels)
+        if basepoint in labels:
+            raise LabelCollisionError(f"basepoint {basepoint!r} is also a coordinate label")
+        if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i <= n:
+            raise InvalidParameterError(f"basepoint_index {i!r} is not an integer in [0, {n}]")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "mean", _lock(mean))
-        object.__setattr__(self, "covariance", _lock(cov))
+        object.__setattr__(self, "basepoint", basepoint)
+        object.__setattr__(self, "basepoint_index", int(i))
+        object.__setattr__(self, "mean", _array(self.mean, "mean", n, 1, labels))
+        object.__setattr__(self, "covariance", _array(self.covariance, "covariance", n, 2, labels))
 
     @property
     def dim(self) -> int:
@@ -132,11 +128,28 @@ class RealizationSpec:
 
 @dataclass(frozen=True, eq=False)
 class GluedRealization:
-    """Two realizations sharing a basepoint, sampled independently."""
+    """Two realizations sharing a basepoint, sampled independently.
+
+    ``labels`` is derived: spec1's full labels, then spec2's coordinates,
+    the label order of the Markov product of the source kernels.
+    """
 
     spec1: RealizationSpec
     spec2: RealizationSpec
-    labels: tuple[str, ...]
+    labels: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        spec1, spec2 = self.spec1, self.spec2
+        if spec1.basepoint != spec2.basepoint:
+            raise BasepointMismatchError(
+                f"basepoints differ: {spec1.basepoint!r} vs {spec2.basepoint!r}"
+            )
+        collision = set(spec1.labels) & set(spec2.labels)
+        if collision:
+            raise LabelCollisionError(
+                f"non-basepoint labels shared by both realizations: {sorted(collision)}"
+            )
+        object.__setattr__(self, "labels", spec1.full_labels + spec2.labels)
 
     @property
     def basepoint(self) -> str:
@@ -158,12 +171,13 @@ class SampleBatch:
 
     def __post_init__(self, _owned):
         # the caller's array is copied; a sampler hands over (_owned) its own buffer
+        labels = _labels(self.labels)
         samples = np.array(self.samples, dtype=np.complex128, order="C", copy=not _owned)
-        if samples.ndim != 2 or samples.shape[1] != len(self.labels):
+        if samples.ndim != 2 or samples.shape[1] != len(labels):
             raise DimensionMismatchError(
-                f"samples of shape {samples.shape} do not match {len(self.labels)} labels"
+                f"samples of shape {samples.shape} do not match {len(labels)} labels"
             )
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "samples", _lock(samples))
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -212,17 +226,7 @@ def glue_realizations(spec1: RealizationSpec, spec2: RealizationSpec) -> GluedRe
     randomness streams; the label order matches the Markov product of
     the source kernels.
     """
-    if spec1.basepoint != spec2.basepoint:
-        raise BasepointMismatchError(
-            f"basepoints differ: {spec1.basepoint!r} vs {spec2.basepoint!r}"
-        )
-    collision = set(spec1.labels) & set(spec2.labels)
-    if collision:
-        raise LabelCollisionError(
-            f"non-basepoint labels shared by both realizations: {sorted(collision)}"
-        )
-    labels = spec1.full_labels + spec2.labels
-    return GluedRealization(spec1, spec2, labels)
+    return GluedRealization(spec1, spec2)
 
 
 def _draws(spec: RealizationSpec, rng, m: int, real_mode: bool) -> np.ndarray:
@@ -247,22 +251,25 @@ def _place(block: np.ndarray, specs, rngs, real_mode: bool) -> np.ndarray:
     return block
 
 
-def _sample_blocks(specs, n: int, seed: int, real_mode: bool, whole: bool = False):
-    """Check the arguments, then return a buffer and a lazy iterator filling
-    it with the n rows ``_CHUNK_ROWS`` at a time (the whole batch if
-    ``whole``, else one reused block).  One spec draws from ``seed``, a
-    glued pair from one sub-seed each, ``zr`` then ``zi`` per block."""
+def _generators(specs, n: int, seed: int, real_mode: bool) -> list:
+    """Check the sampling arguments and return one generator per spec: one
+    spec draws from ``seed``, a glued pair from one sub-seed each."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if real_mode and not all(spec.is_real for spec in specs):
         raise InvalidParameterError("real mode requires a real-valued mean and covariance")
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    out = np.empty((n if whole else min(n, _CHUNK_ROWS), 1 + sum(s.dim for s in specs)), complex)
-    return out, (
-        _place(out[start if whole else 0 :][: min(_CHUNK_ROWS, n - start)], specs, rngs, real_mode)
-        for start in range(0, n, _CHUNK_ROWS)
-    )
+    return [np.random.default_rng(s) for s in seeds]
+
+
+def _sample(specs, labels, n: int, seed: int, real_mode: bool) -> SampleBatch:
+    """The n-row batch, allocated once and filled ``_CHUNK_ROWS`` rows at a
+    time, ``zr`` then ``zi`` per block."""
+    rngs = _generators(specs, n, seed, real_mode)
+    samples = np.empty((n, len(labels)), complex)
+    for start in range(0, n, _CHUNK_ROWS):
+        _place(samples[start : start + _CHUNK_ROWS], specs, rngs, real_mode)
+    return SampleBatch(labels, samples, seed, _owned=True)
 
 
 def sample_realization(
@@ -279,9 +286,7 @@ def sample_realization(
     real-valued specs).  Identical (spec, seed, n) give bitwise-identical
     batches.
     """
-    samples, blocks = _sample_blocks((spec,), n, seed, real_mode, whole=True)
-    deque(blocks, maxlen=0)  # fills samples
-    return SampleBatch(spec.full_labels, samples, seed, _owned=True)
+    return _sample((spec,), spec.full_labels, n, seed, real_mode)
 
 
 def sample_glued(
@@ -298,9 +303,7 @@ def sample_glued(
     reproducible while the component processes stay independent.  Both
     components are written into one batch allocated at its final size.
     """
-    samples, blocks = _sample_blocks((glued.spec1, glued.spec2), n, seed, real_mode, whole=True)
-    deque(blocks, maxlen=0)  # fills samples
-    return SampleBatch(glued.labels, samples, seed, _owned=True)
+    return _sample((glued.spec1, glued.spec2), glued.labels, n, seed, real_mode)
 
 
 def _moment_sums(blocks, n: int, fourth: bool = False):
@@ -387,7 +390,12 @@ def verify_realization(
         raise DimensionMismatchError(
             "internal label order mismatch between product and glued samples"
         )
-    _, blocks = _sample_blocks((spec1, spec2), n, seed, real_mode)
+    rngs = _generators((spec1, spec2), n, seed, real_mode)
+    block = np.empty((min(n, _CHUNK_ROWS), len(glued.labels)), complex)
+    blocks = (
+        _place(block[: n - start], (spec1, spec2), rngs, real_mode)
+        for start in range(0, n, _CHUNK_ROWS)
+    )
     gram, quartic = _moment_sums(blocks, n, fourth=mc_tol is None)
     empirical = IndexedKernel(glued.labels, mirror_upper(gram / n))
     max_dev = float(np.abs(empirical.entries - product.entries).max())

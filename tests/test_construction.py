@@ -1,0 +1,142 @@
+"""One construction rule for every value type, and no verdict on overflowed eigenvalues.
+
+Every value type takes its labels and complex arrays through the same
+checks: distinct labels, the expected shape, finite entries and exact
+conjugate symmetry, with errors that name entries by label.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from kernelglue import (
+    BasepointMismatchError,
+    BasepointNotUnitError,
+    DuplicateLabelError,
+    GluedRealization,
+    InvalidParameterError,
+    LabelCollisionError,
+    NonFiniteError,
+    NotHermitianError,
+    NumericalFailureError,
+    PsdCertificate,
+    RealizationSpec,
+    SampleBatch,
+    SchurSplit,
+    make_kernel,
+    psd_check_eigen,
+    psd_check_schur,
+    realize_process,
+)
+from kernelglue.cli import main
+from kernelglue.fileio import dump_document
+
+# Finite entries whose eigenvalues (+-1.5e308 * sqrt(2)) overflow float64.
+OVERFLOW = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]
+
+
+class TestRealizationSpec:
+    def test_non_finite_mean_or_covariance(self):
+        with pytest.raises(NonFiniteError, match=r"mean entry \('a'\)"):
+            RealizationSpec(("a",), "x0", [np.nan], [[0.5]])
+        with pytest.raises(NonFiniteError, match=r"covariance entry \('a', 'b'\)"):
+            RealizationSpec(("a", "b"), "x0", [0, 0], [[1, np.inf], [np.inf, 1]])
+
+    def test_repeated_labels(self):
+        with pytest.raises(DuplicateLabelError, match="'a'"):
+            RealizationSpec(("a", "b", "a"), "x0", np.zeros(3), np.eye(3))
+
+    def test_basepoint_is_not_a_coordinate(self):
+        with pytest.raises(LabelCollisionError, match="'x0'"):
+            RealizationSpec(("a", "x0"), "x0", np.zeros(2), np.eye(2))
+
+    def test_basepoint_index_is_an_integer_in_range(self):
+        for bad in (0.5, 1.0, "1", None, True, -1, 2):
+            with pytest.raises(InvalidParameterError, match="basepoint_index"):
+                RealizationSpec(("a",), "x0", [0.0], [[1.0]], basepoint_index=bad)
+        spec = RealizationSpec(("a",), "x0", [0.0], [[1.0]], basepoint_index=np.int64(1))
+        assert spec.full_labels == ("a", "x0")
+        assert type(spec.basepoint_index) is int
+
+
+class TestSchurSplit:
+    def test_nan_block_is_non_finite(self):
+        with pytest.raises(NonFiniteError, match=r"block entry \(0, 1\)"):
+            SchurSplit(1.0, [0.5, 0.5], [[1, np.nan], [np.nan, 1]])
+
+    def test_inf_alpha_is_non_finite(self):
+        with pytest.raises(NonFiniteError, match=r"alpha entry \(0\)"):
+            SchurSplit(1.0, [np.inf], [[1.0]])
+
+    def test_nan_corner_is_not_unit(self):
+        with pytest.raises(BasepointNotUnitError):
+            SchurSplit(complex(np.nan, 0), [0.0], [[1.0]])
+
+
+class TestLabelsAndMessages:
+    def test_sample_batch_labels_are_distinct(self):
+        with pytest.raises(DuplicateLabelError, match="'x0'"):
+            SampleBatch(("x0", "a", "x0"), np.ones((2, 3)), seed=0)
+
+    def test_not_hermitian_names_labels(self):
+        with pytest.raises(NotHermitianError) as info:
+            make_kernel(["x0", "a", "b"], [[1, 0, 0.5], [0, 1, 0], [0.4, 0, 1]])
+        message = str(info.value)
+        assert "('b', 'x0')" in message and "('x0', 'b')" in message
+        assert "deviation 1.000e-01" in message
+
+    def test_covariance_messages_name_labels(self):
+        with pytest.raises(NotHermitianError, match=r"covariance entry \('b', 'a'\)"):
+            RealizationSpec(("a", "b"), "x0", [0, 0], [[1, 0.5], [0.4, 1]])
+
+    def test_witness_is_a_finite_vector(self):
+        with pytest.raises(NonFiniteError):
+            PsdCertificate(False, -1.0, [np.nan, 1.0], 1e-9)
+
+
+class TestGluedRealization:
+    def specs(self):
+        k = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
+        other = make_kernel(["y0", "b"], [[1, 0.5], [0.5, 1]])
+        return realize_process(k, "x0"), realize_process(other, "y0")
+
+    def test_built_directly_checks_basepoints(self):
+        spec1, spec2 = self.specs()
+        with pytest.raises(BasepointMismatchError, match="basepoints differ"):
+            GluedRealization(spec1, spec2)
+
+    def test_labels_are_derived(self):
+        spec1, _ = self.specs()
+        spec2 = realize_process(make_kernel(["b", "x0"], [[1, 0.25], [0.25, 1]]), "x0")
+        assert GluedRealization(spec1, spec2).labels == ("x0", "a", "b")
+
+
+class TestOverflowingEigenvalues:
+    def test_eigen_route(self):
+        with pytest.raises(NumericalFailureError, match="not all finite"):
+            psd_check_eigen(make_kernel(["a", "b"], OVERFLOW))
+
+    def test_schur_route(self):
+        with pytest.raises(NumericalFailureError, match="not all finite"):
+            psd_check_schur(SchurSplit(1.0, [0.0, 0.0], OVERFLOW))
+
+    def test_realization_factor(self):
+        spec = RealizationSpec(("a", "b"), "x0", [0.0, 0.0], OVERFLOW)
+        with pytest.raises(NumericalFailureError, match="not all finite"):
+            spec.factor
+
+    def test_schur_complement_overflow(self):
+        # a finite kernel whose covariance 1e300 - 1e200 * 1e200 overflows
+        k = make_kernel(["x0", "a"], [[1, 1e200], [1e200, 1e300]])
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="overflows"):
+            realize_process(k, "x0")
+
+    def test_cli_check_exits_one(self, tmp_path, capsys):
+        doc = {"labels": ["a", "b"], "entries": [[[v, 0.0] for v in row] for row in OVERFLOW]}
+        path = tmp_path / "overflow.json"
+        path.write_text(dump_document(doc))
+        assert main(["check", str(path), "--no-timestamp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("NumericalFailure: ")

@@ -16,6 +16,7 @@ from kernelglue import (
     GluingTree,
     NotATreeError,
     NotHermitianError,
+    SampleBatch,
     make_kernel,
     psd_check_eigen,
     realize_process,
@@ -37,6 +38,7 @@ from kernelglue.fileio import (
     tree_from_document,
     tree_to_document,
 )
+from kernelglue.realization import _CHUNK_ROWS
 
 
 def parse_re_imi(token):
@@ -215,6 +217,24 @@ class TestSampleExport:
         parsed = np.array([[parse_re_imi(tok) for tok in line.split(",")] for line in lines])
         # 17 significant digits round-trip float64 exactly
         assert np.array_equal(parsed, batch.samples)
+
+    def test_text_is_the_per_entry_format(self):
+        def per_entry(batch):
+            lines = [f"# seed={batch.seed} labels={','.join(batch.labels)}"]
+            for row in batch.samples:
+                lines.append(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
+            return "\n".join(lines) + "\n"
+
+        rng = np.random.default_rng(12)
+        scales = 10.0 ** rng.integers(-20, 20, (1, 3, 2))
+        rows = rng.standard_normal((_CHUNK_ROWS + 3, 3, 2)) * scales
+        specials = [-0.0, 5e-324, -5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan, 0.0]
+        for k, value in enumerate(specials):
+            # both sides of the block boundary, in real and imaginary parts
+            rows[k, k % 3, k % 2] = value
+            rows[_CHUNK_ROWS - 1 + k % 4, k % 3, (k + 1) % 2] = value
+        batch = SampleBatch(("x0", "a", "b"), rows.view(np.complex128)[..., 0], seed=5)
+        assert format_sample_batch(batch) == per_entry(batch)
 
 
 class TestFiles:
