@@ -217,8 +217,13 @@ class SchurSplit:
         return self.block.shape[0]
 
     def schur_complement(self) -> np.ndarray:
-        """The reduced matrix ``block - alpha* alpha`` (exactly Hermitian)."""
-        reduced = self.block - np.outer(self.alpha.conj(), self.alpha)
+        """The reduced matrix ``block - alpha* alpha`` (exactly Hermitian).
+
+        Formed with numpy's overflow warnings off; an overflow raises
+        ``NumericalFailureError`` instead.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduced = self.block - np.outer(self.alpha.conj(), self.alpha)
         if not np.isfinite(reduced).all():
             raise NumericalFailureError("the Schur complement overflows float64")
         return mirror_upper(reduced)

@@ -11,9 +11,12 @@ such realizations with independent randomness reproduces the Markov
 product, which ``verify_realization`` checks end to end.  Draws come in
 blocks of ``_CHUNK_ROWS`` rows, and the verification sums its moments
 block by block without holding the batch, so its memory does not grow
-with n.  Draws are circularly-symmetric complex Gaussians (real and
-imaginary parts each of variance 1/2), or real ones in real mode.  The
-value types here check labels and arrays by the rule of ``kernels``.
+with n.  Each sampling call allocates its scratch once and every block
+reuses it, with the same floating-point operations on the same operands
+as fresh arrays would take, so the stream is bitwise the same.  Draws
+are circularly-symmetric complex Gaussians (real and imaginary parts
+each of variance 1/2), or real ones in real mode.  The value types here
+check labels and arrays by the rule of ``kernels``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import (
     InvalidParameterError,
     LabelCollisionError,
     NotPsdError,
+    NumericalFailureError,
 )
 from .kernels import (
     DEFAULT_BASEPOINT_TOL,
@@ -229,25 +233,43 @@ def glue_realizations(spec1: RealizationSpec, spec2: RealizationSpec) -> GluedRe
     return GluedRealization(spec1, spec2)
 
 
-def _draws(spec: RealizationSpec, rng, m: int, real_mode: bool) -> np.ndarray:
-    """The m x dim draws ``mean + L z`` for the non-basepoint labels."""
-    L = spec.factor
+def _draws(spec: RealizationSpec, rng, m: int, real_mode: bool, scratch) -> tuple:
+    """The mean and the m x dim centered draws ``L z`` for the non-basepoint
+    labels, written into ``scratch``: z goes into the first buffer, ``zr``
+    then ``zi``, and the product into the buffer that holds none of its
+    operands."""
+    L, d = spec.factor, spec.dim
+    z, w = (buffer[: 2 * m * d] for buffer in scratch)
     if real_mode:
-        return spec.mean.real + rng.standard_normal((m, spec.dim)) @ L.real.T
-    zr = rng.standard_normal((m, spec.dim))
-    zi = rng.standard_normal((m, spec.dim))
-    return spec.mean + ((zr + 1j * zi) * math.sqrt(0.5)) @ L.T
+        z, w = z[: m * d].reshape(m, d), w[: m * d].reshape(m, d)
+        rng.standard_normal(out=z)
+        return spec.mean.real, np.matmul(z, L.real.T, out=w)
+    zr, zi = z.reshape(2, m, d)
+    rng.standard_normal(out=zr)
+    rng.standard_normal(out=zi)
+    scaled = w.view(complex).reshape(m, d)
+    np.multiply(zr, math.sqrt(0.5), out=scaled.real)
+    np.multiply(zi, math.sqrt(0.5), out=scaled.imag)
+    return spec.mean, np.matmul(scaled, L.T, out=z.view(complex).reshape(m, d))
 
 
-def _place(block: np.ndarray, specs, rngs, real_mode: bool) -> np.ndarray:
+def _scratch(specs, n: int) -> tuple:
+    """Two float buffers that every block's draws reuse, sized for the
+    larger spec: the specs use them one after the other."""
+    size = 2 * min(n, _CHUNK_ROWS) * max(spec.dim for spec in specs)
+    return np.empty(size), np.empty(size)
+
+
+def _place(block: np.ndarray, specs, rngs, real_mode: bool, scratch) -> np.ndarray:
     """Fill a block: the first spec around its basepoint column of ones, then any second."""
     m, i, stop = len(block), specs[0].basepoint_index, specs[0].dim + 1
-    draws = _draws(specs[0], rngs[0], m, real_mode)
-    block[:, :i] = draws[:, :i]
+    mean, y = _draws(specs[0], rngs[0], m, real_mode, scratch)
+    np.add(mean[:i], y[:, :i], out=block[:, :i])
     block[:, i] = 1.0
-    block[:, i + 1 : stop] = draws[:, i:]
+    np.add(mean[i:], y[:, i:], out=block[:, i + 1 : stop])
     if len(specs) == 2:
-        block[:, stop:] = _draws(specs[1], rngs[1], m, real_mode)
+        mean, y = _draws(specs[1], rngs[1], m, real_mode, scratch)
+        np.add(mean, y, out=block[:, stop:])
     return block
 
 
@@ -265,10 +287,10 @@ def _generators(specs, n: int, seed: int, real_mode: bool) -> list:
 def _sample(specs, labels, n: int, seed: int, real_mode: bool) -> SampleBatch:
     """The n-row batch, allocated once and filled ``_CHUNK_ROWS`` rows at a
     time, ``zr`` then ``zi`` per block."""
-    rngs = _generators(specs, n, seed, real_mode)
+    rngs, scratch = _generators(specs, n, seed, real_mode), _scratch(specs, n)
     samples = np.empty((n, len(labels)), complex)
     for start in range(0, n, _CHUNK_ROWS):
-        _place(samples[start : start + _CHUNK_ROWS], specs, rngs, real_mode)
+        _place(samples[start : start + _CHUNK_ROWS], specs, rngs, real_mode, scratch)
     return SampleBatch(labels, samples, seed, _owned=True)
 
 
@@ -306,7 +328,7 @@ def sample_glued(
     return _sample((glued.spec1, glued.spec2), glued.labels, n, seed, real_mode)
 
 
-def _moment_sums(blocks, n: int, fourth: bool = False):
+def _moment_sums(blocks, labels, n: int, fourth: bool = False):
     """Sums over all n rows of ``X.T @ X.conj()`` and, if ``fourth``, of
     ``A.T @ A`` with ``A = |X|**2``, added block by block in order.
 
@@ -314,21 +336,34 @@ def _moment_sums(blocks, n: int, fourth: bool = False):
     C-contiguous block viewed as its ``[re, im]`` float columns, which
     numpy runs as a symmetric rank-k update (half the flops of the
     complex product and no conjugate copy); its four interleaved
-    quarters give the complex sum after the last block.
+    quarters give the complex sum after the last block.  ``A`` is
+    written into one buffer that every block reuses.  The sums run with
+    numpy's overflow warnings off and are checked once at the end: a sum
+    that is not finite raises ``NumericalFailureError`` naming its label
+    pair.
     """
     if n < 2:
         raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
-    real_gram = quartic = None
-    for X in blocks:
-        V = X.view(np.float64)
-        g = V.T @ V
-        real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
-        if fourth:
-            a2 = np.abs(X) ** 2
-            q = a2.T @ a2
-            quartic = q if quartic is None else np.add(quartic, q, out=quartic)
-    re, im = real_gram[0::2], real_gram[1::2]
-    gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
+    real_gram = quartic = buffer = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for X in blocks:
+            V = X.view(np.float64)
+            g = V.T @ V
+            real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
+            if fourth:
+                buffer = np.empty(X.shape) if buffer is None else buffer
+                a2 = buffer[: len(X)]
+                np.square(np.abs(X, out=a2), out=a2)
+                q = a2.T @ a2
+                quartic = q if quartic is None else np.add(quartic, q, out=quartic)
+        re, im = real_gram[0::2], real_gram[1::2]
+        gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
+    for order, total in (("second", gram), ("fourth", quartic)):
+        if total is not None and not np.isfinite(total).all():
+            i, j = np.argwhere(~np.isfinite(total))[0]
+            raise NumericalFailureError(
+                f"the {order}-moment sum at ({labels[i]!r}, {labels[j]!r}) overflows float64"
+            )
     return gram, quartic
 
 
@@ -341,7 +376,7 @@ def estimate_second_moments(batch: SampleBatch) -> IndexedKernel:
     basepoint diagonal comes out exactly 1.
     """
     blocks = np.split(batch.samples, range(_CHUNK_ROWS, batch.n, _CHUNK_ROWS))
-    gram, _ = _moment_sums(blocks, batch.n)
+    gram, _ = _moment_sums(blocks, batch.labels, batch.n)
     return IndexedKernel(batch.labels, mirror_upper(gram / batch.n))
 
 
@@ -390,13 +425,14 @@ def verify_realization(
         raise DimensionMismatchError(
             "internal label order mismatch between product and glued samples"
         )
-    rngs = _generators((spec1, spec2), n, seed, real_mode)
+    specs = (spec1, spec2)
+    rngs, scratch = _generators(specs, n, seed, real_mode), _scratch(specs, n)
     block = np.empty((min(n, _CHUNK_ROWS), len(glued.labels)), complex)
     blocks = (
-        _place(block[: n - start], (spec1, spec2), rngs, real_mode)
+        _place(block[: n - start], specs, rngs, real_mode, scratch)
         for start in range(0, n, _CHUNK_ROWS)
     )
-    gram, quartic = _moment_sums(blocks, n, fourth=mc_tol is None)
+    gram, quartic = _moment_sums(blocks, glued.labels, n, fourth=mc_tol is None)
     empirical = IndexedKernel(glued.labels, mirror_upper(gram / n))
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:

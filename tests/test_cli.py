@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kernelglue
 from helpers import random_glued_pair, random_gluing_tree, random_gram_kernel
 from kernelglue import make_kernel, markov_product
 from kernelglue.cli import RunConfig, main, run
@@ -279,6 +284,32 @@ class TestMain:
         lines = captured.err.strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("BasepointNotUnit: ")
+
+    @pytest.mark.parametrize(
+        "command, corner, message",
+        [
+            # |X_a|**2 sums past float64 in the Monte Carlo moments
+            ("verify", 1.5e305, "the second-moment sum at ('a', 'a') overflows float64"),
+            # 1e300 - 1e200 * 1e200 in the Schur complement
+            ("realize", 1e300, "the Schur complement overflows float64"),
+        ],
+    )
+    def test_overflow_is_one_stderr_line(self, workdir, command, corner, message):
+        # a fresh interpreter, so numpy warnings would reach its stderr
+        alpha = 1.0 if command == "verify" else 1e200
+        doc = {"labels": ["x0", "a"], "entries": [[[1, 0], [alpha, 0]], [[alpha, 0], [corner, 0]]]}
+        path = workdir["dir"] / "large.json"
+        path.write_text(dump_document(doc))
+        inputs = [str(path), workdir["k2"]] if command == "verify" else [str(path)]
+        argv = [command, *inputs, "--glue-label", "x0", "--samples", "10000"]
+        env = dict(os.environ, PYTHONPATH=str(Path(kernelglue.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "kernelglue.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == f"NumericalFailure: {message}\n"
 
     def test_check_indefinite_exit_code(self, workdir, capsys):
         code = main(["check", workdir["indefinite"], "--no-timestamp"])

@@ -1,8 +1,8 @@
 """Invariants as properties over generated inputs.
 
-Gluing preserves positive semidefiniteness, a kernel survives its JSON
-document bit for bit, and a tree glues to the same kernel in either
-traversal order.
+Gluing preserves positive semidefiniteness and is associative, a kernel
+survives its JSON document bit for bit, and a tree glues to the same
+kernel in either traversal order.
 """
 
 from __future__ import annotations
@@ -49,6 +49,28 @@ def unit_psd_kernels(draw, prefix):
 def test_markov_product_of_psd_kernels_is_psd(k1, k2):
     assert psd_check_eigen(k1).verdict and psd_check_eigen(k2).verdict
     assert psd_check_eigen(markov_product(k1, k2, "x0")).verdict
+
+
+@st.composite
+def glue_chains(draw):
+    """Three unit-diagonal PSD kernels: k1 and k2 share only "g12", k2 and k3
+    only "g23", and each label order is drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernels = []
+    for prefix, glue in (("a", ["g12"]), ("b", ["g12", "g23"]), ("c", ["g23"])):
+        own = [f"{prefix}{j}" for j in range(draw(st.integers(0, 3)))]
+        kernels.append(random_gram_kernel(rng, tuple(draw(st.permutations(glue + own)))))
+    return kernels
+
+
+@settings(max_examples=150)
+@given(glue_chains())
+def test_markov_product_is_associative(kernels):
+    k1, k2, k3 = kernels
+    left = markov_product(markov_product(k1, k2, "g12"), k3, "g23")
+    right = markov_product(k1, markov_product(k2, k3, "g23"), "g12")
+    assert sorted(right.labels) == sorted(left.labels)
+    assert np.abs(right.restrict(left.labels).entries - left.entries).max() <= 1e-12
 
 
 _values = st.one_of(

@@ -428,6 +428,34 @@ class TestBlockStream:
         # a second copy of the 2e5 x 63 complex batch would double the peak
         assert peak < 1.3 * batch.samples.nbytes
 
+    def test_verify_reuses_its_block_buffers(self):
+        rng = np.random.default_rng(404)
+        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
+        k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)))
+        tracemalloc.start()
+        try:
+            report = verify_realization(k1, k2, "x0", 200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        # the 2**14 x 63 complex block is 15.75 MiB and the reused scratch
+        # about 24 MiB; fresh temporaries in every block took it to 55 MiB
+        assert peak < 45 * 2**20
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    @pytest.mark.parametrize("larger_first", [True, False])
+    def test_scratch_is_shared_by_specs_of_unequal_size(self, real_mode, larger_first):
+        rng = np.random.default_rng(2028)
+        big = random_gram_kernel(rng, ("a0", "a1", "x0", "a2", "a3"), not real_mode)
+        small = random_gram_kernel(rng, ("x0", "b0"), not real_mode)
+        k1, k2 = (big, small) if larger_first else (small, big)
+        n = 2 * _CHUNK_ROWS + 7
+        report = verify_realization(k1, k2, "x0", n, seed=17, real_mode=real_mode)
+        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
+        moments = estimate_second_moments(sample_glued(glued, n, 17, real_mode=real_mode))
+        assert report.empirical.entries.tobytes() == moments.entries.tobytes()
+
     def test_argument_errors_come_before_any_draw(self, monkeypatch):
         k1, k2 = cd_pair()
         complex_k = make_kernel(["x0", "c"], [[1, 0.5j], [-0.5j, 1]])
@@ -561,3 +589,15 @@ class TestVerifyRealization:
         a = batch.column("a") - batch.column("a").mean()
         b = batch.column("b") - batch.column("b").mean()
         assert abs((a * b.conj()).mean()) < 0.02
+
+    @pytest.mark.parametrize(
+        "corner, mc_tol, order",
+        # |X_a|**2 near 1.5e305 overflows the Gram sum; near 1e160 only
+        # the fourth-moment sum, which made the default mc_tol NaN
+        [(1.5e305, None, "second"), (1.5e305, 0.1, "second"), (1e160, None, "fourth")],
+    )
+    def test_moment_sum_overflow_names_the_pair(self, corner, mc_tol, order):
+        k1 = make_kernel(["x0", "a"], [[1, 1], [1, corner]])
+        _, k2 = cd_pair()
+        with pytest.raises(NumericalFailureError, match=f"the {order}-moment sum at \\('a', 'a'\\)"):
+            verify_realization(k1, k2, "x0", 10_000, seed=0, mc_tol=mc_tol)
