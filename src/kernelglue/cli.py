@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -20,12 +22,12 @@ from .errors import InvalidParameterError, KernelGlueError
 from .fileio import (
     certificate_to_document,
     dump_document,
-    format_sample_batch,
     kernel_to_document,
     load_kernel,
     load_tree,
     realization_to_document,
     report_to_document,
+    sample_text,
 )
 from .kernels import (
     DEFAULT_BASEPOINT_TOL,
@@ -34,7 +36,7 @@ from .kernels import (
     markov_product,
     psd_check_eigen,
 )
-from .realization import realize_process, sample_realization, verify_realization
+from .realization import realize_process, sample_blocks, verify_realization
 from .trees import glue_tree
 
 COMMANDS = ("glue", "check", "realize", "sample", "verify", "glue-tree")
@@ -87,13 +89,12 @@ def _require_glue_label(config: RunConfig) -> str:
     return config.glue_label
 
 
-def _execute(config: RunConfig) -> tuple[int, dict | str]:
+def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     _validate(config)
     cmd = config.command
 
     if cmd == "glue":
-        k1 = load_kernel(config.inputs[0])
-        k2 = load_kernel(config.inputs[1])
+        k1, k2 = map(load_kernel, config.inputs)
         product = markov_product(
             k1, k2, _require_glue_label(config), basepoint_tol=config.basepoint_tol
         )
@@ -114,14 +115,11 @@ def _execute(config: RunConfig) -> tuple[int, dict | str]:
         )
         if cmd == "realize":
             return 0, realization_to_document(spec)
-        batch = sample_realization(
-            spec, config.samples, config.seed, real_mode=config.real_mode
-        )
-        return 0, format_sample_batch(batch)
+        blocks = sample_blocks(spec, config.samples, config.seed, real_mode=config.real_mode)
+        return 0, sample_text(spec.full_labels, config.seed, blocks)
 
     if cmd == "verify":
-        k1 = load_kernel(config.inputs[0])
-        k2 = load_kernel(config.inputs[1])
+        k1, k2 = map(load_kernel, config.inputs)
         report = verify_realization(
             k1,
             k2,
@@ -141,8 +139,9 @@ def _execute(config: RunConfig) -> tuple[int, dict | str]:
     return 0, kernel_to_document(kernel)
 
 
-def run(config: RunConfig) -> tuple[int, dict | str]:
-    """Execute one command; map every failure to (exit status, error doc)."""
+def run(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
+    """Execute one command; map every failure to (exit status, error doc).
+    ``sample`` returns its checked text export as lazily drawn pieces."""
     try:
         status, document = _execute(config)
     except FileNotFoundError as exc:
@@ -167,21 +166,22 @@ def _parse_seed(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # options not given stay out of the namespace: RunConfig holds the defaults
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("inputs", nargs="+", metavar="FILE", help="input document(s)")
-    common.add_argument("--tol", type=float, default=DEFAULT_PSD_TOL,
+    common.add_argument("--tol", type=float,
                         help="relative PSD tolerance (default 1e-9)")
-    common.add_argument("--basepoint-tol", type=float, default=DEFAULT_BASEPOINT_TOL,
+    common.add_argument("--basepoint-tol", type=float,
                         help="allowed |K(x0,x0) - 1| (default 1e-12)")
-    common.add_argument("--seed", type=_parse_seed, default=0,
+    common.add_argument("--seed", type=_parse_seed,
                         help="64-bit unsigned seed, decimal or 0x-hex (default 0)")
-    common.add_argument("--samples", type=int, default=10**6,
+    common.add_argument("--samples", type=int,
                         help="Monte Carlo sample count (default 1000000)")
-    common.add_argument("--mc-tol", type=float, default=None,
+    common.add_argument("--mc-tol", type=float,
                         help="override the Monte Carlo pass threshold")
-    common.add_argument("--glue-label", default=None,
+    common.add_argument("--glue-label",
                         help="shared label x0 (glue/verify) or basepoint (realize/sample)")
-    common.add_argument("--output", default=None,
+    common.add_argument("--output",
                         help="write the document here instead of stdout")
     common.add_argument("--no-timestamp", dest="timestamp", action="store_false",
                         help="omit the timestamp field for byte-identical reruns")
@@ -208,17 +208,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit status.  A document is
+    written in one piece, ``sample`` text one piece at a time as it is
+    drawn; a reader that closes stdout early ends the output quietly."""
     config = RunConfig(**vars(_build_parser().parse_args(argv)))
     status, document = run(config)
     if isinstance(document, dict) and "error" in document:
         print(f"{document['error']}: {document['message']}", file=sys.stderr)
         return status
-    text = document if isinstance(document, str) else dump_document(document)
+    pieces = [dump_document(document)] if isinstance(document, dict) else document
     if config.output:
         with open(config.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+            handle.writelines(pieces)
+        return status
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest would go nowhere; devnull keeps the exit flush from failing too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

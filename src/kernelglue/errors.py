@@ -18,8 +18,6 @@ class KernelGlueError(Exception):
 class ValidationError(KernelGlueError):
     """Invalid input or a violated precondition (CLI exit status 2)."""
 
-    exit_status = 2
-
 
 class MathError(KernelGlueError):
     """A mathematical claim failed during computation (CLI exit status 1)."""

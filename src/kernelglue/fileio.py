@@ -12,6 +12,7 @@ Loaders ignore unknown keys (e.g. a timestamp added by the CLI).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
 from numbers import Real
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import FileFormatError
 from .kernels import IndexedKernel, PsdCertificate, make_kernel
-from .realization import _CHUNK_ROWS, RealizationSpec, SampleBatch, VerificationReport
+from .realization import RealizationSpec, SampleBatch, VerificationReport
 from .trees import GluingTree
 
 
@@ -80,18 +81,10 @@ def tree_from_document(doc: dict) -> GluingTree:
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise FileFormatError("tree 'nodes' and 'edges' must be arrays")
     kernels = tuple(kernel_from_document(n) for n in nodes)
-    parsed = []
     for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 3
-            or not isinstance(e[0], int)
-            or not isinstance(e[1], int)
-            or not isinstance(e[2], str)
-        ):
+        if not (isinstance(e, list) and len(e) == 3 and all(map(isinstance, e, (int, int, str)))):
             raise FileFormatError(f"tree edge must be [i, j, \"label\"], got {e!r}")
-        parsed.append((e[0], e[1], e[2]))
-    return GluingTree(kernels, tuple(parsed))
+    return GluingTree(kernels, tuple(map(tuple, edges)))
 
 
 def certificate_to_document(cert: PsdCertificate) -> dict:
@@ -126,19 +119,19 @@ def report_to_document(report: VerificationReport) -> dict:
     }
 
 
-def format_sample_batch(batch: SampleBatch) -> str:
-    """Tabular export: a header carrying seed and labels, one row per draw,
-    comma-separated complex values as ``re+imi`` with 17 significant digits.
+def sample_text(labels, seed: int, blocks) -> Iterator[str]:
+    """Tabular export in pieces: a header with seed and labels, then each
+    block's rows of comma-separated ``re+imi`` values, 17 significant digits,
+    made by one ``%`` of a row template when the iteration reaches the block."""
+    yield f"# seed={seed} labels={','.join(labels)}\n"
+    row = ",".join(["%.17g%+.17gi"] * len(labels)) + "\n"
+    for block in blocks:
+        yield row * len(block) % tuple(block.view(np.float64).ravel().tolist())
 
-    Each block of ``_CHUNK_ROWS`` rows is one ``%`` of a repeated row
-    template over the block's ``[re, im]`` floats.
-    """
-    parts = [f"# seed={batch.seed} labels={','.join(batch.labels)}\n"]
-    row = ",".join(["%.17g%+.17gi"] * len(batch.labels)) + "\n"
-    for start in range(0, batch.n, _CHUNK_ROWS):
-        block = batch.samples[start : start + _CHUNK_ROWS]
-        parts.append(row * len(block) % tuple(block.view(np.float64).ravel().tolist()))
-    return "".join(parts)
+
+def format_sample_batch(batch: SampleBatch) -> str:
+    """The whole ``sample_text`` export of a batch, as one string."""
+    return "".join(sample_text(batch.labels, batch.seed, batch.blocks()))
 
 
 def load_document(path: str) -> dict:

@@ -9,14 +9,14 @@ when that covariance is, so ``realize_process`` rejects with
 ``NotPsdError`` any kernel whose covariance does not factor.  Gluing two
 such realizations with independent randomness reproduces the Markov
 product, which ``verify_realization`` checks end to end.  Draws come in
-blocks of ``_CHUNK_ROWS`` rows, and the verification sums its moments
-block by block without holding the batch, so its memory does not grow
-with n.  Each sampling call allocates its scratch once and every block
-reuses it, with the same floating-point operations on the same operands
-as fresh arrays would take, so the stream is bitwise the same.  Draws
-are circularly-symmetric complex Gaussians (real and imaginary parts
-each of variance 1/2), or real ones in real mode.  The value types here
-check labels and arrays by the rule of ``kernels``.
+blocks of ``_CHUNK_ROWS`` rows from one stream, which fills a batch in
+place or, for ``sample_blocks`` and the verification, one reused block,
+so their memory does not grow with n.  Each call allocates its scratch
+once and every block reuses it, with the same floating-point operations
+on the same operands as fresh arrays, so the stream is bitwise the
+same.  Draws are circularly-symmetric complex Gaussians (real and
+imaginary parts each of variance 1/2), or real ones in real mode.  The
+value types here check labels and arrays by the rule of ``kernels``.
 """
 
 from __future__ import annotations
@@ -192,6 +192,10 @@ class SampleBatch:
     def column(self, label: str) -> np.ndarray:
         return self.samples[:, self.labels.index(label)]
 
+    def blocks(self) -> list[np.ndarray]:
+        """Views of the rows in the ``_CHUNK_ROWS`` blocks a sampler draws."""
+        return np.split(self.samples, range(_CHUNK_ROWS, self.n, _CHUNK_ROWS))
+
 
 def realize_process(
     k: IndexedKernel,
@@ -253,13 +257,6 @@ def _draws(spec: RealizationSpec, rng, m: int, real_mode: bool, scratch) -> tupl
     return spec.mean, np.matmul(scaled, L.T, out=z.view(complex).reshape(m, d))
 
 
-def _scratch(specs, n: int) -> tuple:
-    """Two float buffers that every block's draws reuse, sized for the
-    larger spec: the specs use them one after the other."""
-    size = 2 * min(n, _CHUNK_ROWS) * max(spec.dim for spec in specs)
-    return np.empty(size), np.empty(size)
-
-
 def _place(block: np.ndarray, specs, rngs, real_mode: bool, scratch) -> np.ndarray:
     """Fill a block: the first spec around its basepoint column of ones, then any second."""
     m, i, stop = len(block), specs[0].basepoint_index, specs[0].dim + 1
@@ -273,25 +270,36 @@ def _place(block: np.ndarray, specs, rngs, real_mode: bool, scratch) -> np.ndarr
     return block
 
 
-def _generators(specs, n: int, seed: int, real_mode: bool) -> list:
-    """Check the sampling arguments and return one generator per spec: one
-    spec draws from ``seed``, a glued pair from one sub-seed each."""
+def _blocks(specs, n: int, seed: int, real_mode: bool, out: np.ndarray | None = None):
+    """Check the arguments, seed one stream per spec (a glued pair from one
+    sub-seed each) and return an iterator over the n rows in filled blocks
+    of ``_CHUNK_ROWS``, ``zr`` then ``zi`` per block: the block at row i is
+    a view of ``out`` at row i if it holds all n rows, else of one buffer."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if real_mode and not all(spec.is_real for spec in specs):
         raise InvalidParameterError("real mode requires a real-valued mean and covariance")
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
-    return [np.random.default_rng(s) for s in seeds]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    size = 2 * min(n, _CHUNK_ROWS) * max(spec.dim for spec in specs)
+    scratch = np.empty(size), np.empty(size)
+    if out is None:
+        out = np.empty((min(n, _CHUNK_ROWS), 1 + sum(spec.dim for spec in specs)), complex)
+    views = (out[i % len(out) :][: min(n - i, _CHUNK_ROWS)] for i in range(0, n, _CHUNK_ROWS))
+    return (_place(view, specs, rngs, real_mode, scratch) for view in views)
 
 
 def _sample(specs, labels, n: int, seed: int, real_mode: bool) -> SampleBatch:
-    """The n-row batch, allocated once and filled ``_CHUNK_ROWS`` rows at a
-    time, ``zr`` then ``zi`` per block."""
-    rngs, scratch = _generators(specs, n, seed, real_mode), _scratch(specs, n)
-    samples = np.empty((n, len(labels)), complex)
-    for start in range(0, n, _CHUNK_ROWS):
-        _place(samples[start : start + _CHUNK_ROWS], specs, rngs, real_mode, scratch)
+    """The n-row batch, allocated once and filled in place by ``_blocks``."""
+    samples = np.empty((max(n, 0), len(labels)), complex)  # _blocks rejects n < 1
+    for _ in _blocks(specs, n, seed, real_mode, samples):
+        pass
     return SampleBatch(labels, samples, seed, _owned=True)
+
+
+def sample_blocks(spec: RealizationSpec, n: int, seed: int, *, real_mode: bool = False):
+    """The rows of ``sample_realization``, checked now, drawn into one reused block."""
+    return _blocks((spec,), n, seed, real_mode)
 
 
 def sample_realization(
@@ -375,8 +383,7 @@ def estimate_second_moments(batch: SampleBatch) -> IndexedKernel:
     is exactly Hermitian (and PSD, being an empirical Gram matrix); the
     basepoint diagonal comes out exactly 1.
     """
-    blocks = np.split(batch.samples, range(_CHUNK_ROWS, batch.n, _CHUNK_ROWS))
-    gram, _ = _moment_sums(blocks, batch.labels, batch.n)
+    gram, _ = _moment_sums(batch.blocks(), batch.labels, batch.n)
     return IndexedKernel(batch.labels, mirror_upper(gram / batch.n))
 
 
@@ -425,13 +432,7 @@ def verify_realization(
         raise DimensionMismatchError(
             "internal label order mismatch between product and glued samples"
         )
-    specs = (spec1, spec2)
-    rngs, scratch = _generators(specs, n, seed, real_mode), _scratch(specs, n)
-    block = np.empty((min(n, _CHUNK_ROWS), len(glued.labels)), complex)
-    blocks = (
-        _place(block[: n - start], specs, rngs, real_mode, scratch)
-        for start in range(0, n, _CHUNK_ROWS)
-    )
+    blocks = _blocks((spec1, spec2), n, seed, real_mode)
     gram, quartic = _moment_sums(blocks, glued.labels, n, fourth=mc_tol is None)
     empirical = IndexedKernel(glued.labels, mirror_upper(gram / n))
     max_dev = float(np.abs(empirical.entries - product.entries).max())

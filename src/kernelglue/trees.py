@@ -26,8 +26,7 @@ class GluingTree:
     def __post_init__(self):
         nodes = tuple(self.nodes)
         edges = []
-        for e in self.edges:
-            i, j, label = e
+        for i, j, label in self.edges:
             i, j, label = int(i), int(j), str(label)
             if not (0 <= i < len(nodes) and 0 <= j < len(nodes)):
                 raise NotATreeError(f"edge ({i}, {j}, {label!r}) references a missing node")

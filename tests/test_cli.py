@@ -15,8 +15,9 @@ import pytest
 import kernelglue
 from helpers import random_glued_pair, random_gluing_tree, random_gram_kernel
 from kernelglue import make_kernel, markov_product
-from kernelglue.cli import RunConfig, main, run
+from kernelglue.cli import RunConfig, _build_parser, main, run
 from kernelglue.fileio import dump_document, kernel_to_document, tree_to_document
+from kernelglue.realization import _CHUNK_ROWS
 
 
 @pytest.fixture
@@ -61,6 +62,11 @@ def workdir(tmp_path):
         "dir": tmp_path,
     }
     return paths
+
+
+def _cli_env(**extra) -> dict:
+    """The environment of a CLI subprocess that imports this kernelglue."""
+    return dict(os.environ, PYTHONPATH=str(Path(kernelglue.__file__).parents[1]), **extra)
 
 
 def read_json(path):
@@ -110,7 +116,7 @@ class TestRun:
             RunConfig("sample", [workdir["k1"]], glue_label="x0", samples=5, seed=11)
         )
         assert status == 0
-        lines = text.strip().split("\n")
+        lines = "".join(text).strip().split("\n")
         assert lines[0] == "# seed=11 labels=x0,a"
         assert len(lines) == 6
 
@@ -413,10 +419,65 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is False
 
+    def test_parser_leaves_every_default_to_run_config(self):
+        args = _build_parser().parse_args(["check", "k.json"])
+        assert RunConfig(**vars(args)) == RunConfig("check", ["k.json"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sample", "{k1}", "--samples", "0"], ["sample", "{k2}", "--real-mode"]],
+    )
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_sample_errors_come_before_the_first_byte(self, workdir, capsys, argv, to_file):
+        out = workdir["dir"] / "p.txt"
+        args = [a.format(**workdir) for a in argv] + (["--output", str(out)] if to_file else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("InvalidParameter: ")
+        assert not out.exists()
+
+    def test_sample_to_a_closed_pipe_exits_quietly(self, workdir):
+        # the reader takes the header and closes the pipe while sample writes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kernelglue.cli", "sample", workdir["k1"]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+        )
+        assert proc.stdout.readline() == b"# seed=0 labels=x0,a\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == 0
+
+    def test_sample_memory_does_not_hold_the_export(self, tmp_path):
+        rng = np.random.default_rng(8)
+        kernel = random_gram_kernel(rng, tuple(f"l{i}" for i in range(8)))
+        path = tmp_path / "k8.json"
+        path.write_text(dump_document(kernel_to_document(kernel)))
+        argv = ["sample", str(path), "--samples", "200000", "--output", str(tmp_path / "s.txt")]
+        # started from a small interpreter: a child's ru_maxrss counts the RSS
+        # of the process that started it, and pytest's can be hundreds of MB
+        spawner = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:])\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", spawner, sys.executable, "-m", "kernelglue.cli", *argv],
+            capture_output=True, text=True, env=_cli_env(OPENBLAS_NUM_THREADS="1"), timeout=300,
+        )
+        status, maxrss_kib = map(int, done.stdout.split())
+        assert status == 0
+        # the whole 2e5 x 8 batch and its 59 MB of text took the peak to 177 MB
+        assert maxrss_kib < 100 * 1024
+
 
 class TestGoldenOutputs:
     """sha256 of ``--no-timestamp`` documents, pinned so the JSON writer stays
-    byte for byte ``json.dumps(doc, indent=2) + "\\n"`` on real outputs."""
+    byte for byte ``json.dumps(doc, indent=2) + "\\n"`` on real outputs, and
+    of ``sample`` text exports, pinned so streaming them changes no byte."""
 
     DIGESTS = {
         "glue-tree": "2c6a787786e109720c1950a4e83aca0bdd0e7598d9a2b0d56a288dc0f38cdb54",
@@ -424,6 +485,10 @@ class TestGoldenOutputs:
         "check-psd": "f403fcad55c1a9e728f482cd9864940edda1ff81e0cb1808af4353178c642bb1",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
+        "verify": "e4da1de6201860705614a15b88f62b6b8517f80dedbaf29828db8745dafbd79b",
+        # text exports, three blocks with the last one short
+        "sample": "b717596d164164af419fcc233833150b555f4e38ea9bd3e451914694bc6bdb8f",
+        "sample-real": "42d13b16ae312da59eab232a7d506f8fcba53969062bfb41f1d37aec37dae27e",
     }
 
     @pytest.fixture(scope="class")
@@ -442,6 +507,7 @@ class TestGoldenOutputs:
             "k2": kernel_to_document(k2),
             "psd": kernel_to_document(random_gram_kernel(rng, tuple("pqrstu"))),
             "indefinite": kernel_to_document(indefinite),
+            "real": kernel_to_document(random_gram_kernel(rng, tuple("vwxyz"), False)),
         }
         for name, doc in docs.items():
             (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -455,6 +521,7 @@ class TestGoldenOutputs:
             ("check-psd", ["check", "{psd}"], 0),
             ("check-indefinite", ["check", "{indefinite}"], 1),
             ("realize", ["realize", "{psd}", "--glue-label", "r"], 0),
+            ("verify", ["verify", "{k1}", "{k2}", "--glue-label", "x0", "--samples", "40000"], 0),
         ],
     )
     def test_document_bytes(self, inputs, tmp_path, case, argv, status):
@@ -463,4 +530,23 @@ class TestGoldenOutputs:
         assert main(args) == status
         data = out.read_bytes()
         assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    @pytest.mark.parametrize(
+        "case, argv",
+        [
+            # the basepoint in the middle of the labels
+            ("sample", ["sample", "{psd}", "--glue-label", "r"]),
+            ("sample-real", ["sample", "{real}", "--glue-label", "x", "--real-mode"]),
+        ],
+    )
+    def test_sample_bytes(self, inputs, tmp_path, capsys, case, argv, to_stdout):
+        args = [a.format(**inputs) for a in argv]
+        args += ["--samples", str(2 * _CHUNK_ROWS + 7), "--seed", "7"]
+        out = tmp_path / "out.txt"
+        assert main(args if to_stdout else args + ["--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        data = captured.out.encode() if to_stdout else out.read_bytes()
+        assert captured.err == "" and (to_stdout or captured.out == "")
         assert hashlib.sha256(data).hexdigest() == self.DIGESTS[case]
