@@ -139,17 +139,23 @@ def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     return 0, kernel_to_document(kernel)
 
 
+def _failure(exc: Exception) -> tuple[int, dict]:
+    """The exit status and error document of a library, file or parse error."""
+    if isinstance(exc, KernelGlueError):
+        return exc.exit_status, {"error": exc.code, "message": str(exc)}
+    if isinstance(exc, OSError):
+        code = "FileNotFound" if isinstance(exc, FileNotFoundError) else "FileError"
+        return 2, {"error": code, "message": str(exc)}
+    return 2, {"error": "ParseError", "message": str(exc)}  # invalid JSON or undecodable text
+
+
 def run(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     """Execute one command; map every failure to (exit status, error doc).
     ``sample`` returns its checked text export as lazily drawn pieces."""
     try:
         status, document = _execute(config)
-    except FileNotFoundError as exc:
-        return 2, {"error": "FileNotFound", "message": str(exc)}
-    except json.JSONDecodeError as exc:
-        return 2, {"error": "ParseError", "message": str(exc)}
-    except KernelGlueError as exc:
-        return exc.exit_status, {"error": exc.code, "message": str(exc)}
+    except (KernelGlueError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return _failure(exc)
     if isinstance(document, dict) and config.timestamp:
         document = dict(document)
         document["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -213,20 +219,23 @@ def main(argv: list[str] | None = None) -> int:
     drawn; a reader that closes stdout early ends the output quietly."""
     config = RunConfig(**vars(_build_parser().parse_args(argv)))
     status, document = run(config)
-    if isinstance(document, dict) and "error" in document:
-        print(f"{document['error']}: {document['message']}", file=sys.stderr)
-        return status
-    pieces = [dump_document(document)] if isinstance(document, dict) else document
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as handle:
-            handle.writelines(pieces)
-        return status
-    try:
-        sys.stdout.writelines(pieces)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the rest would go nowhere; devnull keeps the exit flush from failing too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not (isinstance(document, dict) and "error" in document):
+        pieces = [dump_document(document)] if isinstance(document, dict) else document
+        if not config.output:
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the rest would go nowhere; devnull keeps the exit flush from failing too
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return status
+        try:
+            with open(config.output, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+            return status
+        except OSError as exc:
+            status, document = _failure(exc)
+    print(f"{document['error']}: {document['message']}", file=sys.stderr)
     return status
 
 

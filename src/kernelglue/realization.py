@@ -428,10 +428,6 @@ def verify_realization(
     spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)
     spec2 = realize_process(k2, x0, tol, basepoint_tol=basepoint_tol)
     glued = glue_realizations(spec1, spec2)
-    if glued.labels != product.labels:
-        raise DimensionMismatchError(
-            "internal label order mismatch between product and glued samples"
-        )
     blocks = _blocks((spec1, spec2), n, seed, real_mode)
     gram, quartic = _moment_sums(blocks, glued.labels, n, fourth=mc_tol is None)
     empirical = IndexedKernel(glued.labels, mirror_upper(gram / n))

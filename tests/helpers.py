@@ -96,6 +96,48 @@ def random_gluing_tree(rng, max_nodes=5, max_size=5) -> GluingTree:
     return GluingTree(tuple(nodes), edges)
 
 
+def reroot(tree: GluingTree, r: int) -> GluingTree:
+    """The same tree with nodes 0 and r swapped and the edges remapped, so
+    that gluing starts from the old node r."""
+    swap = {0: r, r: 0}
+    nodes = list(tree.nodes)
+    nodes[0], nodes[r] = nodes[r], nodes[0]
+    edges = tuple((swap.get(i, i), swap.get(j, j), label) for i, j, label in tree.edges)
+    return GluingTree(tuple(nodes), edges)
+
+
+def edge_kernel_tree(parents, q: complex) -> GluingTree:
+    """A tree of 2-label edge kernels over vertices ``v0, v1, ...``.
+
+    Vertex c >= 1 hangs off vertex ``parents[c - 1] < c``.  Node c - 1 is
+    the kernel ``[[1, q], [conj(q), 1]]`` on (parent, child), glued at the
+    parent vertex to the parent's own edge kernel, or to node 0 when the
+    parent is the root.
+    """
+    nodes, edges = [], []
+    for c, p in enumerate(parents, start=1):
+        nodes.append(make_kernel([f"v{p}", f"v{c}"], [[1, q], [np.conj(q), 1]]))
+        if c > 1:
+            edges.append((max(p - 1, 0), c - 1, f"v{p}"))
+    return GluingTree(tuple(nodes), tuple(edges))
+
+
+def haagerup_oracle(parents, q: complex) -> np.ndarray:
+    """The closed form of ``glue_tree(edge_kernel_tree(parents, q))``.
+
+    ``K(v_s, v_t) = conj(q)^up * q^down``, where up and down count the
+    edges from s up to the lowest common ancestor and from there down to
+    t; for real q this is ``q^d(s, t)``.  Rows and columns in vertex order.
+    """
+    n = len(parents) + 1
+    above = np.eye(n)  # above[v, u] = 1 when u is v or one of its ancestors
+    for c, p in enumerate(parents, start=1):
+        above[c] += above[p]
+    depth = above.sum(axis=1).astype(int) - 1
+    lca = np.rint(above @ above.T).astype(int) - 1  # depth of the lowest common ancestor
+    return np.conj(q) ** (depth[:, None] - lca) * q ** (depth[None, :] - lca)
+
+
 def path_product_oracle(tree: GluingTree) -> dict[tuple[str, str], complex]:
     """Expected cross entries of a glued tree, computed independently.
 

@@ -317,6 +317,32 @@ class TestMain:
         assert done.stdout == ""
         assert done.stderr == f"NumericalFailure: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            # an --output in a directory that does not exist
+            (["check", "{k1}", "--output", "{dir}/absent/c.json"], "FileNotFound"),
+            # a directory read as a kernel file
+            (["check", "{dir}"], "FileError"),
+            # input that is not UTF-8
+            (["check", "{latin1}"], "ParseError"),
+            # a tree whose edge indices are booleans
+            (["glue-tree", "{bool_edge}"], "NotATree"),
+        ],
+    )
+    def test_file_errors_are_one_stderr_line(self, workdir, capsys, argv, code):
+        (workdir["dir"] / "latin1.json").write_bytes(b'{"labels": ["\xe9"]}')
+        tree = json.loads(Path(workdir["tree"]).read_text())
+        tree["nodes"], tree["edges"] = tree["nodes"][:2], [[False, True, "a"]]
+        (workdir["dir"] / "bool_edge.json").write_text(json.dumps(tree))
+        paths = dict(workdir, latin1=workdir["dir"] / "latin1.json",
+                     bool_edge=workdir["dir"] / "bool_edge.json")
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"{code}: ")
+
     def test_check_indefinite_exit_code(self, workdir, capsys):
         code = main(["check", workdir["indefinite"], "--no-timestamp"])
         assert code == 1

@@ -1,27 +1,33 @@
 """Invariants as properties over generated inputs.
 
-Gluing preserves positive semidefiniteness and is associative, a kernel
+Gluing preserves positive semidefiniteness and is associative, a glued
+realization carries the product's labels in the product's order, a kernel
 survives its JSON document bit for bit, and a tree glues to the same
-kernel in either traversal order.
+kernel from any root and to the closed form of Haagerup's kernel on a
+tree of edge kernels.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import random_gram_kernel
+from helpers import edge_kernel_tree, haagerup_oracle, random_gram_kernel, reroot
 from kernelglue import (
     GluingTree,
+    glue_realizations,
     glue_tree,
     make_kernel,
     markov_product,
     mirror_upper,
     psd_check_eigen,
+    realize_process,
 )
 from kernelglue.fileio import dump_document, kernel_from_document, kernel_to_document
 
@@ -73,6 +79,21 @@ def test_markov_product_is_associative(kernels):
     assert np.abs(right.restrict(left.labels).entries - left.entries).max() <= 1e-12
 
 
+def _x0_at_every_position(k):
+    """``k`` reordered with "x0" at each position in turn."""
+    others = [label for label in k.labels if label != "x0"]
+    return [k.restrict(others[:i] + ["x0"] + others[i:]) for i in range(k.dim)]
+
+
+@settings(max_examples=50)
+@given(unit_psd_kernels("a"), unit_psd_kernels("b"))
+def test_glued_realization_labels_are_the_product_labels(k1, k2):
+    specs = [[(k, realize_process(k, "x0")) for k in _x0_at_every_position(k)] for k in (k1, k2)]
+    for a, spec1 in specs[0]:
+        for b, spec2 in specs[1]:
+            assert glue_realizations(spec1, spec2).labels == markov_product(a, b, "x0").labels
+
+
 _values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e-300, -1e300, 1.7976931348623157e308]),
@@ -117,9 +138,28 @@ def gluing_trees(draw):
 
 
 @settings(max_examples=100)
-@given(gluing_trees())
-def test_glue_tree_is_traversal_independent(tree):
-    bfs = glue_tree(tree)
-    dfs = glue_tree(tree, traversal="dfs")
-    assert sorted(dfs.labels) == sorted(bfs.labels)
-    assert np.abs(dfs.restrict(bfs.labels).entries - bfs.entries).max() <= 1e-12
+@given(gluing_trees(), st.data())
+def test_glue_tree_is_traversal_independent(tree, data):
+    base = glue_tree(tree)
+    rerooted = glue_tree(reroot(tree, data.draw(st.integers(0, len(tree.nodes) - 1))))
+    assert sorted(rerooted.labels) == sorted(base.labels)
+    assert np.abs(rerooted.restrict(base.labels).entries - base.entries).max() <= 1e-12
+
+
+@st.composite
+def vertex_trees(draw):
+    """A parent array on 2 to 200 vertices and a complex q with 0.5 <= |q| <= 0.99."""
+    n = draw(st.integers(2, 200))
+    parents = [draw(st.integers(0, c - 1)) for c in range(1, n)]
+    q = cmath.rect(draw(st.floats(0.5, 0.99)), draw(st.floats(-math.pi, math.pi)))
+    return parents, q
+
+
+@settings(max_examples=60)
+@given(vertex_trees())
+def test_edge_kernel_tree_glues_to_haagerup_closed_form(vertex_tree):
+    parents, q = vertex_tree
+    glued = glue_tree(edge_kernel_tree(parents, q))
+    vertices = [f"v{v}" for v in range(len(parents) + 1)]
+    deviation = np.abs(glued.restrict(vertices).entries - haagerup_oracle(parents, q))
+    assert deviation.max() <= 1e-13

@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 import pytest
 
-from helpers import path_product_oracle, random_gluing_tree, random_gram_kernel
+from helpers import (
+    edge_kernel_tree,
+    path_product_oracle,
+    random_gluing_tree,
+    random_gram_kernel,
+    reroot,
+)
 from kernelglue import (
     BasepointNotUnitError,
     GluingTree,
     IndexedKernel,
     IntersectionNotSingletonError,
-    InvalidParameterError,
     NotATreeError,
     glue_tree,
     make_kernel,
     markov_product,
     psd_check_eigen,
 )
-from kernelglue.trees import _traversal
 
 
 def correlation_kernel(a, b, c=0.5):
@@ -49,9 +55,30 @@ class TestGluingTreeValidation:
         k1 = correlation_kernel("x0", "a")
         k2 = correlation_kernel("a", "b")
         k3 = correlation_kernel("b", "c")
-        tree = GluingTree((k1, k2, k3), ((0, 1, "a"), (0, 1, "a")))
-        with pytest.raises(NotATreeError):
-            glue_tree(tree)
+        with pytest.raises(NotATreeError, match=r"do not connect nodes \[2\] to node 0"):
+            GluingTree((k1, k2, k3), ((0, 1, "a"), (0, 1, "a")))
+
+    @pytest.mark.parametrize("edge", [(False, True, "a"), (0, 1.7, "a"), (0.0, 1, "a")])
+    def test_node_indices_must_be_integers(self, edge):
+        nodes = (correlation_kernel("x0", "a"), correlation_kernel("a", "b"))
+        with pytest.raises(NotATreeError, match=r"node indices must be integers"):
+            GluingTree(nodes, (edge,))
+        assert GluingTree(nodes, ((np.int64(0), 1, "a"),)).edges == ((0, 1, "a"),)
+
+    def test_order_is_breadth_first_from_node_0(self):
+        # 0 -a- 1, 1 -b- 2 -d- 4, 1 -c- 3 -e- 5; node 1 meets 3 before 2 in
+        # the edge list, and depth first would place 4 before 5
+        nodes = (
+            correlation_kernel("x0", "a"),
+            make_kernel(["a", "b", "c"], np.eye(3)),
+            correlation_kernel("b", "d"),
+            correlation_kernel("c", "e"),
+            correlation_kernel("d", "f"),
+            correlation_kernel("e", "g"),
+        )
+        edges = ((3, 5, "e"), (1, 3, "c"), (2, 4, "d"), (0, 1, "a"), (1, 2, "b"))
+        tree = GluingTree(nodes, edges)
+        assert tree.order == ((1, "a"), (3, "c"), (2, "b"), (5, "e"), (4, "d"))
 
     def test_edge_label_must_belong_to_both_endpoints(self):
         # node 0 = {a, x} has no "b", whichever order the edges come in
@@ -130,16 +157,12 @@ class TestGlueTree:
         rng = np.random.default_rng(5)
         for _ in range(10):
             tree = random_gluing_tree(rng)
-            bfs = glue_tree(tree, traversal="bfs")
-            dfs = glue_tree(tree, traversal="dfs")
-            assert set(bfs.labels) == set(dfs.labels)
-            aligned = dfs.restrict(bfs.labels)
-            assert np.abs(aligned.entries - bfs.entries).max() <= 1e-12
-
-    def test_unknown_traversal_rejected(self):
-        k = correlation_kernel("x0", "a")
-        with pytest.raises(InvalidParameterError):
-            glue_tree(GluingTree((k,), ()), traversal="random")
+            base = glue_tree(tree)
+            for r in range(len(tree.nodes)):
+                rerooted = glue_tree(reroot(tree, r))
+                assert set(rerooted.labels) == set(base.labels)
+                aligned = rerooted.restrict(base.labels)
+                assert np.abs(aligned.entries - base.entries).max() <= 1e-12
 
     def test_psd_preserved_on_random_trees(self):
         rng = np.random.default_rng(6)
@@ -170,10 +193,10 @@ class TestGlueTree:
             glue_tree(tree)
 
 
-def folded(tree, traversal):
+def folded(tree):
     """Reference: the binary Markov product applied edge by edge."""
     result = tree.nodes[0]
-    for v, label in _traversal(tree, traversal):
+    for v, label in tree.order:
         result = markov_product(result, tree.nodes[v], label)
     return result
 
@@ -183,9 +206,10 @@ class TestAssembly:
         rng = np.random.default_rng(7)
         for _ in range(12):
             tree = random_gluing_tree(rng, max_nodes=10, max_size=6)
-            for traversal in ("bfs", "dfs"):
-                expected = folded(tree, traversal)
-                result = glue_tree(tree, traversal=traversal)
+            for r in range(len(tree.nodes)):
+                rerooted = reroot(tree, r)
+                expected = folded(rerooted)
+                result = glue_tree(rerooted)
                 assert result.labels == expected.labels
                 assert result.entries.tobytes() == expected.entries.tobytes()
 
@@ -204,3 +228,15 @@ class TestAssembly:
         result = glue_tree(tree)
         assert len(built) == 1 and built[0] is result
         assert result.dim == 25
+
+
+def test_edge_kernel_chain_matches_closed_form_at_scale():
+    # v0 - v1 - ... - v1999, one edge kernel per step: K(v_i, v_j) = q^(j - i), i <= j
+    q = 0.999 * cmath.exp(0.25j)
+    tree = edge_kernel_tree(range(1999), q)
+    pairs = np.random.default_rng(2000).integers(0, 2000, size=(400, 2))
+    for glued in (glue_tree(tree), glue_tree(reroot(tree, len(tree.nodes) - 1))):
+        index = {label: k for k, label in enumerate(glued.labels)}
+        for i, j in pairs.tolist():
+            expected = q ** (j - i) if i <= j else q.conjugate() ** (i - j)
+            assert abs(glued.entries[index[f"v{i}"], index[f"v{j}"]] - expected) <= 1e-13
