@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from .errors import InvalidParameterError, KernelGlueError
 from .fileio import (
     certificate_to_document,
-    dump_document,
+    document_text,
     kernel_to_document,
     load_kernel,
     load_tree,
@@ -146,7 +146,8 @@ def _failure(exc: Exception) -> tuple[int, dict]:
     if isinstance(exc, OSError):
         code = "FileNotFound" if isinstance(exc, FileNotFoundError) else "FileError"
         return 2, {"error": code, "message": str(exc)}
-    return 2, {"error": "ParseError", "message": str(exc)}  # invalid JSON or undecodable text
+    # invalid JSON or undecodable text; fileio.load_document names the file
+    return 2, {"error": "ParseError", "message": f"{exc.filename}: {exc}"}
 
 
 def run(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
@@ -215,12 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit status.  A document is
-    written in one piece, ``sample`` text one piece at a time as it is
+    written a row at a time, ``sample`` text a block at a time as it is
     drawn; a reader that closes stdout early ends the output quietly."""
     config = RunConfig(**vars(_build_parser().parse_args(argv)))
     status, document = run(config)
     if not (isinstance(document, dict) and "error" in document):
-        pieces = [dump_document(document)] if isinstance(document, dict) else document
+        pieces = document_text(document) if isinstance(document, dict) else document
         if not config.output:
             try:
                 sys.stdout.writelines(pieces)

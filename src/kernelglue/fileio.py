@@ -5,7 +5,7 @@ floats.  Matrices are written in full (no triangular compression), and
 floats serialize via Python's shortest round-trip representation, so a
 write/read cycle reproduces every entry bit for bit.  Documents are
 written as exactly the bytes of ``json.dumps(doc, indent=2)`` plus a
-newline, by a writer that keeps the float rows on C-speed formatting.
+newline, a row at a time, by a writer that formats floats at C speed.
 Loaders ignore unknown keys (e.g. a timestamp added by the CLI).
 """
 
@@ -26,7 +26,8 @@ from .trees import GluingTree
 
 def _to_pairs(a: np.ndarray) -> list:
     """Nested lists like ``a`` with each complex entry as ``[re, im]``."""
-    return np.stack((a.real, a.imag), axis=-1).tolist()
+    # value types hold C-contiguous complex128, whose float64 view is the pairs
+    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def pair_to_complex(obj) -> complex:
@@ -135,9 +136,12 @@ def format_sample_batch(batch: SampleBatch) -> str:
 
 
 def load_document(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    doc = json.loads(text)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.loads(handle.read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        exc.filename = path  # named in the error line, as an OSError names it
+        raise
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -151,44 +155,47 @@ def load_tree(path: str) -> GluingTree:
     return tree_from_document(load_document(path))
 
 
-def dump_document(doc: dict) -> str:
-    """Exactly ``json.dumps(doc, indent=2) + "\\n"``, written at C speed.
+def document_text(doc: dict) -> Iterator[str]:
+    """Exactly ``json.dumps(doc, indent=2) + "\\n"``, in pieces, at C speed.
 
     Any ``indent`` sends ``json.dumps`` to its pure-Python encoder.  This
     writer walks dicts and lists itself, encodes keys and scalars with
-    ``json.dumps``, and writes each list of float lists (the ``[re, im]``
-    rows) with one ``%`` over a ``%r`` template.  The pieces are joined
-    once, so the text is held twice at most.
+    ``json.dumps``, and writes each list of float lists (a row of
+    ``[re, im]`` pairs) with one ``%`` over a ``%r`` template.  Each row
+    is its own piece, so a writer of the pieces never holds the text whole.
     """
-    parts: list[str] = []
-    _write(doc, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    yield from _write(doc, "\n")
+    yield "\n"
 
 
-def _write(o, nl: str, parts: list[str]) -> None:
-    """Append ``json.dumps(o, indent=2)`` for a value whose line starts with ``nl``."""
+def dump_document(doc: dict) -> str:
+    """The whole ``document_text`` of a document, as one string."""
+    return "".join(document_text(doc))
+
+
+def _write(o, nl: str) -> Iterator[str]:
+    """The pieces of ``json.dumps(o, indent=2)`` for a value whose line starts with ``nl``."""
     inner = nl + "  "
     if type(o) is dict and o and all(type(k) is str for k in o):
         sep = "{" + inner
         for k, v in o.items():
-            parts += (sep, json.dumps(k), ": ")
-            _write(v, inner, parts)
+            yield sep + json.dumps(k) + ": "
+            yield from _write(v, inner)
             sep = "," + inner
-        parts.append(nl + "}")
+        yield nl + "}"
     elif type(o) is list and o:
         text = _float_rows(o, inner) if all(type(r) is list for r in o) else None
         if text is not None:
-            parts += ("[", inner, text, nl, "]")
+            yield "[" + inner + text + nl + "]"
             return
         sep = "[" + inner
         for v in o:
-            parts.append(sep)
-            _write(v, inner, parts)
+            yield sep
+            yield from _write(v, inner)
             sep = "," + inner
-        parts.append(nl + "]")
+        yield nl + "]"
     else:
-        parts.append(json.dumps(o, indent=2).replace("\n", nl))
+        yield json.dumps(o, indent=2).replace("\n", nl)
 
 
 def _float_rows(rows: list, nl: str) -> str | None:

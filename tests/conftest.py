@@ -9,6 +9,10 @@ settings.register_profile("kernelglue", derandomize=True, database=None, deadlin
 settings.load_profile("kernelglue")
 
 # hypothesis also caches the constants it reads from source files; keep
-# that cache in a directory removed when the test run exits
+# that cache in a directory removed when the test run ends
 _home = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_home.name)
+
+
+def pytest_unconfigure(config):
+    _home.cleanup()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import kernelglue
-from helpers import random_glued_pair, random_gluing_tree, random_gram_kernel
+from helpers import edge_kernel_tree, random_glued_pair, random_gluing_tree, random_gram_kernel
 from kernelglue import make_kernel, markov_product
 from kernelglue.cli import RunConfig, _build_parser, main, run
 from kernelglue.fileio import dump_document, kernel_to_document, tree_to_document
@@ -67,6 +67,26 @@ def workdir(tmp_path):
 def _cli_env(**extra) -> dict:
     """The environment of a CLI subprocess that imports this kernelglue."""
     return dict(os.environ, PYTHONPATH=str(Path(kernelglue.__file__).parents[1]), **extra)
+
+
+def _peak_rss(argv: list[str]) -> tuple[int, int]:
+    """Exit status and peak RSS in KiB of a CLI subprocess, one BLAS thread.
+
+    It is started from a small interpreter: a child's ru_maxrss counts the
+    RSS of the process that started it, and pytest's can be hundreds of MB.
+    """
+    spawner = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", spawner, sys.executable, "-m", "kernelglue.cli", *argv],
+        capture_output=True, text=True, env=_cli_env(OPENBLAS_NUM_THREADS="1"), timeout=300,
+    )
+    status, maxrss_kib = map(int, done.stdout.split())
+    return status, maxrss_kib
 
 
 def read_json(path):
@@ -343,6 +363,19 @@ class TestMain:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"{code}: ")
 
+    # the second input is not JSON, or not UTF-8
+    @pytest.mark.parametrize("content", [b"{not json", b'{"labels": ["\xe9"]}'])
+    @pytest.mark.parametrize("command", ["glue", "verify"])
+    def test_parse_error_names_the_bad_file(self, workdir, capsys, command, content):
+        bad = workdir["dir"] / "bad.json"
+        bad.write_bytes(content)
+        argv = [command, workdir["k1"], str(bad), "--glue-label", "x0", "--samples", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"ParseError: {bad}: ")
+
     def test_check_indefinite_exit_code(self, workdir, capsys):
         code = main(["check", workdir["indefinite"], "--no-timestamp"])
         assert code == 1
@@ -465,39 +498,46 @@ class TestMain:
         assert not out.exists()
 
     def test_sample_to_a_closed_pipe_exits_quietly(self, workdir):
-        # the reader takes the header and closes the pipe while sample writes
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "kernelglue.cli", "sample", workdir["k1"]],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
-        )
-        assert proc.stdout.readline() == b"# seed=0 labels=x0,a\n"
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-        assert err == b""
-        assert proc.returncode == 0
+        # 60 edge kernels glue to 61 labels, about 200 KB of JSON: more than a pipe holds
+        tree = workdir["dir"] / "edges.json"
+        tree.write_text(dump_document(tree_to_document(edge_kernel_tree(range(60), 0.5))))
+        cases = [(["sample", workdir["k1"]], b"# seed=0 labels=x0,a\n"),
+                 (["glue-tree", str(tree)], b"{\n")]
+        for argv, first_line in cases:
+            # the reader takes the first line and closes the pipe while the command writes
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "kernelglue.cli", *argv],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+            )
+            assert proc.stdout.readline() == first_line
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            assert err == b""
+            assert proc.returncode == 0
 
     def test_sample_memory_does_not_hold_the_export(self, tmp_path):
         rng = np.random.default_rng(8)
         kernel = random_gram_kernel(rng, tuple(f"l{i}" for i in range(8)))
         path = tmp_path / "k8.json"
         path.write_text(dump_document(kernel_to_document(kernel)))
-        argv = ["sample", str(path), "--samples", "200000", "--output", str(tmp_path / "s.txt")]
-        # started from a small interpreter: a child's ru_maxrss counts the RSS
-        # of the process that started it, and pytest's can be hundreds of MB
-        spawner = (
-            "import os, subprocess, sys\n"
-            "proc = subprocess.Popen(sys.argv[1:])\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        status, maxrss_kib = _peak_rss(
+            ["sample", str(path), "--samples", "200000", "--output", str(tmp_path / "s.txt")]
         )
-        done = subprocess.run(
-            [sys.executable, "-c", spawner, sys.executable, "-m", "kernelglue.cli", *argv],
-            capture_output=True, text=True, env=_cli_env(OPENBLAS_NUM_THREADS="1"), timeout=300,
-        )
-        status, maxrss_kib = map(int, done.stdout.split())
         assert status == 0
         # the whole 2e5 x 8 batch and its 59 MB of text took the peak to 177 MB
         assert maxrss_kib < 100 * 1024
+
+    def test_glue_tree_memory_does_not_hold_the_document(self, tmp_path):
+        rng = np.random.default_rng(400)
+        parents = [int(rng.integers(0, c)) for c in range(1, 400)]
+        path = tmp_path / "tree.json"
+        path.write_text(dump_document(tree_to_document(edge_kernel_tree(parents, 0.9 * np.exp(0.25j)))))
+        out = tmp_path / "glued.json"
+        status, maxrss_kib = _peak_rss(["glue-tree", str(path), "--output", str(out)])
+        assert status == 0
+        assert out.stat().st_size > 11 * 10**6  # 400 labels
+        # holding the whole document and its text peaked at 81 MB; a row at a time, 55 MB
+        assert maxrss_kib < 68 * 1024
 
 
 class TestGoldenOutputs:

@@ -25,6 +25,7 @@ from kernelglue import (
 )
 from kernelglue.fileio import (
     certificate_to_document,
+    document_text,
     dump_document,
     format_sample_batch,
     kernel_from_document,
@@ -313,3 +314,12 @@ class TestDumpDocument:
     @example({"rows": [[1.0, math.nan], [math.inf, 2.0]], "mixed": [[1, 2.0, True]]})
     def test_bytes_are_json_dumps_indent_2(self, doc):
         assert dump_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_text_comes_a_row_at_a_time(self):
+        kernel = random_gram_kernel(np.random.default_rng(64), tuple(f"l{i}" for i in range(64)))
+        doc = kernel_to_document(kernel)
+        pieces = list(document_text(doc))
+        text = "".join(pieces)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert len(pieces) >= 64
+        assert max(map(len, pieces)) <= 2 * len(text) / 64
