@@ -36,7 +36,7 @@ from .kernels import (
     markov_product,
     psd_check_eigen,
 )
-from .realization import realize_process, sample_blocks, verify_realization
+from .realization import _check_seed, realize_process, sample_blocks, verify_realization
 from .trees import glue_tree
 
 COMMANDS = ("glue", "check", "realize", "sample", "verify", "glue-tree")
@@ -79,8 +79,7 @@ def _validate(config: RunConfig) -> None:
         raise InvalidParameterError(
             f"sample count must be >= 1, got {config.samples}"
         )
-    if not 0 <= config.seed < 2**64:
-        raise InvalidParameterError(f"seed must fit in 64 unsigned bits, got {config.seed}")
+    _check_seed(config.seed)
 
 
 def _require_glue_label(config: RunConfig) -> str:

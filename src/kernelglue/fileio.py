@@ -3,17 +3,21 @@
 Complex scalars are stored as two-element arrays ``[re, im]`` of decimal
 floats.  Matrices are written in full (no triangular compression), and
 floats serialize via Python's shortest round-trip representation, so a
-write/read cycle reproduces every entry bit for bit.  Documents are
-written as exactly the bytes of ``json.dumps(doc, indent=2)`` plus a
-newline, a row at a time, by a writer that formats floats at C speed.
-Loaders ignore unknown keys (e.g. a timestamp added by the CLI).
+write/read cycle reproduces every entry bit for bit.  A document built
+by ``*_to_document`` carries each value type's complex array itself;
+it is written as exactly the bytes of ``json.dumps`` of its JSON-native
+twin, ``indent=2``, plus a newline, a row at a time, formatted from the
+array at C speed.  ``load_kernel`` reads a kernel file a row at a time
+too.  Loaders ignore unknown keys (e.g. a timestamp added by the CLI).
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterator
 from itertools import chain
+from json.decoder import WHITESPACE, scanstring
 from numbers import Real
 
 import numpy as np
@@ -22,12 +26,6 @@ from .errors import FileFormatError
 from .kernels import IndexedKernel, PsdCertificate, make_kernel
 from .realization import RealizationSpec, SampleBatch, VerificationReport
 from .trees import GluingTree
-
-
-def _to_pairs(a: np.ndarray) -> list:
-    """Nested lists like ``a`` with each complex entry as ``[re, im]``."""
-    # value types hold C-contiguous complex128, whose float64 view is the pairs
-    return a.view(np.float64).reshape(*a.shape, 2).tolist()
 
 
 def pair_to_complex(obj) -> complex:
@@ -47,7 +45,7 @@ def _require(doc: dict, key: str, kind: str):
 
 
 def kernel_to_document(k: IndexedKernel) -> dict:
-    return {"labels": list(k.labels), "entries": _to_pairs(k.entries)}
+    return {"labels": list(k.labels), "entries": k.entries}
 
 
 def kernel_from_document(doc: dict) -> IndexedKernel:
@@ -93,7 +91,7 @@ def certificate_to_document(cert: PsdCertificate) -> dict:
         "verdict": bool(cert.verdict),
         "min_eigenvalue": float(cert.min_eigenvalue),
         "tolerance_used": float(cert.tolerance_used),
-        "witness": None if cert.witness is None else _to_pairs(cert.witness),
+        "witness": cert.witness,
     }
 
 
@@ -102,8 +100,8 @@ def realization_to_document(spec: RealizationSpec) -> dict:
         "labels": list(spec.labels),
         "basepoint": spec.basepoint,
         "basepoint_index": spec.basepoint_index,
-        "mean": _to_pairs(spec.mean),
-        "covariance": _to_pairs(spec.covariance),
+        "mean": spec.mean,
+        "covariance": spec.covariance,
     }
 
 
@@ -136,9 +134,13 @@ def format_sample_batch(batch: SampleBatch) -> str:
 
 
 def load_document(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as handle:
+        return _read_document(handle, path)
+
+
+def _read_document(handle, path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.loads(handle.read())
+        doc = json.loads(handle.read())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         exc.filename = path  # named in the error line, as an OSError names it
         raise
@@ -148,7 +150,130 @@ def load_document(path: str) -> dict:
 
 
 def load_kernel(path: str) -> IndexedKernel:
-    return kernel_from_document(load_document(path))
+    """The kernel of a kernel file, its entries read a row at a time.
+
+    A file the row reader does not take, an invalid or unusual one, is
+    read again whole, as is a pipe, which cannot be read twice: the
+    reference ``kernel_from_document`` of its ``load_document`` gives
+    the kernel or reports what is wrong.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        if handle.seekable():
+            try:
+                labels, pairs = _read_kernel(handle)
+            except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError
+                handle.seek(0)
+            else:
+                return make_kernel(labels, pairs.view(np.complex128)[..., 0])
+        return kernel_from_document(_read_document(handle, path))
+
+
+_DECODER = json.JSONDecoder()
+_CHUNK_CHARS = 1 << 20
+
+
+class _Window:
+    """The text of a file from the walk's position on, read in chunks:
+    a token that runs past the end of the window is read again on a
+    longer one, so no token is ever taken from a cut text."""
+
+    def __init__(self, handle):
+        self.handle, self.text, self.pos = handle, "", 0
+
+    def take(self, parse, ends: str):
+        """``parse(text, pos)``'s value at the position after whitespace,
+        and the character of ``ends`` that follows it after whitespace;
+        the position moves past both.  ValueError if there is none."""
+        while True:
+            try:
+                value, end = parse(self.text, WHITESPACE.match(self.text, self.pos).end())
+                end = WHITESPACE.match(self.text, end).end()
+                sep = self.text[end : end + 1]
+                if sep and sep in ends:
+                    self.pos = end + 1
+                    return value, sep
+            except ValueError:
+                pass
+            # a cut token fails, or ends early with no separator after it: read on
+            chunk = self.handle.read(max(_CHUNK_CHARS, 2 * (len(self.text) - self.pos)))
+            if not chunk:
+                raise ValueError("the file ends before the expected character")
+            self.text, self.pos = self.text[self.pos :] + chunk, 0
+
+    def at_end(self) -> bool:
+        """Whether only whitespace is left in the file."""
+        while WHITESPACE.match(self.text, self.pos).end() == len(self.text):
+            self.text, self.pos = self.handle.read(_CHUNK_CHARS), 0
+            if not self.text:
+                return True
+        return False
+
+
+def _nothing(text: str, pos: int):
+    return None, pos
+
+
+def _key(text: str, pos: int):
+    if text[pos : pos + 1] != '"':
+        raise ValueError("expected a key")
+    return scanstring(text, pos + 1)
+
+
+def _read_kernel(handle) -> tuple[list, np.ndarray]:
+    """The labels and ``(n, n, 2)`` float64 ``[re, im]`` entries of a kernel
+    file, walking its top-level object as ``json.loads`` does (the last of
+    a repeated key wins) and decoding ``entries`` a row at a time.
+    ValueError unless the file is a kernel document whose entries are all
+    float pairs."""
+    window = _Window(handle)
+    window.take(_nothing, "{")
+    values, sep = {}, ","
+    while sep == ",":
+        key, _ = window.take(_key, ":")
+        if key == "entries":
+            values[key], sep = _entry_rows(window, os.fstat(handle.fileno()).st_size)
+        else:
+            values[key], sep = window.take(_DECODER.raw_decode, ",}")
+    labels, pairs = values.get("labels"), values.get("entries")
+    if not window.at_end() or pairs is None or type(labels) is not list:
+        raise ValueError("not a kernel document")
+    if len(labels) != len(pairs) or not all(type(l) is str for l in labels):
+        raise ValueError("labels are not as many strings as there are rows")
+    return labels, pairs
+
+
+def _entry_rows(window: _Window, size: int) -> tuple[np.ndarray, str]:
+    """The rows of an ``entries`` array, each checked and stored as it is
+    decoded into one array sized by the first row, and the character after
+    the array.  ValueError unless it is a square matrix of float pairs."""
+    window.take(_nothing, "[")
+    pairs, i, sep = None, 0, ","
+    while sep == ",":
+        row, sep = window.take(_DECODER.raw_decode, ",]")
+        if not _float_pairs(row):
+            raise ValueError("not a row of float pairs")
+        if pairs is None:
+            if 5 * len(row) ** 2 > size:  # no file this size holds that many "[0,0]" pairs
+                raise ValueError("the first row is too long for the file")
+            pairs = np.empty((len(row), len(row), 2))
+        if i == len(pairs) or len(row) != len(pairs):
+            raise ValueError("entries are not a square matrix")
+        pairs[i] = row
+        i += 1
+    if pairs is None or i != len(pairs):
+        raise ValueError("entries are not a square matrix")
+    return pairs, window.take(_nothing, ",}")[1]
+
+
+def _float_pairs(row) -> bool:
+    """Whether ``row`` is a list of ``[re, im]`` lists of two floats, the
+    case of the per-entry rule that ``kernel_from_document`` takes at once."""
+    return (
+        type(row) is list
+        and set(map(type, row)) <= {list}
+        and set(map(len, row)) <= {2}
+        and set(map(type, chain.from_iterable(row))) <= {float}
+    )
 
 
 def load_tree(path: str) -> GluingTree:
@@ -156,13 +281,15 @@ def load_tree(path: str) -> GluingTree:
 
 
 def document_text(doc: dict) -> Iterator[str]:
-    """Exactly ``json.dumps(doc, indent=2) + "\\n"``, in pieces, at C speed.
+    """Exactly ``json.dumps(doc, indent=2) + "\\n"``, in pieces, at C speed,
+    where each numpy array in ``doc`` stands for its complex128 entries as
+    nested ``[re, im]`` lists.
 
     Any ``indent`` sends ``json.dumps`` to its pure-Python encoder.  This
     writer walks dicts and lists itself, encodes keys and scalars with
-    ``json.dumps``, and writes each list of float lists (a row of
-    ``[re, im]`` pairs) with one ``%`` over a ``%r`` template.  Each row
-    is its own piece, so a writer of the pieces never holds the text whole.
+    ``json.dumps``, and writes an array from its float64 view with one
+    ``%`` over a ``%r`` template per matrix row.  Each row is its own
+    piece, so a writer of the pieces never holds the text whole.
     """
     yield from _write(doc, "\n")
     yield "\n"
@@ -184,30 +311,40 @@ def _write(o, nl: str) -> Iterator[str]:
             sep = "," + inner
         yield nl + "}"
     elif type(o) is list and o:
-        text = _float_rows(o, inner) if all(type(r) is list for r in o) else None
-        if text is not None:
-            yield "[" + inner + text + nl + "]"
-            return
         sep = "[" + inner
         for v in o:
             yield sep
             yield from _write(v, inner)
             sep = "," + inner
         yield nl + "]"
+    elif isinstance(o, np.ndarray):
+        a = np.require(o, np.complex128, "C")
+        pairs = a.reshape(-1).view(np.float64).reshape(*a.shape, 2)
+        if pairs.ndim < 3 or not len(pairs):
+            yield _fill(_template(pairs.shape, nl), pairs)
+            return
+        row = _template(pairs.shape[1:], inner)
+        sep = "[" + inner
+        for r in pairs:
+            yield sep + _fill(row, r)
+            sep = "," + inner
+        yield nl + "]"
     else:
         yield json.dumps(o, indent=2).replace("\n", nl)
 
 
-def _float_rows(rows: list, nl: str) -> str | None:
-    """The items of a list of float lists, each starting on ``nl``; None
-    unless every value is a finite ``float``, whose ``repr`` json writes."""
-    flat = tuple(chain.from_iterable(rows))
-    if not set(map(type, flat)) <= {float}:
-        return None
+def _template(shape: tuple, nl: str) -> str:
+    """The ``%r`` template of ``json.dumps`` of nested float lists of this
+    shape, ``indent=2``, on a line that starts with ``nl``."""
+    if not shape:
+        return "%r"
+    if not shape[0]:
+        return "[]"
     inner = nl + "  "
-    templates = {
-        m: "[" + inner + ("," + inner).join(["%r"] * m) + nl + "]" if m else "[]"
-        for m in set(map(len, rows))
-    }
-    text = ("," + nl).join([templates[len(r)] for r in rows]) % flat
-    return None if "n" in text else text  # nan and inf: json writes NaN, Infinity
+    return "[" + inner + ("," + inner).join([_template(shape[1:], inner)] * shape[0]) + nl + "]"
+
+
+def _fill(template: str, values: np.ndarray) -> str:
+    text = template % tuple(values.ravel().tolist())
+    # repr spells the non-finite floats nan and inf, json NaN and Infinity
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text

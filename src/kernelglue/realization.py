@@ -66,6 +66,11 @@ def _subseed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence((tag, seed)).generate_state(1, np.uint64)[0])
 
 
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class RealizationSpec:
     """Mean and centered covariance of the Gaussian realization.
@@ -277,6 +282,7 @@ def _blocks(specs, n: int, seed: int, real_mode: bool, out: np.ndarray | None = 
     a view of ``out`` at row i if it holds all n rows, else of one buffer."""
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+    _check_seed(seed)
     if real_mode and not all(spec.is_real for spec in specs):
         raise InvalidParameterError("real mode requires a real-valued mean and covariance")
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]

@@ -13,6 +13,19 @@ from kernelglue import GluingTree, IndexedKernel, make_kernel
 BAD_TOLERANCES = (float("nan"), 0.0, -1e-9, float("inf"))
 
 
+def json_native(doc):
+    """A document with each numpy array replaced by nested ``[re, im]``
+    lists, built entry by entry: the JSON-native twin that the document
+    is written as."""
+    if isinstance(doc, dict):
+        return {k: json_native(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple, np.ndarray)):
+        return [json_native(v) for v in doc]
+    if isinstance(doc, np.complexfloating):
+        return [float(doc.real), float(doc.imag)]
+    return doc
+
+
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Average with the conjugate transpose; the result is exactly Hermitian."""
     return (m + m.conj().T) / 2

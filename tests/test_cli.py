@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import kernelglue
-from helpers import edge_kernel_tree, random_glued_pair, random_gluing_tree, random_gram_kernel
+from helpers import (
+    edge_kernel_tree,
+    json_native,
+    random_glued_pair,
+    random_gluing_tree,
+    random_gram_kernel,
+)
 from kernelglue import make_kernel, markov_product
 from kernelglue.cli import RunConfig, _build_parser, main, run
 from kernelglue.fileio import dump_document, kernel_to_document, tree_to_document
@@ -89,6 +95,19 @@ def _peak_rss(argv: list[str]) -> tuple[int, int]:
     return status, maxrss_kib
 
 
+@pytest.fixture(scope="module")
+def glued_400(tmp_path_factory) -> tuple[Path, int, int]:
+    """A 400-label Haagerup edge tree glued by the CLI: the output path,
+    and the exit status and peak RSS in KiB of ``glue-tree``."""
+    tmp = tmp_path_factory.mktemp("glued_400")
+    rng = np.random.default_rng(400)
+    parents = [int(rng.integers(0, c)) for c in range(1, 400)]
+    path = tmp / "tree.json"
+    path.write_text(dump_document(tree_to_document(edge_kernel_tree(parents, 0.9 * np.exp(0.25j)))))
+    out = tmp / "glued.json"
+    return (out, *_peak_rss(["glue-tree", str(path), "--output", str(out)]))
+
+
 def read_json(path):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -104,7 +123,7 @@ class TestRun:
         k1 = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
         k2 = make_kernel(["x0", "b"], [[1, 0.5 + 0.5j], [0.5 - 0.5j, 1]])
         expected = kernel_to_document(markov_product(k1, k2, "x0"))
-        assert doc == expected
+        assert json_native(doc) == json_native(expected)
 
     def test_check_psd_exit_zero(self, workdir):
         status, doc = run(RunConfig("check", [workdir["k1"]], timestamp=False))
@@ -123,6 +142,7 @@ class TestRun:
             RunConfig("realize", [workdir["k1"]], glue_label="x0", timestamp=False)
         )
         assert status == 0
+        doc = json_native(doc)
         assert doc["mean"] == [[0.5, 0.0]]
         assert doc["covariance"] == [[[0.75, 0.0]]]
 
@@ -172,7 +192,7 @@ class TestRun:
         status, doc = run(RunConfig("glue-tree", [workdir["tree"]], timestamp=False))
         assert status == 0
         assert doc["labels"] == ["x0", "a", "b", "c"]
-        assert doc["entries"][0][3] == [0.125, 0.0]
+        assert json_native(doc["entries"])[0][3] == [0.125, 0.0]
 
     def test_timestamp_toggle(self, workdir):
         _, with_ts = run(RunConfig("check", [workdir["k1"]]))
@@ -376,6 +396,13 @@ class TestMain:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"ParseError: {bad}: ")
 
+    @pytest.mark.parametrize("seed", ["-1", "0x10000000000000000"])
+    def test_bad_seed_is_rejected_before_any_file(self, workdir, capsys, seed):
+        absent = str(workdir["dir"] / "absent.json")
+        assert main(["verify", absent, absent, "--glue-label", "x0", "--seed", seed]) == 2
+        expected = f"InvalidParameter: seed must fit in 64 unsigned bits, got {int(seed, 0)}\n"
+        assert capsys.readouterr().err == expected
+
     def test_check_indefinite_exit_code(self, workdir, capsys):
         code = main(["check", workdir["indefinite"], "--no-timestamp"])
         assert code == 1
@@ -527,17 +554,21 @@ class TestMain:
         # the whole 2e5 x 8 batch and its 59 MB of text took the peak to 177 MB
         assert maxrss_kib < 100 * 1024
 
-    def test_glue_tree_memory_does_not_hold_the_document(self, tmp_path):
-        rng = np.random.default_rng(400)
-        parents = [int(rng.integers(0, c)) for c in range(1, 400)]
-        path = tmp_path / "tree.json"
-        path.write_text(dump_document(tree_to_document(edge_kernel_tree(parents, 0.9 * np.exp(0.25j)))))
-        out = tmp_path / "glued.json"
-        status, maxrss_kib = _peak_rss(["glue-tree", str(path), "--output", str(out)])
+    def test_glue_tree_memory_does_not_hold_the_document(self, glued_400):
+        out, status, maxrss_kib = glued_400
         assert status == 0
         assert out.stat().st_size > 11 * 10**6  # 400 labels
-        # holding the whole document and its text peaked at 81 MB; a row at a time, 55 MB
-        assert maxrss_kib < 68 * 1024
+        # holding the whole document and its text peaked at 81 MB, the
+        # [re, im] lists written a row at a time 55 MB; from the array, 38 MB
+        assert maxrss_kib < 46 * 1024
+
+    def test_check_memory_does_not_hold_the_pairs(self, glued_400, tmp_path):
+        out, status, _ = glued_400
+        assert status == 0
+        status, maxrss_kib = _peak_rss(["check", str(out), "--output", str(tmp_path / "c.json")])
+        assert status == 0
+        # the whole text and its [re, im] lists peaked at 65 MB; a row at a time, 44 MB
+        assert maxrss_kib < 54 * 1024
 
 
 class TestGoldenOutputs:
@@ -576,7 +607,7 @@ class TestGoldenOutputs:
             "real": kernel_to_document(random_gram_kernel(rng, tuple("vwxyz"), False)),
         }
         for name, doc in docs.items():
-            (tmp / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+            (tmp / f"{name}.json").write_text(json.dumps(json_native(doc)), encoding="utf-8")
         return {name: str(tmp / f"{name}.json") for name in docs}
 
     @pytest.mark.parametrize(

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_glued_pair, random_gram_kernel
+from helpers import json_native, random_glued_pair, random_gram_kernel
 from kernelglue import (
     FileFormatError,
     GluingTree,
@@ -23,6 +26,7 @@ from kernelglue import (
     sample_realization,
     verify_realization,
 )
+from kernelglue import fileio
 from kernelglue.fileio import (
     certificate_to_document,
     document_text,
@@ -58,12 +62,12 @@ class TestKernelDocuments:
         for _ in range(10):
             labels = tuple(f"s{i}" for i in range(int(rng.integers(1, 7))))
             k = random_gram_kernel(rng, labels)
-            text = json.dumps(kernel_to_document(k))
+            text = dump_document(kernel_to_document(k))
             back = kernel_from_document(json.loads(text))
             assert back == k
 
     def test_unknown_keys_ignored(self):
-        doc = kernel_to_document(make_kernel(["a"], [[1.0]]))
+        doc = json_native(kernel_to_document(make_kernel(["a"], [[1.0]])))
         doc["timestamp"] = "2024-01-01T00:00:00"
         doc["comment"] = "anything"
         assert kernel_from_document(doc).labels == ("a",)
@@ -144,18 +148,18 @@ class TestTreeDocuments:
         k1 = random_gram_kernel(rng, ("x0", "a"))
         k2 = random_gram_kernel(rng, ("a", "b"))
         tree = GluingTree((k1, k2), ((0, 1, "a"),))
-        back = tree_from_document(json.loads(json.dumps(tree_to_document(tree))))
+        back = tree_from_document(json.loads(dump_document(tree_to_document(tree))))
         assert back.edges == tree.edges
         assert all(n1 == n2 for n1, n2 in zip(back.nodes, tree.nodes))
 
     def test_bad_edges(self):
-        node = kernel_to_document(make_kernel(["a"], [[1.0]]))
+        node = {"labels": ["a"], "entries": [[[1.0, 0.0]]]}
         for edges in ([[0, 1]], [[0, 1, 2]], [["0", 1, "a"]], [0]):
             with pytest.raises(FileFormatError):
                 tree_from_document({"nodes": [node, node], "edges": edges})
 
     def test_structural_validation_propagates(self):
-        node = kernel_to_document(make_kernel(["a"], [[1.0]]))
+        node = {"labels": ["a"], "entries": [[[1.0, 0.0]]]}
         with pytest.raises(NotATreeError):
             tree_from_document({"nodes": [node], "edges": [[0, 0, "a"]]})
 
@@ -180,7 +184,7 @@ class TestReportDocuments:
 
     def test_realization_document(self):
         k = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
-        doc = realization_to_document(realize_process(k, "x0"))
+        doc = json.loads(dump_document(realization_to_document(realize_process(k, "x0"))))
         assert doc["labels"] == ["a"]
         assert doc["basepoint"] == "x0"
         assert doc["basepoint_index"] == 0
@@ -290,7 +294,7 @@ _scalars = st.one_of(
     st.text(),
     st.sampled_from(["\u00e9\u4e2d\U0001f600", '"\\\n\t\x00\u2028', "\ud800"]),
 )
-# float rows take the writer's fast path; ragged and mixed rows must not
+# lists of float rows, ragged and mixed ones too, are written as json writes them
 _rows = st.lists(
     st.lists(st.one_of(_floats, st.integers(), st.booleans()), max_size=4),
     max_size=4,
@@ -320,6 +324,215 @@ class TestDumpDocument:
         doc = kernel_to_document(kernel)
         pieces = list(document_text(doc))
         text = "".join(pieces)
-        assert text == json.dumps(doc, indent=2) + "\n"
+        assert text == json.dumps(json_native(doc), indent=2) + "\n"
         assert len(pieces) >= 64
         assert max(map(len, pieces)) <= 2 * len(text) / 64
+
+
+class TestWriterShapes:
+    """Array shapes the writer must lay out as json does its lists."""
+
+    def test_one_label_realization_has_empty_mean_and_covariance(self):
+        spec = realize_process(make_kernel(["x0"], [[1.0]]), "x0")
+        twin = {"labels": [], "basepoint": "x0", "basepoint_index": 0, "mean": [], "covariance": []}
+        assert dump_document(realization_to_document(spec)) == json.dumps(twin, indent=2) + "\n"
+
+    def test_witness_vector(self):
+        cert = psd_check_eigen(make_kernel(["a", "b"], [[1, 2j], [-2j, 1]]))
+        twin = {
+            "verdict": False,
+            "min_eigenvalue": cert.min_eigenvalue,
+            "tolerance_used": cert.tolerance_used,
+            "witness": [[z.real, z.imag] for z in cert.witness.tolist()],
+        }
+        assert dump_document(certificate_to_document(cert)) == json.dumps(twin, indent=2) + "\n"
+
+    def test_one_by_one_kernel(self):
+        doc = kernel_to_document(make_kernel(["a"], [[-0.0]]))
+        twin = {"labels": ["a"], "entries": [[[-0.0, 0.0]]]}
+        assert dump_document(doc) == json.dumps(twin, indent=2) + "\n"
+
+    def test_non_finite_entries_are_spelled_as_json_spells_them(self):
+        doc = {"a": np.array([[complex(math.nan, math.inf)], [complex(-math.inf, 5e-324)]])}
+        twin = {"a": [[[math.nan, math.inf]], [[-math.inf, 5e-324]]]}
+        assert dump_document(doc) == json.dumps(twin, indent=2) + "\n"
+
+
+def _reference(path):
+    return kernel_from_document(load_document(path))
+
+
+def _outcome(read, path):
+    """The labels and entry bytes a reader gives, or the type, message and
+    file name of what it raises."""
+    try:
+        k = read(path)
+    except Exception as exc:  # the outcome of any failure is compared
+        return type(exc), str(exc), getattr(exc, "filename", None)
+    return k.labels, k.entries.tobytes()
+
+
+def _rows_taken(path) -> bool:
+    """Whether the row reader takes the file itself, with no second reading."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            fileio._read_kernel(handle)
+        except (ValueError, RecursionError):
+            return False
+    return True
+
+
+_K = {"labels": ["a", "b"], "entries": [[[1.0, 0.0], [0.5, 0.25]], [[0.5, -0.25], [1.0, 0.0]]]}
+_COMPACT = json.dumps(_K)
+_ENTRIES = json.dumps(_K["entries"])
+
+
+_MARK = 1234.5625  # an entry whose token a mutation replaces
+
+
+@st.composite
+def _kernel_files(draw):
+    """Kernel files as bytes: Hermitian float entries written compact or
+    with indent 2, whole or mutated, and whether the row reader must take
+    the file because it is a valid kernel document of float pairs."""
+    n = draw(st.integers(0, 4))
+    labels = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "\u00e9", "\ud800"]),
+                           min_size=n, max_size=n, unique=True))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-310, 1.0]),
+    )
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            re, im = draw(value), 0.0 if i == j else draw(value)
+            rows[i][j], rows[j][i] = [re, im], [re, -im]
+    token = None
+    if n:
+        rows[0][0] = [_MARK, 0.0]
+        token = draw(st.sampled_from(
+            ["0.5", "-0.0", "5e-324", "1", "-0", "NaN", "Infinity", "-Infinity", "1e400",
+             "true", "null", '"1"', "[1.0, 0.0]", "1.0, 2.0"]))
+    ragged = n > 0 and draw(st.booleans()) and draw(st.booleans())
+    if ragged:
+        rows[-1].pop()
+    doc = {"labels": labels, "entries": rows}
+    if draw(st.booleans()):
+        doc = {"entries": rows, "labels": labels, "timestamp": "now"}
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])), ensure_ascii=draw(st.booleans()))
+    if token is not None:
+        text = text.replace(repr(_MARK), token, 1)
+    mutation = draw(st.sampled_from(
+        ["none"] * 6 + ["bom", "trailing data", "whitespace", "crlf", "repeated key", "nested",
+                       "utf-16", "byte 0xff", "truncated"]))
+    if mutation == "bom":
+        text = "\ufeff" + text
+    elif mutation == "trailing data":
+        text += " x"
+    elif mutation == "whitespace":
+        text = "\r\n " + text + "\t\n"
+    elif mutation == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif mutation == "repeated key":
+        text = '{"labels": ["q"], "entries": [[[1.0, 0.0]]], ' + text[1:]
+    elif mutation == "nested":
+        text = '{"x": {"entries": [["]"]], "labels": [1]}, ' + text[1:]
+    data = text.encode("utf-8", "surrogatepass")
+    if mutation == "utf-16":
+        data = text.encode("utf-16", "surrogatepass")
+    elif mutation in ("byte 0xff", "truncated"):
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + (b"\xff" + data[cut:] if mutation == "byte 0xff" else b"")
+    valid = (
+        n > 0  # no rows: the reference reads the file
+        and ("\ud800" not in labels or "\\ud800" in text)  # an escaped lone surrogate is valid JSON
+        and token in ("0.5", "-0.0", "5e-324")
+        and not ragged
+    )
+    return data, valid and mutation in ("none", "whitespace", "crlf", "repeated key", "nested")
+
+
+class TestRowReader:
+    """``load_kernel`` reads every file as ``kernel_from_document`` of its
+    ``load_document`` does, and takes the usual files a row at a time."""
+
+    # name: (file, whether the row reader takes it)
+    CASES = {
+        "compact": (_COMPACT, True),
+        "indent 2": (json.dumps(_K, indent=2), True),
+        "CRLF": (json.dumps(_K, indent=2).replace("\n", "\r\n"), True),
+        "whitespace around": (" \n" + _COMPACT + " \n\t\r\n", True),
+        "entries before labels": ('{"entries": ' + _ENTRIES + ', "labels": ["a", "b"]}', True),
+        "unknown keys": ('{"timestamp": "now", ' + _COMPACT[1:-1] + ', "more": {"x": [1, null, "]]"]}}', True),
+        # the last of a repeated key wins
+        "repeated keys": ('{"labels": ["z"], "entries": [[[2.0, 0.0]]], ' + _COMPACT[1:], True),
+        "repeated labels": (_COMPACT[:-1] + ', "labels": ["c", "d"]}', True),
+        "nested entries": ('{"meta": {"entries": [[["x"]]], "labels": 7}, ' + _COMPACT[1:], True),
+        "non-ASCII labels": (
+            json.dumps({"labels": ["\u00e9", "\u4e2d"], "entries": _K["entries"]}, ensure_ascii=False),
+            True,
+        ),
+        "NaN": (_COMPACT.replace("0.25", "NaN", 1), True),
+        "1e400": (_COMPACT.replace("0.25", "1e400", 1), True),
+        "not Hermitian": (_COMPACT.replace("0.5, 0.25", "0.5, 0.3", 1), True),
+        "ints": (_COMPACT.replace("[1.0, 0.0]", "[1, 0]"), False),
+        "int -0": (_COMPACT.replace("[1.0, 0.0]", "[1, -0]", 1), False),
+        "bool": (_COMPACT.replace("[1.0, 0.0]", "[true, 0.0]", 1), False),
+        "ragged": (_COMPACT.replace(", [0.5, 0.25]", "", 1), False),
+        "more labels than rows": (_COMPACT.replace('"b"]', '"b", "c"]'), False),
+        # sized by its first row, the array would take 160 GB
+        "first row too long for the file": (
+            '{"labels": ["a"], "entries": [[' + ", ".join(["[0.0, 0.0]"] * 100_000) + "]]}",
+            False,
+        ),
+        "no labels": ('{"labels": [], "entries": []}', False),
+        "trailing data": (_COMPACT + " {}", False),
+        "cut": (_COMPACT[:-1], False),
+        "trailing comma": (_COMPACT[:-1] + ",}", False),
+        "BOM": ("\ufeff" + _COMPACT, False),
+        "UTF-16": (_COMPACT.encode("utf-16"), False),
+        "encoded lone surrogate": (_COMPACT.encode().replace(b'"a"', b'"\xed\xa0\x80"'), False),
+        "byte 0xff": (_COMPACT.encode().replace(b'"a"', b'"\xff"'), False),
+        "too deep": ('{"x": ' + "[" * 100_000 + "]" * 100_000 + ", " + _COMPACT[1:], False),
+        "not an object": ("[1, 2]", False),
+        "empty": ("", False),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 20])
+    @pytest.mark.parametrize("case", CASES)
+    def test_reads_as_the_reference(self, tmp_path, case, chunk):
+        data, taken = self.CASES[case]
+        path = tmp_path / "k.json"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        with mock.patch.object(fileio, "_CHUNK_CHARS", chunk):
+            assert _outcome(load_kernel, str(path)) == _outcome(_reference, str(path))
+            assert _rows_taken(str(path)) == taken
+
+    def test_strict_decoding_is_the_reference(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(("\ufeff" + _COMPACT).encode("utf-8"))
+        # json.loads of the raw bytes would strip the BOM and take the file
+        assert kernel_from_document(json.loads(path.read_bytes())).labels == ("a", "b")
+        with pytest.raises(json.JSONDecodeError, match="Unexpected UTF-8 BOM"):
+            load_kernel(str(path))
+
+    def test_a_pipe_is_read_once(self, tmp_path):
+        # a pipe cannot be read again: a second open would wait for a writer forever
+        fifo = tmp_path / "k.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(_COMPACT,), daemon=True)
+        writer.start()
+        assert load_kernel(str(fifo)).labels == ("a", "b")
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_kernel_files(), st.sampled_from([1, 5, 1 << 20]))
+    def test_random_files_read_as_the_reference(self, tmp_path_factory, file, chunk):
+        data, taken = file
+        path = tmp_path_factory.getbasetemp() / "property.json"
+        path.write_bytes(data)
+        with mock.patch.object(fileio, "_CHUNK_CHARS", chunk):
+            assert _outcome(load_kernel, str(path)) == _outcome(_reference, str(path))
+            if taken:
+                assert _rows_taken(str(path))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -470,6 +471,35 @@ class TestBlockStream:
             verify_realization(k1, k2, "x0", 1, seed=0)
         with pytest.raises(InvalidParameterError, match="real mode"):
             verify_realization(k1, complex_k, "x0", 100, seed=0, real_mode=True)
+
+
+class TestSeedCheck:
+    """Every sampling entry point takes the CLI's seeds, unsigned 64-bit
+    integers, and rejects anything else with one library error."""
+
+    @staticmethod
+    def draws(seed):
+        k1, k2 = cd_pair()
+        spec = realize_process(k1, "x0")
+        glued = glue_realizations(spec, realize_process(k2, "x0"))
+        return {
+            "sample_blocks": lambda: next(realization.sample_blocks(spec, 10, seed)),
+            "sample_realization": lambda: sample_realization(spec, 10, seed).samples,
+            "sample_glued": lambda: sample_glued(glued, 10, seed).samples,
+            "verify_realization": lambda: verify_realization(k1, k2, "x0", 10, seed).empirical.entries,
+        }
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, True, np.int64(-1), "3", None])
+    def test_bad_seed_is_invalid_parameter(self, seed):
+        message = re.escape(f"seed must fit in 64 unsigned bits, got {seed!r}")
+        for draw in self.draws(seed).values():
+            with pytest.raises(InvalidParameterError, match=message):
+                draw()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_numpy_integers_draw_as_their_value(self, seed):
+        for (name, draw), same in zip(self.draws(seed).items(), self.draws(np.uint64(seed)).values()):
+            assert np.array_equal(draw(), same()), name
 
 
 class TestSampleBatch:
