@@ -18,6 +18,7 @@ from .errors import (
     EmptyBatchError,
     FactorizationFailureError,
     FileFormatError,
+    FileParseError,
     IntersectionNotSingletonError,
     InvalidParameterError,
     KernelGlueError,
@@ -71,6 +72,7 @@ __all__ = [
     "EmptyBatchError",
     "FactorizationFailureError",
     "FileFormatError",
+    "FileParseError",
     "GluedRealization",
     "GluingTree",
     "IndexedKernel",

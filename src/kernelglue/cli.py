@@ -11,7 +11,6 @@ line to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -138,15 +137,12 @@ def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     return 0, kernel_to_document(kernel)
 
 
-def _failure(exc: Exception) -> tuple[int, dict]:
-    """The exit status and error document of a library, file or parse error."""
+def _failure(exc: KernelGlueError | OSError) -> tuple[int, dict]:
+    """The exit status and error document of a library or file error."""
     if isinstance(exc, KernelGlueError):
         return exc.exit_status, {"error": exc.code, "message": str(exc)}
-    if isinstance(exc, OSError):
-        code = "FileNotFound" if isinstance(exc, FileNotFoundError) else "FileError"
-        return 2, {"error": code, "message": str(exc)}
-    # invalid JSON or undecodable text; fileio.load_document names the file
-    return 2, {"error": "ParseError", "message": f"{exc.filename}: {exc}"}
+    code = "FileNotFound" if isinstance(exc, FileNotFoundError) else "FileError"
+    return 2, {"error": code, "message": str(exc)}
 
 
 def run(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
@@ -154,7 +150,7 @@ def run(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     ``sample`` returns its checked text export as lazily drawn pieces."""
     try:
         status, document = _execute(config)
-    except (KernelGlueError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (KernelGlueError, OSError) as exc:
         return _failure(exc)
     if isinstance(document, dict) and config.timestamp:
         document = dict(document)

@@ -79,6 +79,13 @@ class FileFormatError(ValidationError):
     code = "FormatError"
 
 
+class FileParseError(ValidationError):
+    """A file is not UTF-8 JSON that this package can read; the message
+    starts with the file's path."""
+
+    code = "ParseError"
+
+
 class NotPsdError(MathError):
     code = "NotPsd"
 

@@ -8,7 +8,9 @@ by ``*_to_document`` carries each value type's complex array itself;
 it is written as exactly the bytes of ``json.dumps`` of its JSON-native
 twin, ``indent=2``, plus a newline, a row at a time, formatted from the
 array at C speed.  ``load_kernel`` reads a kernel file a row at a time
-too.  Loaders ignore unknown keys (e.g. a timestamp added by the CLI).
+too.  Loaders ignore unknown keys (e.g. a timestamp added by the CLI),
+and raise ``FileParseError``, naming the file, for one that is not UTF-8
+JSON they can read.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import FileFormatError
-from .kernels import IndexedKernel, PsdCertificate, make_kernel
+from .errors import FileFormatError, FileParseError
+from .kernels import IndexedKernel, PsdCertificate, _lock, make_kernel
 from .realization import RealizationSpec, SampleBatch, VerificationReport
 from .trees import GluingTree
 
@@ -63,7 +65,7 @@ def kernel_from_document(doc: dict) -> IndexedKernel:
     if len(rows) != n or {len(row) for row in rows} not in ({n}, set()):
         raise FileFormatError(f"kernel 'entries' must be a {n}x{n} matrix")
     # [re, im] pairs are the memory layout of complex128: the view is bitwise exact
-    pairs = np.array(rows, dtype=np.float64).reshape(n, n, 2).view(np.complex128)
+    pairs = _lock(np.array(rows, dtype=np.float64)).reshape(n, n, 2).view(np.complex128)
     return make_kernel(labels, pairs[..., 0])
 
 
@@ -141,9 +143,9 @@ def load_document(path: str) -> dict:
 def _read_document(handle, path: str) -> dict:
     try:
         doc = json.loads(handle.read())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        exc.filename = path  # named in the error line, as an OSError names it
-        raise
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, an integer of over 4,300 digits, or nested too deep to parse
+        raise FileParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level JSON value must be an object")
     return doc
@@ -164,8 +166,18 @@ def load_kernel(path: str) -> IndexedKernel:
             except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError
                 handle.seek(0)
             else:
-                return make_kernel(labels, pairs.view(np.complex128)[..., 0])
-        return kernel_from_document(_read_document(handle, path))
+                # locked, the array is the kernel's own: make_kernel shares it
+                return make_kernel(labels, _lock(pairs).view(np.complex128)[..., 0])
+        return _build(kernel_from_document, _read_document(handle, path), path)
+
+
+def _build(from_document, doc: dict, path: str):
+    """``from_document(doc)``; an integer entry too large for a float is
+    a ``FileParseError`` of the file, as ``json`` finds one too long."""
+    try:
+        return from_document(doc)
+    except OverflowError as exc:
+        raise FileParseError(f"{path}: {exc}") from exc
 
 
 _DECODER = json.JSONDecoder()
@@ -277,7 +289,7 @@ def _float_pairs(row) -> bool:
 
 
 def load_tree(path: str) -> GluingTree:
-    return tree_from_document(load_document(path))
+    return _build(tree_from_document, load_document(path), path)
 
 
 def document_text(doc: dict) -> Iterator[str]:

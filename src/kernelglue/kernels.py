@@ -39,7 +39,8 @@ from .errors import (
 )
 
 #: Relative eigenvalue tolerance for PSD verdicts: the matrix passes when
-#: lambda_min >= -tol * max(1, largest |eigenvalue|).
+#: lambda_min >= -tol * scale, scale = max(1, largest |eigenvalue|); a Schur
+#: complement's scale is also at least its bordered kernel's largest diagonal.
 DEFAULT_PSD_TOL = 1e-9
 
 #: Absolute tolerance on |K(x0, x0) - 1| for glue points and basepoints.
@@ -47,8 +48,8 @@ DEFAULT_BASEPOINT_TOL = 1e-12
 
 
 def mirror_upper(matrix: np.ndarray) -> np.ndarray:
-    """Return a copy whose lower triangle is the exact conjugate mirror
-    of the upper triangle and whose diagonal has zero imaginary part.
+    """Return a locked copy whose lower triangle is the exact conjugate
+    mirror of the upper triangle and whose diagonal has zero imaginary part.
 
     This is how every Hermitian matrix in this package is finalized:
     floating-point kernels (FMA contraction in complex multiplies) make
@@ -63,7 +64,7 @@ def mirror_upper(matrix: np.ndarray) -> np.ndarray:
     out[j, i] = out[i, j].conj()
     d = np.arange(n)
     out[d, d] = out[d, d].real
-    return out
+    return _lock(out)
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -80,22 +81,49 @@ def _labels(labels) -> tuple[str, ...]:
     return labels
 
 
+def _locked(value) -> bool:
+    """Whether ``value`` is a complex128 array that is read-only along its
+    whole ``.base`` chain, as every array this package builds is."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.complex128):
+        return False
+    while isinstance(value, np.ndarray) and not value.flags.writeable:
+        value = value.base
+    return value is None
+
+
+#: Entries per band of rows in the Hermitian check: the band's complex
+#: temporary takes 16 bytes each, about 1 MB.
+_BAND_ENTRIES = 1 << 16
+
+
+def _hermitian(a: np.ndarray) -> bool:
+    """Whether a square matrix equals its conjugate transpose exactly,
+    compared in bands of rows against the matching columns."""
+    step = max(1, _BAND_ENTRIES // max(1, len(a)))
+    return all(
+        np.array_equal(a[i : i + step], a[:, i : i + step].conj().T)
+        for i in range(0, len(a), step)
+    )
+
+
 def _array(value, name: str, n: int, ndim: int, labels=None) -> np.ndarray:
     """The one rule for a value type's complex array: a locked complex128
-    copy of shape ``(n,) * ndim`` with finite entries, and a matrix must be
-    exactly Hermitian.  Errors name entries by label, else by index."""
+    array of shape ``(n,) * ndim`` with finite entries, and a matrix must be
+    exactly Hermitian.  A locked array (``_locked``) is shared; any other
+    value is copied, so no caller can change it later.  Errors name
+    entries by label, else by index."""
 
     def at(*index) -> str:
         keys = [labels[i] if labels is not None else int(i) for i in index]
         return f"({', '.join(map(repr, keys))})"
 
-    a = np.array(value, dtype=np.complex128)
+    a = value if _locked(value) else np.array(value, dtype=np.complex128)
     if a.shape != (n,) * ndim:
         raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {(n,) * ndim}")
     if not np.isfinite(a).all():
         index = tuple(np.argwhere(~np.isfinite(a))[0])
         raise NonFiniteError(f"{name} entry {at(*index)} is {complex(a[index])}, not finite")
-    if ndim == 2 and not np.array_equal(a, a.conj().T):
+    if ndim == 2 and not _hermitian(a):
         dev = np.abs(a - a.conj().T)
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise NotHermitianError(
@@ -117,26 +145,48 @@ def _check_unit_diagonal(value: complex, where: str, tol: float) -> None:
         raise BasepointNotUnitError(f"{where} is {value}, not 1 within {tol:g}")
 
 
-def _psd_eigh(matrix: np.ndarray, tol: float):
-    """Eigendecomposition plus the relative PSD verdict.
+def _psd_eigh(matrix: np.ndarray, tol: float, floor: float = 1.0, *, vectors: bool = True):
+    """Eigenvalues, and eigenvectors if ``vectors``, plus the relative PSD verdict.
 
     Returns ``(w, v, scale, verdict)`` with ascending eigenvalues ``w``,
-    ``scale = max(1, |w|_max)`` and ``verdict = w_min >= -tol * scale``;
-    an empty matrix passes.  Every PSD decision in the package is made here,
-    and none is made on an eigenvalue that overflowed to infinity.
+    unit eigenvectors ``v`` in its columns (None unless ``vectors``),
+    ``scale = max(1, floor, |w|_max)`` and ``verdict = w_min >= -tol * scale``;
+    an empty matrix passes.  ``floor`` is the scale of the kernel a Schur
+    complement was reduced from (``_bordered_scale``): the complement's
+    rounding error is of that size, not of its own.  Every PSD decision in
+    the package is made here, and none is made on an eigenvalue that
+    overflowed to infinity.  Without vectors the eigenvalues come from
+    ``eigvalsh``, which agrees with ``eigh`` to rounding (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, ch. 10) in a quarter to
+    a third of its time.
     """
     _check_tolerance("tol", tol)
     try:
-        w, v = np.linalg.eigh(matrix)
+        if vectors:
+            w, v = np.linalg.eigh(matrix)
+        else:
+            w, v = np.linalg.eigvalsh(matrix), None
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
     if not np.isfinite(w).all():
         raise NumericalFailureError(
             f"eigenvalues {w.min()} to {w.max()} are not all finite (float64 overflow)"
         )
-    scale = max(1.0, float(np.abs(w).max(initial=0.0)))
+    scale = max(1.0, floor, float(np.abs(w).max(initial=0.0)))
     verdict = w.size == 0 or bool(w[0] >= -tol * scale)
     return w, v, scale, verdict
+
+
+def _bordered_scale(alpha: np.ndarray, reduced: np.ndarray) -> float:
+    """The largest diagonal entry ``C(s, s) + |alpha_s|^2`` of the kernel
+    bordered by a unit basepoint row ``alpha`` around its Schur complement
+    ``C``: the scale floor of ``C``'s certificate.  A floor that overflows
+    would pass any matrix, so it raises ``NumericalFailureError``."""
+    with np.errstate(over="ignore"):
+        floor = float((reduced.diagonal().real + np.abs(alpha) ** 2).max(initial=0.0))
+    if not math.isfinite(floor):
+        raise NumericalFailureError("the bordered kernel's diagonal overflows float64")
+    return floor
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +228,7 @@ class IndexedKernel:
         of this kernel's labels.
         """
         idx = [self.index(l) for l in labels]
-        return IndexedKernel(tuple(labels), self.entries[np.ix_(idx, idx)])
+        return IndexedKernel(tuple(labels), _lock(self.entries[np.ix_(idx, idx)]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexedKernel):
@@ -234,9 +284,13 @@ class PsdCertificate:
     """Verdict of a positive semidefiniteness check, with witness.
 
     ``verdict`` is True when the minimum eigenvalue clears the relative
-    threshold ``-tolerance_used * max(1, largest |eigenvalue|)``.  When
-    False, ``witness`` holds a unit vector whose quadratic form against
-    the tested matrix equals ``min_eigenvalue``.
+    threshold ``-tolerance_used * max(1, largest |eigenvalue|)``, or, for
+    a Schur complement, ``max(1, largest diagonal entry of the bordered
+    matrix, largest |eigenvalue|)``.  A True verdict is decided from the
+    eigenvalues alone (``eigvalsh``).  A False one is decided again by
+    ``eigh``, which supplies ``min_eigenvalue`` and ``witness``: a unit
+    vector whose quadratic form against the tested matrix equals
+    ``min_eigenvalue``.
     """
 
     verdict: bool
@@ -301,7 +355,7 @@ def _glue_chain(
         for i in rest:
             index[k.labels[i]] = len(labels)
             labels.append(k.labels[i])
-    return IndexedKernel(tuple(labels), out)
+    return IndexedKernel(tuple(labels), _lock(out))
 
 
 def markov_product(
@@ -324,8 +378,14 @@ def markov_product(
     return _glue_chain(k1, [(k2, x0)], basepoint_tol)
 
 
-def _eigen_certificate(matrix: np.ndarray, tol: float) -> PsdCertificate:
-    w, v, _, verdict = _psd_eigh(matrix, tol)
+def _eigen_certificate(matrix: np.ndarray, tol: float, floor: float = 1.0) -> PsdCertificate:
+    """The certificate of ``_psd_eigh``'s verdict.  A pass needs only the
+    eigenvalues; a failure is decided again with the eigenvectors, and
+    that decision, its smallest eigenvalue and its witness are the
+    certificate's."""
+    w, _, _, verdict = _psd_eigh(matrix, tol, floor, vectors=False)
+    if not verdict:
+        w, v, _, verdict = _psd_eigh(matrix, tol, floor)
     lam_min = float(w[0]) if w.size else 0.0
     witness = None if verdict else v[:, 0]
     return PsdCertificate(verdict, lam_min, witness, float(tol))
@@ -335,8 +395,8 @@ def psd_check_eigen(k: IndexedKernel, tol: float = DEFAULT_PSD_TOL) -> PsdCertif
     """Certify positive semidefiniteness by direct eigendecomposition.
 
     The verdict is relative: ``lambda_min >= -tol * max(1, |lambda|_max)``.
-    On a False verdict the certificate carries the minimizing unit
-    eigenvector as witness.
+    A pass computes eigenvalues only.  On a False verdict the certificate
+    carries the minimizing unit eigenvector as witness.
     """
     return _eigen_certificate(k.entries, tol)
 
@@ -354,8 +414,8 @@ def schur_reduce(
     """
     i0 = _unit_index(k, s0, basepoint_tol)
     rest = [i for i in range(k.dim) if i != i0]
-    alpha = k.entries[i0, rest]
-    block = k.entries[np.ix_(rest, rest)]
+    alpha = _lock(k.entries[i0, rest])
+    block = _lock(k.entries[np.ix_(rest, rest)])
     return SchurSplit(k.entries[i0, i0], alpha, block, basepoint_tol=basepoint_tol)
 
 
@@ -364,9 +424,12 @@ def psd_check_schur(split: SchurSplit, tol: float = DEFAULT_PSD_TOL) -> PsdCerti
 
     The bordered matrix with unit corner is PSD exactly when
     ``block - alpha* alpha`` is, so the verdict (and the certificate's
-    eigenvalue and witness) refer to the reduced matrix.
+    eigenvalue and witness) refer to the reduced matrix, thresholded at
+    the bordered matrix's scale: ``max(1, largest diagonal entry,
+    |lambda|_max)``.
     """
-    return _eigen_certificate(split.schur_complement(), tol)
+    reduced = split.schur_complement()
+    return _eigen_certificate(reduced, tol, _bordered_scale(split.alpha, reduced))
 
 
 def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:
@@ -385,4 +448,4 @@ def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:
     # Componentwise real division keeps conjugate symmetry exact and
     # makes the basepoint diagonal exactly 1.0.
     scaled = k.entries.real / value.real + 1j * (k.entries.imag / value.real)
-    return IndexedKernel(k.labels, scaled)
+    return IndexedKernel(k.labels, _lock(scaled))

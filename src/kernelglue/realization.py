@@ -44,6 +44,7 @@ from .kernels import (
     IndexedKernel,
     PsdCertificate,
     _array,
+    _bordered_scale,
     _check_tolerance,
     _labels,
     _lock,
@@ -123,10 +124,14 @@ class RealizationSpec:
 
         Computed by eigendecomposition; eigenvalues within the PSD
         tolerance of zero are clipped to zero (rank-deficient covariances
-        sit exactly on the PSD boundary), anything lower fails.
+        sit exactly on the PSD boundary), anything lower fails.  The
+        tolerance is relative to the scale of the kernel the spec realizes,
+        whose diagonal is ``cov(s, s) + |mean_s|^2``, as in
+        ``psd_check_schur``.
         """
         target = self.covariance.real if self.is_real else self.covariance
-        w, v, scale, verdict = _psd_eigh(target, self.tol)
+        floor = _bordered_scale(self.mean, self.covariance)
+        w, v, scale, verdict = _psd_eigh(target, self.tol, floor)
         if not verdict:
             raise FactorizationFailureError(
                 f"covariance has min eigenvalue {w[0]:.6e} below -{self.tol:g}*{scale:g}"
@@ -220,7 +225,7 @@ def realize_process(
     spec = RealizationSpec(
         labels=k.labels[:i0] + k.labels[i0 + 1 :],
         basepoint=s0,
-        mean=split.alpha.conj(),
+        mean=_lock(split.alpha.conj()),
         covariance=split.schur_complement(),
         basepoint_index=i0,
         tol=tol,

@@ -251,10 +251,11 @@ class TestRun:
 
     def test_covariance_that_does_not_factor_exits_one(self, workdir):
         # the kernel clears the full-matrix eigenvalue threshold, but its
-        # covariance at x0 is -1e-3 and cannot be factored or sampled
+        # covariance at x0 is -1, below even the bordered kernel's
+        # threshold -1e-9 * 1e8, and cannot be factored or sampled
         band = {
             "labels": ["x0", "a"],
-            "entries": [[[1, 0], [1e4, 0]], [[1e4, 0], [1e8 - 1e-3, 0]]],
+            "entries": [[[1, 0], [1e4, 0]], [[1e4, 0], [1e8 - 1, 0]]],
         }
         path = str(workdir["dir"] / "band.json")
         with open(path, "w", encoding="utf-8") as handle:
@@ -284,6 +285,21 @@ class TestRun:
             status, doc = run(RunConfig(command, [workdir["k1"]], samples=10))
             assert status == 1
             assert doc["error"] == "NumericalFailure"
+
+    def test_check_computes_eigenvectors_only_to_fail(self, workdir, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, _name=name, _solver=getattr(np.linalg, name)):
+                calls.append(_name)
+                return _solver(a)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        assert run(RunConfig("check", [workdir["k1"]]))[0] == 0
+        assert calls == ["eigvalsh"]
+        calls.clear()
+        status, doc = run(RunConfig("check", [workdir["indefinite"]]))
+        assert status == 1 and doc["witness"] is not None
+        assert calls == ["eigvalsh", "eigh"]
 
     def test_missing_file_and_parse_errors(self, workdir):
         status, doc = run(RunConfig("check", [str(workdir["dir"] / "absent.json")]))
@@ -395,6 +411,32 @@ class TestMain:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"ParseError: {bad}: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # an integer entry too large for a float
+            ('{"labels": ["a"], "entries": [[[1' + "0" * 400 + ', 0]]]}',
+             "int too large to convert to float"),
+            # an integer of over 4,300 digits, past Python's limit on int parsing
+            ('{"labels": ["a"], "entries": [[[1' + "0" * 5000 + ', 0]]]}',
+             "Exceeds the limit (4300 digits)"),
+            # a value nested 100,000 deep, past the parser's recursion limit
+            ('{"x": ' + "[" * 100_000 + "]" * 100_000
+             + ', "labels": ["a"], "entries": [[[1.0, 0.0]]]}',
+             "maximum recursion depth exceeded"),
+        ],
+        ids=["int-overflow", "int-digits", "nesting"],
+    )
+    @pytest.mark.parametrize("command", ["check", "glue-tree"])
+    def test_unreadable_values_are_parse_errors(self, workdir, capsys, text, message, command):
+        path = workdir["dir"] / "bad.json"
+        path.write_text(text if command == "check" else '{"nodes": [' + text + '], "edges": []}')
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"ParseError: {path}: {message}")
 
     @pytest.mark.parametrize("seed", ["-1", "0x10000000000000000"])
     def test_bad_seed_is_rejected_before_any_file(self, workdir, capsys, seed):
@@ -559,16 +601,19 @@ class TestMain:
         assert status == 0
         assert out.stat().st_size > 11 * 10**6  # 400 labels
         # holding the whole document and its text peaked at 81 MB, the
-        # [re, im] lists written a row at a time 55 MB; from the array, 38 MB
-        assert maxrss_kib < 46 * 1024
+        # [re, im] lists written a row at a time 55 MB; from the array, 38 MB;
+        # with the glued array shared, not copied, by its kernel, 33.7 MiB
+        assert maxrss_kib < 37 * 1024
 
     def test_check_memory_does_not_hold_the_pairs(self, glued_400, tmp_path):
         out, status, _ = glued_400
         assert status == 0
         status, maxrss_kib = _peak_rss(["check", str(out), "--output", str(tmp_path / "c.json")])
         assert status == 0
-        # the whole text and its [re, im] lists peaked at 65 MB; a row at a time, 44 MB
-        assert maxrss_kib < 54 * 1024
+        # the whole text and its [re, im] lists peaked at 65 MB; a row at a
+        # time, 44 MB; with the array read shared by the kernel and
+        # certified by its eigenvalues alone, 37.4 MiB
+        assert maxrss_kib < 41 * 1024
 
 
 class TestGoldenOutputs:
@@ -579,10 +624,10 @@ class TestGoldenOutputs:
     DIGESTS = {
         "glue-tree": "2c6a787786e109720c1950a4e83aca0bdd0e7598d9a2b0d56a288dc0f38cdb54",
         "glue": "3c71e5b9554cfea98e600db15e6e026c7dfec94b94b0b9026066875fd9b8b5e5",
-        "check-psd": "f403fcad55c1a9e728f482cd9864940edda1ff81e0cb1808af4353178c642bb1",
+        "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "e4da1de6201860705614a15b88f62b6b8517f80dedbaf29828db8745dafbd79b",
+        "verify": "a3565628705a6a1c0d2422ad4e069ec25d0600a2bb1d44b6855306991c9cc17a",
         # text exports, three blocks with the last one short
         "sample": "b717596d164164af419fcc233833150b555f4e38ea9bd3e451914694bc6bdb8f",
         "sample-real": "42d13b16ae312da59eab232a7d506f8fcba53969062bfb41f1d37aec37dae27e",

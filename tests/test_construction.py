@@ -2,7 +2,8 @@
 
 Every value type takes its labels and complex arrays through the same
 checks: distinct labels, the expected shape, finite entries and exact
-conjugate symmetry, with errors that name entries by label.
+conjugate symmetry, with errors that name entries by label.  An array
+locked along its whole ``.base`` chain is shared, any other copied.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from kernelglue import (
     psd_check_schur,
     realize_process,
 )
+from kernelglue import IndexedKernel, markov_product, schur_reduce
 from kernelglue.cli import main
-from kernelglue.fileio import dump_document
+from kernelglue.fileio import dump_document, kernel_to_document, load_kernel
 
 # Finite entries whose eigenvalues (+-1.5e308 * sqrt(2)) overflow float64.
 OVERFLOW = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]
@@ -94,6 +96,63 @@ class TestLabelsAndMessages:
         with pytest.raises(NonFiniteError):
             PsdCertificate(False, -1.0, [np.nan, 1.0], 1e-9)
 
+    def test_hermitian_check_covers_every_band(self):
+        # 600 rows take six bands of the banded comparison; a pair in any
+        # band is caught, and the message names the worst pair of the
+        # whole matrix, here the one in the last band
+        labels = [f"s{i}" for i in range(600)]
+        for pairs in ([(0, 599)], [(599, 1)], [(300, 299)], [(5, 6), (598, 599)]):
+            a = np.eye(600, dtype=complex)
+            for size, (i, j) in enumerate(pairs, start=1):
+                a[i, j] = size * 1e-3
+            with pytest.raises(NotHermitianError) as info:
+                make_kernel(labels, a)
+            first, second = sorted(pairs[-1])
+            pair = f"entry ('s{second}', 's{first}') != conj(entry ('s{first}', 's{second}'))"
+            assert pair in str(info.value)
+            assert str(info.value).endswith(f"deviation {len(pairs) * 1e-3:.3e}")
+
+
+class TestArraySharing:
+    def test_a_writable_array_is_copied(self):
+        a = np.eye(3, dtype=complex)
+        k = make_kernel(["a", "b", "c"], a)
+        a[0, 1] = a[1, 0] = 0.5
+        assert np.array_equal(k.entries, np.eye(3))
+
+    def test_a_locked_view_of_a_writable_array_is_copied(self):
+        base = np.eye(3, dtype=complex)
+        view = base[:]
+        view.flags.writeable = False
+        k = make_kernel(["a", "b", "c"], view)
+        base[0, 1] = base[1, 0] = 0.5
+        assert np.array_equal(k.entries, np.eye(3))
+
+    def test_a_locked_array_is_shared(self):
+        a = np.eye(3, dtype=complex)
+        a.flags.writeable = False
+        assert make_kernel(["a", "b", "c"], a).entries is a
+        # a locked array of another dtype is converted, so copied
+        locked_floats = np.eye(3)
+        locked_floats.flags.writeable = False
+        assert make_kernel(["a", "b", "c"], locked_floats).entries.base is None
+
+    def test_package_arrays_are_shared(self, tmp_path):
+        # what the package builds is locked, so building on it copies nothing
+        k1 = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
+        k2 = make_kernel(["x0", "b"], [[1, 0.5j], [-0.5j, 1]])
+        glued = markov_product(k1, k2, "x0")
+        path = tmp_path / "k.json"
+        path.write_text(dump_document(kernel_to_document(glued)))
+        split = schur_reduce(glued, "x0")
+        spec = realize_process(glued, "x0")
+        matrices = [glued.entries, glued.restrict(["b", "a", "x0"]).entries,
+                    load_kernel(str(path)).entries, split.block, split.schur_complement()]
+        for m in matrices:
+            assert IndexedKernel(tuple(f"s{i}" for i in range(len(m))), m).entries is m
+        assert SchurSplit(1.0, split.alpha, split.block).alpha is split.alpha
+        assert RealizationSpec(spec.labels, "x0", spec.mean, spec.covariance).mean is spec.mean
+
 
 class TestGluedRealization:
     def specs(self):
@@ -131,6 +190,12 @@ class TestOverflowingEigenvalues:
         k = make_kernel(["x0", "a"], [[1, 1e200], [1e200, 1e300]])
         with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="overflows"):
             realize_process(k, "x0")
+
+    def test_bordered_scale_overflow(self):
+        # |mean|**2 overflows: the bordered kernel's scale would pass any covariance
+        spec = RealizationSpec(("a",), "x0", [1e200], [[-1.0]])
+        with pytest.raises(NumericalFailureError, match="bordered kernel's diagonal overflows"):
+            spec.factor
 
     def test_cli_check_exits_one(self, tmp_path, capsys):
         doc = {"labels": ["a", "b"], "entries": [[[v, 0.0] for v in row] for row in OVERFLOW]}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import threading
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import json_native, random_glued_pair, random_gram_kernel
 from kernelglue import (
     FileFormatError,
+    FileParseError,
     GluingTree,
     NotATreeError,
     NotHermitianError,
@@ -266,8 +268,10 @@ class TestFiles:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(json.JSONDecodeError):
+        expected = f"^{re.escape(str(path))}: Expecting property name"
+        with pytest.raises(FileParseError, match=expected) as info:
             load_document(str(path))
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -513,7 +517,7 @@ class TestRowReader:
         path.write_bytes(("\ufeff" + _COMPACT).encode("utf-8"))
         # json.loads of the raw bytes would strip the BOM and take the file
         assert kernel_from_document(json.loads(path.read_bytes())).labels == ("a", "b")
-        with pytest.raises(json.JSONDecodeError, match="Unexpected UTF-8 BOM"):
+        with pytest.raises(FileParseError, match="Unexpected UTF-8 BOM"):
             load_kernel(str(path))
 
     def test_a_pipe_is_read_once(self, tmp_path):

@@ -272,9 +272,12 @@ class TestPsdCheckEigen:
         def boom(_):
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(np.linalg, "eigh", boom)
-        with pytest.raises(NumericalFailureError):
-            psd_check_eigen(make_kernel(["a"], [[1.0]]))
+        # a pass needs eigenvalues only; a failure is decided again by eigh
+        for solver, entries in (("eigvalsh", [[1.0]]), ("eigh", [[-1.0]])):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, solver, boom)
+                with pytest.raises(NumericalFailureError):
+                    psd_check_eigen(make_kernel(["a"], entries))
 
     def test_tolerance_validated(self):
         k = make_kernel(["s0", "a"], np.eye(2))

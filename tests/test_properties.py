@@ -4,7 +4,8 @@ Gluing preserves positive semidefiniteness and is associative, a glued
 realization carries the product's labels in the product's order, a kernel
 survives its JSON document bit for bit, and a tree glues to the same
 kernel from any root and to the closed form of Haagerup's kernel on a
-tree of edge kernels.
+tree of edge kernels.  A certificate decided from eigenvalues alone
+gives the verdict of a full eigendecomposition, and its witness.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import edge_kernel_tree, haagerup_oracle, random_gram_kernel, reroot
 from kernelglue import (
+    DEFAULT_PSD_TOL,
     GluingTree,
     glue_realizations,
     glue_tree,
@@ -163,3 +165,32 @@ def test_edge_kernel_tree_glues_to_haagerup_closed_form(vertex_tree):
     vertices = [f"v{v}" for v in range(len(parents) + 1)]
     deviation = np.abs(glued.restrict(vertices).entries - haagerup_oracle(parents, q))
     assert deviation.max() <= 1e-13
+
+
+@st.composite
+def near_threshold_kernels(draw):
+    """A Hermitian kernel ``Q diag(w) Q*`` with a random unitary Q: the
+    largest eigenvalue drawn from 1 to 1e4, the smallest ``c * tol`` times
+    it, with ``c`` at least 0.01 away from the threshold -1, where rounding
+    (about 1e-15 times the scale) cannot move a verdict."""
+    n = draw(st.integers(2, 6))
+    top = draw(st.floats(1.0, 1e4))
+    c = draw(st.one_of(st.floats(-3.0, -1.01), st.floats(-0.99, 3.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    w = np.concatenate([[c * DEFAULT_PSD_TOL * top], rng.uniform(0.0, top, n - 2), [top]])
+    return make_kernel([f"s{i}" for i in range(n)], mirror_upper((q * w) @ q.conj().T))
+
+
+@settings(max_examples=200)
+@given(near_threshold_kernels())
+def test_eigen_certificate_is_the_eigh_verdict(k):
+    cert = psd_check_eigen(k)
+    w, _ = np.linalg.eigh(k.entries)
+    scale = max(1.0, float(np.abs(w).max()))
+    assert cert.verdict == bool(w[0] >= -cert.tolerance_used * scale)
+    assert abs(cert.min_eigenvalue - w[0]) <= 1e-12 * scale
+    assert (cert.witness is None) == cert.verdict
+    if not cert.verdict:
+        q = float(np.real(cert.witness.conj() @ k.entries @ cert.witness))
+        assert abs(q - cert.min_eigenvalue) <= 1e-12 * scale
