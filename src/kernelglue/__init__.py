@@ -37,25 +37,21 @@ from .kernels import (
     DEFAULT_PSD_TOL,
     IndexedKernel,
     PsdCertificate,
-    SchurSplit,
     make_kernel,
     markov_product,
     mirror_upper,
     normalize_at_basepoint,
     psd_check_eigen,
-    psd_check_schur,
-    schur_reduce,
 )
 from .realization import (
     GluedRealization,
     RealizationSpec,
-    SampleBatch,
     VerificationReport,
     estimate_second_moments,
-    glue_realizations,
+    psd_check_schur,
     realize_process,
-    sample_glued,
-    sample_realization,
+    sample_blocks,
+    schur_reduce,
     verify_realization,
 )
 from .trees import GluingTree, glue_tree
@@ -89,12 +85,9 @@ __all__ = [
     "NumericalFailureError",
     "PsdCertificate",
     "RealizationSpec",
-    "SampleBatch",
-    "SchurSplit",
     "ValidationError",
     "VerificationReport",
     "estimate_second_moments",
-    "glue_realizations",
     "glue_tree",
     "make_kernel",
     "markov_product",
@@ -103,8 +96,7 @@ __all__ = [
     "psd_check_eigen",
     "psd_check_schur",
     "realize_process",
-    "sample_glued",
-    "sample_realization",
+    "sample_blocks",
     "schur_reduce",
     "verify_realization",
     "__version__",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FileFormatError, FileParseError
 from .kernels import IndexedKernel, PsdCertificate, _lock, make_kernel
-from .realization import RealizationSpec, SampleBatch, VerificationReport
+from .realization import RealizationSpec, VerificationReport
 from .trees import GluingTree
 
 
@@ -128,11 +128,6 @@ def sample_text(labels, seed: int, blocks) -> Iterator[str]:
     row = ",".join(["%.17g%+.17gi"] * len(labels)) + "\n"
     for block in blocks:
         yield row * len(block) % tuple(block.view(np.float64).ravel().tolist())
-
-
-def format_sample_batch(batch: SampleBatch) -> str:
-    """The whole ``sample_text`` export of a batch, as one string."""
-    return "".join(sample_text(batch.labels, batch.seed, batch.blocks()))
 
 
 def load_document(path: str) -> dict:

@@ -6,11 +6,11 @@ share exactly one label can be glued into their Markov product: the
 result restricts to each operand on its own labels and factors every
 cross entry through the shared point.
 
-Positive semidefiniteness is certified by two independent routes, a
-direct eigendecomposition and a Schur-complement reduction at a unit
-basepoint, so each can serve as an oracle for the other.  Both, and the
-realization's covariance factor, share one eigenvalue threshold rule;
-an eigenvalue or Schur complement that overflows is a numerical failure.
+Positive semidefiniteness is certified here by eigendecomposition and
+in ``realization`` by the Schur complement at a unit basepoint, so each
+route is an oracle for the other.  Both, and the covariance factor,
+share one eigenvalue threshold rule; an eigenvalue that overflows is a
+numerical failure.
 Every value type here and in ``realization`` takes distinct string labels
 (``_labels``) and finite complex arrays of the expected shape, matrices
 exactly Hermitian (``_array``); errors name entries by label.
@@ -22,6 +22,7 @@ and all operations are pure, so values are safe to share across threads.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,15 @@ DEFAULT_PSD_TOL = 1e-9
 #: Absolute tolerance on |K(x0, x0) - 1| for glue points and basepoints.
 DEFAULT_BASEPOINT_TOL = 1e-12
 
+#: Entries per band of rows of a matrix pass: the band's complex
+#: temporary takes 16 bytes each, about 1 MB.
+_BAND_ENTRIES = 1 << 16
+
+
+def _band_rows(n: int) -> int:
+    """Rows per band of an n-column matrix pass."""
+    return max(1, _BAND_ENTRIES // max(1, n))
+
 
 def mirror_upper(matrix: np.ndarray) -> np.ndarray:
     """Return a locked copy whose lower triangle is the exact conjugate
@@ -59,16 +69,30 @@ def mirror_upper(matrix: np.ndarray) -> np.ndarray:
     out = np.array(matrix, dtype=np.complex128)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {out.shape}")
-    n = out.shape[0]
-    i, j = np.triu_indices(n, 1)
-    out[j, i] = out[i, j].conj()
-    d = np.arange(n)
-    out[d, d] = out[d, d].real
-    return _lock(out)
+    return _lock(_mirror(out))
+
+
+def _mirror(out: np.ndarray) -> np.ndarray:
+    """``mirror_upper`` in place, a band of ``_band_rows`` rows at a time:
+    the band's part left of its diagonal block is the conjugate transpose of
+    the column band above it, so no temporary outgrows a band."""
+    step = _band_rows(len(out))
+    for i in range(0, len(out), step):
+        out[i : i + step, :i] = out[:i, i : i + step].T.conj()
+        block = out[i : i + step, i : i + step]
+        r, c = np.triu_indices(len(block), 1)
+        block[c, r] = block[r, c].conj()
+    np.fill_diagonal(out.imag, 0.0)
+    return out
+
+
+# The arrays ``_lock`` has locked, by id: an array is dropped when it dies.
+_ROOTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
+    _ROOTS[id(a)] = a
     return a
 
 
@@ -83,23 +107,20 @@ def _labels(labels) -> tuple[str, ...]:
 
 def _locked(value) -> bool:
     """Whether ``value`` is a complex128 array that is read-only along its
-    whole ``.base`` chain, as every array this package builds is."""
+    whole ``.base`` chain, and that chain ends at an array ``_lock`` locked:
+    an array this package built, or a view of one.  A caller's own array
+    is never shared, since the caller could unlock it again."""
     if not (isinstance(value, np.ndarray) and value.dtype == np.complex128):
         return False
-    while isinstance(value, np.ndarray) and not value.flags.writeable:
+    while isinstance(value.base, np.ndarray) and not value.flags.writeable:
         value = value.base
-    return value is None
-
-
-#: Entries per band of rows in the Hermitian check: the band's complex
-#: temporary takes 16 bytes each, about 1 MB.
-_BAND_ENTRIES = 1 << 16
+    return value.base is None and not value.flags.writeable and _ROOTS.get(id(value)) is value
 
 
 def _hermitian(a: np.ndarray) -> bool:
     """Whether a square matrix equals its conjugate transpose exactly,
     compared in bands of rows against the matching columns."""
-    step = max(1, _BAND_ENTRIES // max(1, len(a)))
+    step = _band_rows(len(a))
     return all(
         np.array_equal(a[i : i + step], a[:, i : i + step].conj().T)
         for i in range(0, len(a), step)
@@ -242,44 +263,6 @@ class IndexedKernel:
 
 
 @dataclass(frozen=True, eq=False)
-class SchurSplit:
-    """Decomposition of a kernel at a unit basepoint s0.
-
-    ``corner`` is the (s0, s0) entry, ``alpha`` the s0-row restricted to
-    the remaining labels, and ``block`` the kernel on the remaining
-    labels.  Positivity of the bordered matrix is equivalent to
-    positivity of ``block - alpha* alpha``.
-    """
-
-    corner: complex
-    alpha: np.ndarray
-    block: np.ndarray
-    basepoint_tol: float = DEFAULT_BASEPOINT_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _array(self.alpha, "alpha", np.size(self.alpha), 1))
-        object.__setattr__(self, "block", _array(self.block, "block", self.alpha.size, 2))
-        object.__setattr__(self, "corner", complex(self.corner))
-        _check_unit_diagonal(self.corner, "corner entry", self.basepoint_tol)
-
-    @property
-    def dim(self) -> int:
-        return self.block.shape[0]
-
-    def schur_complement(self) -> np.ndarray:
-        """The reduced matrix ``block - alpha* alpha`` (exactly Hermitian).
-
-        Formed with numpy's overflow warnings off; an overflow raises
-        ``NumericalFailureError`` instead.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            reduced = self.block - np.outer(self.alpha.conj(), self.alpha)
-        if not np.isfinite(reduced).all():
-            raise NumericalFailureError("the Schur complement overflows float64")
-        return mirror_upper(reduced)
-
-
-@dataclass(frozen=True, eq=False)
 class PsdCertificate:
     """Verdict of a positive semidefiniteness check, with witness.
 
@@ -399,37 +382,6 @@ def psd_check_eigen(k: IndexedKernel, tol: float = DEFAULT_PSD_TOL) -> PsdCertif
     carries the minimizing unit eigenvector as witness.
     """
     return _eigen_certificate(k.entries, tol)
-
-
-def schur_reduce(
-    k: IndexedKernel,
-    s0: str,
-    *,
-    basepoint_tol: float = DEFAULT_BASEPOINT_TOL,
-) -> SchurSplit:
-    """Split a kernel at a unit basepoint into (corner, alpha, block).
-
-    ``alpha`` collects the s0-row over the remaining labels in kernel
-    order; ``block`` is the kernel restricted to those labels.
-    """
-    i0 = _unit_index(k, s0, basepoint_tol)
-    rest = [i for i in range(k.dim) if i != i0]
-    alpha = _lock(k.entries[i0, rest])
-    block = _lock(k.entries[np.ix_(rest, rest)])
-    return SchurSplit(k.entries[i0, i0], alpha, block, basepoint_tol=basepoint_tol)
-
-
-def psd_check_schur(split: SchurSplit, tol: float = DEFAULT_PSD_TOL) -> PsdCertificate:
-    """Certify the bordered matrix via its Schur complement.
-
-    The bordered matrix with unit corner is PSD exactly when
-    ``block - alpha* alpha`` is, so the verdict (and the certificate's
-    eigenvalue and witness) refer to the reduced matrix, thresholded at
-    the bordered matrix's scale: ``max(1, largest diagonal entry,
-    |lambda|_max)``.
-    """
-    reduced = split.schur_complement()
-    return _eigen_certificate(reduced, tol, _bordered_scale(split.alpha, reduced))
 
 
 def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:

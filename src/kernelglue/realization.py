@@ -1,28 +1,29 @@
-"""Gaussian realization of a kernel and Monte Carlo verification.
+"""Schur reduction, Gaussian realization of a kernel, and Monte Carlo verification.
 
-A PSD kernel with a unit basepoint s0 is realized by a Gaussian family
-indexed by the remaining labels, with mean ``K(s, s0)`` and covariance
-``K(s, t) - K(s, s0) K(s0, t)``, the Schur complement at s0; pinning the
-basepoint coordinate to the constant 1 makes the second moments
+A kernel with a unit basepoint s0 splits into the mean ``K(s, s0)`` and
+the covariance ``K(s, t) - K(s, s0) K(s0, t)``, its Schur complement at
+s0, of a Gaussian family indexed by the remaining labels: one
+``RealizationSpec``, made by ``schur_reduce``.  Pinning the basepoint
+coordinate to the constant 1 makes the second moments
 ``E(X_s conj(X_t))`` reproduce the kernel.  The kernel is PSD exactly
-when that covariance is, so ``realize_process`` rejects with
-``NotPsdError`` any kernel whose covariance does not factor.  Gluing two
-such realizations with independent randomness reproduces the Markov
-product, which ``verify_realization`` checks end to end.  Draws come in
-blocks of ``_CHUNK_ROWS`` rows from one stream, which fills a batch in
-place or, for ``sample_blocks`` and the verification, one reused block,
-so their memory does not grow with n.  Each call allocates its scratch
-once and every block reuses it, with the same floating-point operations
-on the same operands as fresh arrays, so the stream is bitwise the
-same.  Draws are circularly-symmetric complex Gaussians (real and
-imaginary parts each of variance 1/2), or real ones in real mode.  The
-value types here check labels and arrays by the rule of ``kernels``.
+when that covariance is, so ``psd_check_schur`` certifies the
+covariance, and ``realize_process`` rejects with ``NotPsdError`` any
+kernel whose covariance does not factor.  Gluing two such realizations
+with independent randomness reproduces the Markov product, which
+``verify_realization`` checks end to end.  ``sample_blocks`` draws in
+blocks of ``_CHUNK_ROWS`` rows from one stream into one reused block,
+so memory does not grow with n.  Each call allocates its scratch once
+and every block reuses it, with the same floating-point operations on
+the same operands as fresh arrays, so the stream is bitwise the same.
+Draws are circularly-symmetric complex Gaussians (real and imaginary
+parts each of variance 1/2), or real ones in real mode.  The value
+types here check labels and arrays by the rule of ``kernels``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
 
@@ -44,15 +45,17 @@ from .kernels import (
     IndexedKernel,
     PsdCertificate,
     _array,
+    _band_rows,
     _bordered_scale,
     _check_tolerance,
+    _eigen_certificate,
     _labels,
     _lock,
+    _mirror,
     _psd_eigh,
+    _unit_index,
     markov_product,
-    mirror_upper,
     psd_check_eigen,
-    schur_reduce,
 )
 
 # Fixed tags mixed with the user seed to derive the two independent
@@ -74,7 +77,8 @@ def _check_seed(seed) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RealizationSpec:
-    """Mean and centered covariance of the Gaussian realization.
+    """Mean and centered covariance of the Gaussian realization: the split
+    of a kernel at its basepoint that ``schur_reduce`` makes.
 
     ``labels`` indexes the non-basepoint coordinates; ``basepoint_index``
     remembers where the basepoint sat in the source kernel's label order
@@ -165,46 +169,53 @@ class GluedRealization:
             )
         object.__setattr__(self, "labels", spec1.full_labels + spec2.labels)
 
-    @property
-    def basepoint(self) -> str:
-        return self.spec1.basepoint
 
+def schur_reduce(
+    k: IndexedKernel,
+    s0: str,
+    tol: float = DEFAULT_PSD_TOL,
+    *,
+    basepoint_tol: float = DEFAULT_BASEPOINT_TOL,
+) -> RealizationSpec:
+    """Split a kernel at a unit basepoint s0 into its unfactored realization spec.
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Rows of process draws, one column per label, plus the seed used.
-
-    The basepoint column is the constant 1 bitwise, and identical
-    (spec, seed, n) inputs reproduce the batch bitwise.
+    mean(s) = ``K(s0, s).conj()`` and cov(s, t) = K(s, t) - K(s, s0) K(s0, t),
+    the Schur complement, formed here and nowhere else: the outer product
+    is subtracted from a fresh copy of ``K(rest, rest)`` a band of rows at
+    a time, which is then mirrored in place (``mirror_upper``).  An entry
+    that overflows raises ``NumericalFailureError``.
     """
+    i0 = _unit_index(k, s0, basepoint_tol)
+    rest = [i for i in range(k.dim) if i != i0]
+    alpha = k.entries[i0, rest]
+    mean = alpha.conj()
+    reduced = k.entries[np.ix_(rest, rest)]
+    step = _band_rows(len(rest))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(rest), step):
+            band = reduced[i : i + step]
+            band -= np.multiply(mean[i : i + step, None], alpha)
+            if not np.isfinite(band).all():
+                raise NumericalFailureError("the Schur complement overflows float64")
+    return RealizationSpec(
+        labels=k.labels[:i0] + k.labels[i0 + 1 :],
+        basepoint=s0,
+        mean=_lock(mean),
+        covariance=_lock(_mirror(reduced)),
+        basepoint_index=i0,
+        tol=tol,
+    )
 
-    labels: tuple[str, ...]
-    samples: np.ndarray
-    seed: int
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
-        # the caller's array is copied; a sampler hands over (_owned) its own buffer
-        labels = _labels(self.labels)
-        samples = np.array(self.samples, dtype=np.complex128, order="C", copy=not _owned)
-        if samples.ndim != 2 or samples.shape[1] != len(labels):
-            raise DimensionMismatchError(
-                f"samples of shape {samples.shape} do not match {len(labels)} labels"
-            )
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "samples", _lock(samples))
-        object.__setattr__(self, "seed", int(self.seed))
+def psd_check_schur(spec: RealizationSpec, tol: float = DEFAULT_PSD_TOL) -> PsdCertificate:
+    """Certify the bordered kernel of a spec via its Schur complement.
 
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
-
-    def column(self, label: str) -> np.ndarray:
-        return self.samples[:, self.labels.index(label)]
-
-    def blocks(self) -> list[np.ndarray]:
-        """Views of the rows in the ``_CHUNK_ROWS`` blocks a sampler draws."""
-        return np.split(self.samples, range(_CHUNK_ROWS, self.n, _CHUNK_ROWS))
+    A kernel with unit corner is PSD exactly when its complement
+    ``spec.covariance`` is, so the verdict (and the certificate's
+    eigenvalue and witness) refer to the covariance, thresholded at the
+    kernel's scale: ``max(1, largest diagonal entry, |lambda|_max)``.
+    """
+    return _eigen_certificate(spec.covariance, tol, _bordered_scale(spec.mean, spec.covariance))
 
 
 def realize_process(
@@ -216,35 +227,15 @@ def realize_process(
 ) -> RealizationSpec:
     """Build the Gaussian realization spec of a PSD kernel at basepoint s0.
 
-    mean(s) = K(s, s0) and cov(s, t) = K(s, t) - K(s, s0) K(s0, t), the
-    Schur complement at s0.  Factoring that covariance is the PSD check:
-    the spec comes back with ``factor`` computed, or ``NotPsdError``.
+    The spec of ``schur_reduce``; factoring its covariance is the PSD
+    check: the spec comes back with ``factor`` computed, or ``NotPsdError``.
     """
-    split = schur_reduce(k, s0, basepoint_tol=basepoint_tol)
-    i0 = k.index(s0)
-    spec = RealizationSpec(
-        labels=k.labels[:i0] + k.labels[i0 + 1 :],
-        basepoint=s0,
-        mean=_lock(split.alpha.conj()),
-        covariance=split.schur_complement(),
-        basepoint_index=i0,
-        tol=tol,
-    )
+    spec = schur_reduce(k, s0, tol, basepoint_tol=basepoint_tol)
     try:
         spec.factor
     except FactorizationFailureError as exc:
         raise NotPsdError(f"kernel is not PSD at basepoint {s0!r}: {exc}") from exc
     return spec
-
-
-def glue_realizations(spec1: RealizationSpec, spec2: RealizationSpec) -> GluedRealization:
-    """Join two realizations at their common basepoint.
-
-    Sampling the result draws the two components from independent
-    randomness streams; the label order matches the Markov product of
-    the source kernels.
-    """
-    return GluedRealization(spec1, spec2)
 
 
 def _draws(spec: RealizationSpec, rng, m: int, real_mode: bool, scratch) -> tuple:
@@ -280,11 +271,28 @@ def _place(block: np.ndarray, specs, rngs, real_mode: bool, scratch) -> np.ndarr
     return block
 
 
-def _blocks(specs, n: int, seed: int, real_mode: bool, out: np.ndarray | None = None):
-    """Check the arguments, seed one stream per spec (a glued pair from one
-    sub-seed each) and return an iterator over the n rows in filled blocks
-    of ``_CHUNK_ROWS``, ``zr`` then ``zi`` per block: the block at row i is
-    a view of ``out`` at row i if it holds all n rows, else of one buffer."""
+def sample_blocks(
+    source: RealizationSpec | GluedRealization,
+    n: int,
+    seed: int,
+    *,
+    real_mode: bool = False,
+):
+    """Check the arguments, then iterate over n draws of a spec or a glued
+    pair in blocks of ``_CHUNK_ROWS`` rows, each filled into one reused
+    buffer that the next block overwrites.
+
+    A row is mean + L z for each spec around the constant basepoint
+    column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
+    order.  z is standard circularly-symmetric complex normal, ``zr``
+    then ``zi`` per block, or standard real normal in real mode (real
+    specs only).  A glued pair draws its components from two sub-seeds,
+    the seed mixed with two fixed tags.  Identical (source, seed, n) give
+    bitwise-identical rows.
+    """
+    specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
+    if not isinstance(specs[0], RealizationSpec):
+        raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     _check_seed(seed)
@@ -294,62 +302,16 @@ def _blocks(specs, n: int, seed: int, real_mode: bool, out: np.ndarray | None = 
     rngs = [np.random.default_rng(s) for s in seeds]
     size = 2 * min(n, _CHUNK_ROWS) * max(spec.dim for spec in specs)
     scratch = np.empty(size), np.empty(size)
-    if out is None:
-        out = np.empty((min(n, _CHUNK_ROWS), 1 + sum(spec.dim for spec in specs)), complex)
-    views = (out[i % len(out) :][: min(n - i, _CHUNK_ROWS)] for i in range(0, n, _CHUNK_ROWS))
+    block = np.empty((min(n, _CHUNK_ROWS), 1 + sum(spec.dim for spec in specs)), complex)
+    views = (block[: min(n - i, _CHUNK_ROWS)] for i in range(0, n, _CHUNK_ROWS))
     return (_place(view, specs, rngs, real_mode, scratch) for view in views)
 
 
-def _sample(specs, labels, n: int, seed: int, real_mode: bool) -> SampleBatch:
-    """The n-row batch, allocated once and filled in place by ``_blocks``."""
-    samples = np.empty((max(n, 0), len(labels)), complex)  # _blocks rejects n < 1
-    for _ in _blocks(specs, n, seed, real_mode, samples):
-        pass
-    return SampleBatch(labels, samples, seed, _owned=True)
-
-
-def sample_blocks(spec: RealizationSpec, n: int, seed: int, *, real_mode: bool = False):
-    """The rows of ``sample_realization``, checked now, drawn into one reused block."""
-    return _blocks((spec,), n, seed, real_mode)
-
-
-def sample_realization(
-    spec: RealizationSpec,
-    n: int,
-    seed: int,
-    *,
-    real_mode: bool = False,
-) -> SampleBatch:
-    """Draw n realizations: row = mean + L z, plus the constant basepoint.
-
-    z has independent standard circularly-symmetric complex normal
-    entries (or standard real normals in real mode, legal only for
-    real-valued specs).  Identical (spec, seed, n) give bitwise-identical
-    batches.
-    """
-    return _sample((spec,), spec.full_labels, n, seed, real_mode)
-
-
-def sample_glued(
-    glued: GluedRealization,
-    n: int,
-    seed: int,
-    *,
-    real_mode: bool = False,
-) -> SampleBatch:
-    """Sample a glued realization with two independent sub-streams.
-
-    Sub-seeds are derived by mixing the user seed with two fixed tag
-    constants through a deterministic splitting function, so runs are
-    reproducible while the component processes stay independent.  Both
-    components are written into one batch allocated at its final size.
-    """
-    return _sample((glued.spec1, glued.spec2), glued.labels, n, seed, real_mode)
-
-
 def _moment_sums(blocks, labels, n: int, fourth: bool = False):
-    """Sums over all n rows of ``X.T @ X.conj()`` and, if ``fourth``, of
-    ``A.T @ A`` with ``A = |X|**2``, added block by block in order.
+    """The empirical kernel, the sum over all n rows of ``X.T @ X.conj()``
+    divided by n and mirrored, and, if ``fourth``, the sum of ``A.T @ A``
+    with ``A = |X|**2``; both sums are added block by block in order, over
+    blocks that hold n rows of one column per label.
 
     The Gram sum is taken as the real ``V.T @ V`` of ``V``, the
     C-contiguous block viewed as its ``[re, im]`` float columns, which
@@ -364,8 +326,13 @@ def _moment_sums(blocks, labels, n: int, fourth: bool = False):
     if n < 2:
         raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
     real_gram = quartic = buffer = None
+    rows = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for X in blocks:
+            X = np.ascontiguousarray(X, np.complex128)
+            if X.ndim != 2 or X.shape[1] != len(labels):
+                raise DimensionMismatchError(f"block of shape {X.shape} for {len(labels)} labels")
+            rows += len(X)
             V = X.view(np.float64)
             g = V.T @ V
             real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
@@ -375,6 +342,8 @@ def _moment_sums(blocks, labels, n: int, fourth: bool = False):
                 np.square(np.abs(X, out=a2), out=a2)
                 q = a2.T @ a2
                 quartic = q if quartic is None else np.add(quartic, q, out=quartic)
+        if rows != n:
+            raise InvalidParameterError(f"the blocks hold {rows} rows, not n = {n}")
         re, im = real_gram[0::2], real_gram[1::2]
         gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
     for order, total in (("second", gram), ("fourth", quartic)):
@@ -383,19 +352,20 @@ def _moment_sums(blocks, labels, n: int, fourth: bool = False):
             raise NumericalFailureError(
                 f"the {order}-moment sum at ({labels[i]!r}, {labels[j]!r}) overflows float64"
             )
-    return gram, quartic
+    return IndexedKernel(labels, _lock(_mirror(gram / n))), quartic
 
 
-def estimate_second_moments(batch: SampleBatch) -> IndexedKernel:
-    """Empirical kernel: entry(s, t) = mean over rows of Y_s conj(Y_t).
+def estimate_second_moments(blocks, labels, n: int) -> IndexedKernel:
+    """Empirical kernel of n rows given in blocks, one column per label:
+    entry(s, t) = mean over rows of Y_s conj(Y_t).
 
-    Summed over the row blocks ``verify_realization`` uses, to the same
-    bits.  The upper triangle is mirrored by conjugation, so the output
-    is exactly Hermitian (and PSD, being an empirical Gram matrix); the
-    basepoint diagonal comes out exactly 1.
+    Summed block by block as ``verify_realization`` sums, so the blocks of
+    ``sample_blocks`` give its ``empirical`` to the same bits.  The upper
+    triangle is mirrored by conjugation, so the output is exactly
+    Hermitian (and PSD, being an empirical Gram matrix); a basepoint
+    column of ones gives a diagonal entry of exactly 1.
     """
-    gram, _ = _moment_sums(batch.blocks(), batch.labels, batch.n)
-    return IndexedKernel(batch.labels, mirror_upper(gram / batch.n))
+    return _moment_sums(blocks, tuple(labels), n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,22 +408,13 @@ def verify_realization(
     certificate = psd_check_eigen(product, tol)
     spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)
     spec2 = realize_process(k2, x0, tol, basepoint_tol=basepoint_tol)
-    glued = glue_realizations(spec1, spec2)
-    blocks = _blocks((spec1, spec2), n, seed, real_mode)
-    gram, quartic = _moment_sums(blocks, glued.labels, n, fourth=mc_tol is None)
-    empirical = IndexedKernel(glued.labels, mirror_upper(gram / n))
+    glued = GluedRealization(spec1, spec2)
+    blocks = sample_blocks(glued, n, seed, real_mode=real_mode)
+    empirical, quartic = _moment_sums(blocks, glued.labels, n, fourth=mc_tol is None)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         var = quartic / n - np.abs(empirical.entries) ** 2
         mc_tol = 5.0 * math.sqrt(max(var.max(), 0.0) / n)
     passed = bool(certificate.verdict and max_dev <= mc_tol)
-    return VerificationReport(
-        product=product,
-        certificate=certificate,
-        empirical=empirical,
-        max_abs_deviation=max_dev,
-        mc_tol=float(mc_tol),
-        n_samples=n,
-        seed=int(seed),
-        passed=passed,
-    )
+    return VerificationReport(product, certificate, empirical, max_dev, float(mc_tol), n,
+                              int(seed), passed)

@@ -6,7 +6,7 @@ from collections import deque
 
 import numpy as np
 
-from kernelglue import GluingTree, IndexedKernel, make_kernel
+from kernelglue import GluedRealization, GluingTree, IndexedKernel, make_kernel, sample_blocks
 
 #: Tolerance values the library must reject: each one is either not
 #: finite or not positive.
@@ -24,6 +24,14 @@ def json_native(doc):
     if isinstance(doc, np.complexfloating):
         return [float(doc.real), float(doc.imag)]
     return doc
+
+
+def draw(source, n, seed, real_mode=False):
+    """The labels and the n sampled rows of a spec or a glued pair, as one
+    array: ``sample_blocks`` reuses one buffer, so each block is copied."""
+    labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
+    blocks = [block.copy() for block in sample_blocks(source, n, seed, real_mode=real_mode)]
+    return labels, np.concatenate(blocks)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

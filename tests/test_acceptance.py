@@ -94,7 +94,7 @@ def test_criterion_5_realization_covariance_equals_schur_complement():
         labels.insert(int(rng.integers(0, n)), "x0")
         k = random_gram_kernel(rng, tuple(labels))
         cov = realize_process(k, "x0").covariance
-        reduced = schur_reduce(k, "x0").schur_complement()
+        reduced = schur_reduce(k, "x0").covariance
         worst = max(worst, float(np.abs(cov - reduced).max()))
     _verdict(
         f"realization covariance matches Schur complement (worst {worst:.1e})",

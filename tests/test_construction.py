@@ -3,7 +3,8 @@
 Every value type takes its labels and complex arrays through the same
 checks: distinct labels, the expected shape, finite entries and exact
 conjugate symmetry, with errors that name entries by label.  An array
-locked along its whole ``.base`` chain is shared, any other copied.
+the package locked, or a read-only view of one, is shared; any other is
+copied, a caller's read-only array too.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from kernelglue import (
     NumericalFailureError,
     PsdCertificate,
     RealizationSpec,
-    SampleBatch,
-    SchurSplit,
+    estimate_second_moments,
     make_kernel,
     psd_check_eigen,
     psd_check_schur,
@@ -63,23 +63,30 @@ class TestRealizationSpec:
 
 
 class TestSchurSplit:
+    """``schur_reduce`` splits a bordered kernel, so what it splits has
+    passed the kernel rule: non-finite parts are rejected there, by label."""
+
     def test_nan_block_is_non_finite(self):
-        with pytest.raises(NonFiniteError, match=r"block entry \(0, 1\)"):
-            SchurSplit(1.0, [0.5, 0.5], [[1, np.nan], [np.nan, 1]])
+        with pytest.raises(NonFiniteError, match=r"kernel entry \('a', 'b'\)"):
+            schur_reduce(make_kernel(["x0", "a", "b"], [[1, 0.5, 0.5], [0.5, 1, np.nan],
+                                                        [0.5, np.nan, 1]]), "x0")
 
     def test_inf_alpha_is_non_finite(self):
-        with pytest.raises(NonFiniteError, match=r"alpha entry \(0\)"):
-            SchurSplit(1.0, [np.inf], [[1.0]])
+        with pytest.raises(NonFiniteError, match=r"kernel entry \('x0', 'a'\)"):
+            schur_reduce(make_kernel(["x0", "a"], [[1, np.inf], [np.inf, 1]]), "x0")
 
     def test_nan_corner_is_not_unit(self):
+        # a NaN corner never reaches the unit check; a finite corner off 1 fails it
+        with pytest.raises(NonFiniteError, match=r"kernel entry \('x0', 'x0'\)"):
+            schur_reduce(make_kernel(["x0", "a"], [[np.nan, 0], [0, 1]]), "x0")
         with pytest.raises(BasepointNotUnitError):
-            SchurSplit(complex(np.nan, 0), [0.0], [[1.0]])
+            schur_reduce(make_kernel(["x0", "a"], [[1 + 1e-9, 0], [0, 1]]), "x0")
 
 
 class TestLabelsAndMessages:
     def test_sample_batch_labels_are_distinct(self):
         with pytest.raises(DuplicateLabelError, match="'x0'"):
-            SampleBatch(("x0", "a", "x0"), np.ones((2, 3)), seed=0)
+            estimate_second_moments([np.ones((2, 3))], ("x0", "a", "x0"), 2)
 
     def test_not_hermitian_names_labels(self):
         with pytest.raises(NotHermitianError) as info:
@@ -129,13 +136,25 @@ class TestArraySharing:
         assert np.array_equal(k.entries, np.eye(3))
 
     def test_a_locked_array_is_shared(self):
+        # a caller's read-only array is copied, not shared: the caller can
+        # make it writable again (only arrays the package locked are shared)
         a = np.eye(3, dtype=complex)
         a.flags.writeable = False
-        assert make_kernel(["a", "b", "c"], a).entries is a
+        assert make_kernel(["a", "b", "c"], a).entries is not a
         # a locked array of another dtype is converted, so copied
         locked_floats = np.eye(3)
         locked_floats.flags.writeable = False
         assert make_kernel(["a", "b", "c"], locked_floats).entries.base is None
+
+    def test_a_caller_cannot_unlock_a_kernel(self):
+        a = np.eye(2, dtype=complex)
+        a.flags.writeable = False
+        k = make_kernel(["a", "b"], a)
+        a.flags.writeable = True
+        a[0, 1] = 5.0
+        assert k.entries is not a
+        assert np.array_equal(k.entries, np.eye(2))
+        assert np.array_equal(k.entries, k.entries.conj().T)
 
     def test_package_arrays_are_shared(self, tmp_path):
         # what the package builds is locked, so building on it copies nothing
@@ -144,13 +163,13 @@ class TestArraySharing:
         glued = markov_product(k1, k2, "x0")
         path = tmp_path / "k.json"
         path.write_text(dump_document(kernel_to_document(glued)))
-        split = schur_reduce(glued, "x0")
+        reduced = schur_reduce(glued, "x0")
         spec = realize_process(glued, "x0")
         matrices = [glued.entries, glued.restrict(["b", "a", "x0"]).entries,
-                    load_kernel(str(path)).entries, split.block, split.schur_complement()]
+                    load_kernel(str(path)).entries, reduced.covariance, spec.covariance,
+                    glued.entries[1:, 1:]]
         for m in matrices:
             assert IndexedKernel(tuple(f"s{i}" for i in range(len(m))), m).entries is m
-        assert SchurSplit(1.0, split.alpha, split.block).alpha is split.alpha
         assert RealizationSpec(spec.labels, "x0", spec.mean, spec.covariance).mean is spec.mean
 
 
@@ -178,7 +197,7 @@ class TestOverflowingEigenvalues:
 
     def test_schur_route(self):
         with pytest.raises(NumericalFailureError, match="not all finite"):
-            psd_check_schur(SchurSplit(1.0, [0.0, 0.0], OVERFLOW))
+            psd_check_schur(RealizationSpec(("a", "b"), "x0", [0.0, 0.0], OVERFLOW))
 
     def test_realization_factor(self):
         spec = RealizationSpec(("a", "b"), "x0", [0.0, 0.0], OVERFLOW)
@@ -188,8 +207,9 @@ class TestOverflowingEigenvalues:
     def test_schur_complement_overflow(self):
         # a finite kernel whose covariance 1e300 - 1e200 * 1e200 overflows
         k = make_kernel(["x0", "a"], [[1, 1e200], [1e200, 1e300]])
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailureError, match="overflows"):
-            realize_process(k, "x0")
+        for reduce in (schur_reduce, realize_process):
+            with pytest.raises(NumericalFailureError, match="the Schur complement overflows"):
+                reduce(k, "x0")
 
     def test_bordered_scale_overflow(self):
         # |mean|**2 overflows: the bordered kernel's scale would pass any covariance

@@ -14,18 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import json_native, random_glued_pair, random_gram_kernel
+from helpers import draw, json_native, random_glued_pair, random_gram_kernel
 from kernelglue import (
     FileFormatError,
     FileParseError,
     GluingTree,
     NotATreeError,
     NotHermitianError,
-    SampleBatch,
     make_kernel,
     psd_check_eigen,
     realize_process,
-    sample_realization,
     verify_realization,
 )
 from kernelglue import fileio
@@ -33,7 +31,6 @@ from kernelglue.fileio import (
     certificate_to_document,
     document_text,
     dump_document,
-    format_sample_batch,
     kernel_from_document,
     kernel_to_document,
     load_document,
@@ -42,10 +39,17 @@ from kernelglue.fileio import (
     pair_to_complex,
     realization_to_document,
     report_to_document,
+    sample_text,
     tree_from_document,
     tree_to_document,
 )
 from kernelglue.realization import _CHUNK_ROWS
+
+
+def export(labels, seed, samples):
+    """The whole ``sample_text`` of the rows, in blocks of ``_CHUNK_ROWS``."""
+    blocks = np.split(samples, range(_CHUNK_ROWS, len(samples), _CHUNK_ROWS))
+    return "".join(sample_text(labels, seed, blocks))
 
 
 def parse_re_imi(token):
@@ -210,8 +214,8 @@ class TestReportDocuments:
 class TestSampleExport:
     def test_header_and_shape(self):
         k = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
-        batch = sample_realization(realize_process(k, "x0"), 8, seed=99)
-        text = format_sample_batch(batch)
+        labels, samples = draw(realize_process(k, "x0"), 8, seed=99)
+        text = export(labels, 99, samples)
         lines = text.strip().split("\n")
         assert lines[0] == "# seed=99 labels=x0,a"
         assert len(lines) == 9
@@ -219,16 +223,16 @@ class TestSampleExport:
     def test_values_round_trip_exactly(self):
         rng = np.random.default_rng(4)
         k = random_gram_kernel(rng, ("x0", "a", "b"))
-        batch = sample_realization(realize_process(k, "x0"), 20, seed=7)
-        lines = format_sample_batch(batch).strip().split("\n")[1:]
+        labels, samples = draw(realize_process(k, "x0"), 20, seed=7)
+        lines = export(labels, 7, samples).strip().split("\n")[1:]
         parsed = np.array([[parse_re_imi(tok) for tok in line.split(",")] for line in lines])
         # 17 significant digits round-trip float64 exactly
-        assert np.array_equal(parsed, batch.samples)
+        assert np.array_equal(parsed, samples)
 
     def test_text_is_the_per_entry_format(self):
-        def per_entry(batch):
-            lines = [f"# seed={batch.seed} labels={','.join(batch.labels)}"]
-            for row in batch.samples:
+        def per_entry(labels, seed, samples):
+            lines = [f"# seed={seed} labels={','.join(labels)}"]
+            for row in samples:
                 lines.append(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
             return "\n".join(lines) + "\n"
 
@@ -240,8 +244,8 @@ class TestSampleExport:
             # both sides of the block boundary, in real and imaginary parts
             rows[k, k % 3, k % 2] = value
             rows[_CHUNK_ROWS - 1 + k % 4, k % 3, (k + 1) % 2] = value
-        batch = SampleBatch(("x0", "a", "b"), rows.view(np.complex128)[..., 0], seed=5)
-        assert format_sample_batch(batch) == per_entry(batch)
+        batch = ("x0", "a", "b"), 5, rows.view(np.complex128)[..., 0]
+        assert export(*batch) == per_entry(*batch)
 
 
 class TestFiles:

@@ -21,7 +21,6 @@ from kernelglue import (
     NonFiniteError,
     NotHermitianError,
     NumericalFailureError,
-    SchurSplit,
     make_kernel,
     markov_product,
     mirror_upper,
@@ -218,8 +217,6 @@ class TestMarkovProduct:
                 markov_product(k1, k2, "x0", basepoint_tol=bad)
             with pytest.raises(InvalidParameterError, match="basepoint_tol"):
                 schur_reduce(k1, "x0", basepoint_tol=bad)
-            with pytest.raises(InvalidParameterError, match="basepoint_tol"):
-                SchurSplit(1.0, np.zeros(1), np.eye(1), basepoint_tol=bad)
 
     def test_glue_point_off_corner(self):
         # the shared label need not sit first in either operand
@@ -292,17 +289,19 @@ class TestSchurReduce:
     def test_two_by_two_read_off(self):
         c = 0.3 + 0.4j
         k = make_kernel(["s0", "a"], [[1, c], [np.conj(c), 1]])
-        split = schur_reduce(k, "s0")
-        assert split.corner == 1.0
-        np.testing.assert_array_equal(split.alpha, [c])
-        np.testing.assert_array_equal(split.block, [[1.0]])
+        spec = schur_reduce(k, "s0")
+        assert spec.labels == ("a",) and spec.basepoint == "s0"
+        np.testing.assert_array_equal(spec.mean, [np.conj(c)])
+        np.testing.assert_array_equal(spec.covariance, [[1.0 - abs(c) ** 2]])
 
     def test_middle_basepoint_keeps_order(self):
         rng = np.random.default_rng(31)
         k = random_gram_kernel(rng, ("a", "s0", "b"))
-        split = schur_reduce(k, "s0")
-        np.testing.assert_array_equal(split.alpha, [k.entry("s0", "a"), k.entry("s0", "b")])
-        np.testing.assert_array_equal(split.block, k.restrict(["a", "b"]).entries)
+        spec = schur_reduce(k, "s0")
+        assert spec.labels == ("a", "b") and spec.basepoint_index == 1
+        np.testing.assert_array_equal(spec.mean, [k.entry("a", "s0"), k.entry("b", "s0")])
+        np.testing.assert_allclose(spec.covariance + np.outer(spec.mean, spec.mean.conj()),
+                                   k.restrict(["a", "b"]).entries, rtol=0, atol=1e-15)
 
     def test_basepoint_not_unit(self):
         k = make_kernel(["s0", "a"], [[2.0, 0], [0, 1.0]])
@@ -315,25 +314,33 @@ class TestSchurReduce:
             schur_reduce(k, "zz")
 
     def test_split_validation(self):
+        # the split is checked where the kernel is: the corner by schur_reduce,
+        # the shape and the symmetry by the kernel rule
         with pytest.raises(BasepointNotUnitError):
-            SchurSplit(2.0, np.zeros(1), np.eye(1))
+            schur_reduce(make_kernel(["s0", "a"], np.diag([2.0, 1.0])), "s0")
         with pytest.raises(DimensionMismatchError):
-            SchurSplit(1.0, np.zeros(2), np.eye(3))
+            schur_reduce(make_kernel(["s0", "a"], np.eye(3)), "s0")
         with pytest.raises(NotHermitianError):
-            SchurSplit(1.0, np.zeros(2), [[1, 1], [0, 1]])
+            schur_reduce(make_kernel(["s0", "a", "b"], [[1, 0, 0], [0, 1, 1], [0, 0, 1]]), "s0")
+
+
+def bordered(alpha, block):
+    """The kernel with unit corner at "s0", row ``alpha`` and ``block`` on "t0", "t1", ..."""
+    n = len(alpha)
+    m = np.eye(n + 1, dtype=complex)
+    m[0, 1:], m[1:, 0], m[1:, 1:] = alpha, np.conj(alpha), block
+    return make_kernel(["s0"] + [f"t{i}" for i in range(n)], m)
 
 
 class TestPsdCheckSchur:
     def test_boundary_rank_one(self):
-        # alpha format (0.6, 0.8): A - alpha* alpha has eigenvalues {0, 1}
-        split = SchurSplit(1.0, [0.6, 0.8], np.eye(2))
-        cert = psd_check_schur(split)
+        # alpha = (0.6, 0.8): A - alpha* alpha has eigenvalues {0, 1}
+        cert = psd_check_schur(schur_reduce(bordered([0.6, 0.8], np.eye(2)), "s0"))
         assert cert.verdict
         assert abs(cert.min_eigenvalue) < 1e-12
 
     def test_indefinite_rank_one(self):
-        split = SchurSplit(1.0, [1.0, 1.0], np.eye(2))
-        cert = psd_check_schur(split)
+        cert = psd_check_schur(schur_reduce(bordered([1.0, 1.0], np.eye(2)), "s0"))
         assert not cert.verdict
         assert abs(cert.min_eigenvalue - (-1.0)) < 1e-12
 
@@ -341,9 +348,8 @@ class TestPsdCheckSchur:
         rng = np.random.default_rng(41)
         for _ in range(10):
             k = random_unit_corner_hermitian(rng, 4, psd=bool(rng.integers(2)))
-            split = SchurSplit(1.0, np.zeros(4), k.entries)
             direct = psd_check_eigen(k)
-            reduced = psd_check_schur(split)
+            reduced = psd_check_schur(schur_reduce(bordered(np.zeros(4), k.entries), "s0"))
             assert reduced.verdict == direct.verdict
             np.testing.assert_allclose(reduced.min_eigenvalue, direct.min_eigenvalue,
                                        rtol=0, atol=1e-14)

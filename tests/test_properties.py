@@ -22,8 +22,8 @@ from hypothesis.extra import numpy as hnp
 from helpers import edge_kernel_tree, haagerup_oracle, random_gram_kernel, reroot
 from kernelglue import (
     DEFAULT_PSD_TOL,
+    GluedRealization,
     GluingTree,
-    glue_realizations,
     glue_tree,
     make_kernel,
     markov_product,
@@ -93,7 +93,7 @@ def test_glued_realization_labels_are_the_product_labels(k1, k2):
     specs = [[(k, realize_process(k, "x0")) for k in _x0_at_every_position(k)] for k in (k1, k2)]
     for a, spec1 in specs[0]:
         for b, spec2 in specs[1]:
-            assert glue_realizations(spec1, spec2).labels == markov_product(a, b, "x0").labels
+            assert GluedRealization(spec1, spec2).labels == markov_product(a, b, "x0").labels
 
 
 _values = st.one_of(

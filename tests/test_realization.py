@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     BAD_TOLERANCES,
+    draw,
     random_glued_pair,
     random_gram_kernel,
     random_unit_corner_hermitian,
@@ -21,20 +22,19 @@ from kernelglue import (
     BasepointNotUnitError,
     EmptyBatchError,
     FactorizationFailureError,
+    GluedRealization,
     InvalidParameterError,
     LabelCollisionError,
     NotPsdError,
     NumericalFailureError,
     RealizationSpec,
     estimate_second_moments,
-    glue_realizations,
     make_kernel,
     markov_product,
     mirror_upper,
     psd_check_eigen,
     realize_process,
-    sample_glued,
-    sample_realization,
+    sample_blocks,
     schur_reduce,
     verify_realization,
 )
@@ -50,6 +50,17 @@ def cd_pair():
     k1 = two_point_kernel(0.5)
     k2 = make_kernel(["x0", "b"], [[1, 0.5 + 0.5j], [0.5 - 0.5j, 1]])
     return k1, k2
+
+
+def glued_pair(k1, k2):
+    return GluedRealization(realize_process(k1, "x0"), realize_process(k2, "x0"))
+
+
+def moments(source, n, seed, real_mode=False):
+    """``estimate_second_moments`` of n rows drawn from a spec or a glued pair."""
+    labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
+    blocks = sample_blocks(source, n, seed, real_mode=real_mode)
+    return estimate_second_moments(blocks, labels, n)
 
 
 def near_boundary_kernel(rng, kind):
@@ -105,16 +116,40 @@ class TestRealizeProcess:
         np.testing.assert_array_equal(spec.mean, v[1:])
 
     def test_covariance_matches_schur_complement(self):
+        # with the basepoint first, in the middle and last, realize_process
+        # gives schur_reduce's spec bitwise, and its covariance is
+        # K(rest, rest) - K(rest, s0) K(s0, rest) mirrored from the upper triangle
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(2, 8))
-            labels = [f"s{i}" for i in range(n - 1)]
-            labels.insert(int(rng.integers(0, n)), "x0")
-            k = random_gram_kernel(rng, tuple(labels))
-            spec = realize_process(k, "x0")
-            split = schur_reduce(k, "x0")
-            assert np.array_equal(spec.covariance, split.schur_complement())
-            np.testing.assert_array_equal(spec.mean, split.alpha.conj())
+            others = [f"s{i}" for i in range(n - 1)]
+            k = random_gram_kernel(rng, tuple(others + ["x0"]))
+            for i0 in (0, n // 2, n - 1):
+                kernel = k.restrict(others[:i0] + ["x0"] + others[i0:])
+                spec, reduced = realize_process(kernel, "x0"), schur_reduce(kernel, "x0")
+                assert spec.labels == reduced.labels == tuple(others)
+                assert spec.basepoint_index == reduced.basepoint_index == i0
+                assert spec.mean.tobytes() == reduced.mean.tobytes()
+                assert spec.covariance.tobytes() == reduced.covariance.tobytes()
+                rest = [i for i in range(n) if i != i0]
+                alpha = kernel.entries[i0, rest]
+                assert spec.mean.tobytes() == alpha.conj().tobytes()
+                expected = kernel.entries[np.ix_(rest, rest)] - np.outer(alpha.conj(), alpha)
+                assert np.array_equal(np.triu(spec.covariance, 1), np.triu(expected, 1))
+                assert np.array_equal(spec.covariance.diagonal(), expected.diagonal().real)
+
+    def test_schur_complement_memory(self):
+        # the 1,000-label complement is 15.3 MiB; the outer product, the
+        # difference and a mirrored copy of it took the peak to 68 MiB
+        k = random_gram_kernel(np.random.default_rng(12), tuple(f"s{i}" for i in range(1000)))
+        tracemalloc.start()
+        try:
+            spec = schur_reduce(k, "s500")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.covariance.shape == (999, 999)
+        assert peak < 40 * 2**20
 
     def test_reconstructs_kernel(self):
         rng = np.random.default_rng(6)
@@ -202,9 +237,9 @@ class TestNearBoundaryGate:
             assert "factor" in vars(spec)
             assert spec.factor.shape == (k.dim - 1, k.dim - 1)
             assert np.isfinite(spec.factor).all()
-            split = schur_reduce(k, "s0")
-            assert np.array_equal(spec.mean, split.alpha.conj())
-            assert np.array_equal(spec.covariance, split.schur_complement())
+            reduced = schur_reduce(k, "s0")
+            assert np.array_equal(spec.mean, reduced.mean)
+            assert np.array_equal(spec.covariance, reduced.covariance)
         assert outcomes.get(("indefinite", True), 0) == 0
         assert outcomes.get(("gram", False), 0) == 0
         assert outcomes[("gram", True)] == 700 and outcomes[("shifted", False)] > 0
@@ -213,118 +248,114 @@ class TestNearBoundaryGate:
 class TestSampling:
     def test_deterministic_process(self):
         spec = RealizationSpec(("a", "b"), "x0", [0.5, 0.25j], np.zeros((2, 2)))
-        batch = sample_realization(spec, 5, seed=0)
-        assert batch.labels == ("x0", "a", "b")
+        labels, samples = draw(spec, 5, seed=0)
+        assert labels == ("x0", "a", "b")
         expected = np.tile([1.0, 0.5, 0.25j], (5, 1))
-        np.testing.assert_array_equal(batch.samples, expected)
+        np.testing.assert_array_equal(samples, expected)
 
     def test_bitwise_reproducible(self):
         spec = realize_process(two_point_kernel(0.3 + 0.2j), "x0")
-        b1 = sample_realization(spec, 100, seed=123)
-        b2 = sample_realization(spec, 100, seed=123)
-        assert np.array_equal(b1.samples, b2.samples)
-        b3 = sample_realization(spec, 100, seed=124)
-        assert not np.array_equal(b1.samples, b3.samples)
+        _, b1 = draw(spec, 100, seed=123)
+        _, b2 = draw(spec, 100, seed=123)
+        assert np.array_equal(b1, b2)
+        _, b3 = draw(spec, 100, seed=124)
+        assert not np.array_equal(b1, b3)
 
     def test_basepoint_column_exactly_one(self):
         rng = np.random.default_rng(8)
         k = random_gram_kernel(rng, ("a", "x0", "b"))
         spec = realize_process(k, "x0")
-        batch = sample_realization(spec, 50, seed=1)
-        assert batch.labels == ("a", "x0", "b")
-        assert np.all(batch.column("x0") == 1.0)
+        labels, samples = draw(spec, 50, seed=1)
+        assert labels == ("a", "x0", "b")
+        assert np.all(samples[:, 1] == 1.0)
 
     def test_column_mean_converges(self):
         spec = realize_process(two_point_kernel(0.5), "x0")
-        batch = sample_realization(spec, 10**6, seed=2024)
+        _, samples = draw(spec, 10**6, seed=2024)
         # standard error is sqrt(0.75/n) ~ 0.00087; 0.005 is almost 6 sigma
-        assert abs(batch.column("a").mean() - 0.5) < 0.005
+        assert abs(samples[:, 1].mean() - 0.5) < 0.005
 
     def test_sample_count_validated(self):
         spec = realize_process(two_point_kernel(0.5), "x0")
         with pytest.raises(InvalidParameterError):
-            sample_realization(spec, 0, seed=0)
+            sample_blocks(spec, 0, seed=0)
 
     def test_real_mode_requires_real_spec(self):
         spec = realize_process(two_point_kernel(0.5), "x0")
-        batch = sample_realization(spec, 100, seed=0, real_mode=True)
-        assert np.all(batch.samples.imag == 0.0)
+        _, samples = draw(spec, 100, seed=0, real_mode=True)
+        assert np.all(samples.imag == 0.0)
         complex_spec = realize_process(two_point_kernel(0.5j), "x0")
         with pytest.raises(InvalidParameterError):
-            sample_realization(complex_spec, 100, seed=0, real_mode=True)
+            sample_blocks(complex_spec, 100, seed=0, real_mode=True)
 
     def test_real_mode_matches_moments(self):
         spec = realize_process(two_point_kernel(0.5), "x0")
-        batch = sample_realization(spec, 10**5, seed=9, real_mode=True)
-        moments = estimate_second_moments(batch)
-        assert abs(moments.entry("a", "x0") - 0.5) < 0.01
-        assert abs(moments.entry("a", "a") - 1.0) < 0.02
+        m = moments(spec, 10**5, seed=9, real_mode=True)
+        assert abs(m.entry("a", "x0") - 0.5) < 0.01
+        assert abs(m.entry("a", "a") - 1.0) < 0.02
+
+    def test_only_specs_and_glued_pairs_are_sampled(self):
+        with pytest.raises(InvalidParameterError, match="cannot sample an object of type IndexedKernel"):
+            sample_blocks(two_point_kernel(0.5), 10, seed=0)
 
 
 class TestGluedRealization:
     def test_two_singletons(self):
         k = make_kernel(["x0"], [[1.0]])
-        glued = glue_realizations(realize_process(k, "x0"), realize_process(k, "x0"))
+        glued = glued_pair(k, k)
         assert glued.labels == ("x0",)
-        batch = sample_glued(glued, 10, seed=3)
-        assert np.all(batch.samples == 1.0)
+        _, samples = draw(glued, 10, seed=3)
+        assert np.all(samples == 1.0)
 
     def test_label_order_matches_markov_product(self):
         rng = np.random.default_rng(10)
         k1, k2 = random_glued_pair(rng)
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        assert glued.labels == markov_product(k1, k2, "x0").labels
+        assert glued_pair(k1, k2).labels == markov_product(k1, k2, "x0").labels
 
     def test_basepoint_mismatch(self):
         s1 = realize_process(make_kernel(["x0", "a"], np.eye(2)), "x0")
         s2 = realize_process(make_kernel(["y0", "b"], np.eye(2)), "y0")
         with pytest.raises(BasepointMismatchError):
-            glue_realizations(s1, s2)
+            GluedRealization(s1, s2)
 
     def test_label_collision(self):
         s1 = realize_process(make_kernel(["x0", "a"], np.eye(2)), "x0")
         s2 = realize_process(make_kernel(["x0", "a"], np.eye(2)), "x0")
         with pytest.raises(LabelCollisionError):
-            glue_realizations(s1, s2)
+            GluedRealization(s1, s2)
 
     def test_glued_sampling_reproducible(self):
         k1, k2 = cd_pair()
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        b1 = sample_glued(glued, 200, seed=77)
-        b2 = sample_glued(glued, 200, seed=77)
-        assert np.array_equal(b1.samples, b2.samples)
-        assert b1.seed == 77
+        glued = glued_pair(k1, k2)
+        _, b1 = draw(glued, 200, seed=77)
+        _, b2 = draw(glued, 200, seed=77)
+        assert np.array_equal(b1, b2)
 
     def test_component_streams_differ(self):
         # the two specs must not share randomness even when identical
         k = two_point_kernel(0.5)
         k_b = make_kernel(["x0", "b"], [[1, 0.5], [0.5, 1]])
-        glued = glue_realizations(realize_process(k, "x0"), realize_process(k_b, "x0"))
-        batch = sample_glued(glued, 500, seed=5)
-        assert not np.array_equal(batch.column("a"), batch.column("b"))
+        _, samples = draw(glued_pair(k, k_b), 500, seed=5)
+        assert not np.array_equal(samples[:, 1], samples[:, 2])
 
     def test_cross_moment_matches_product(self):
         k1, k2 = cd_pair()
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        batch = sample_glued(glued, 10**6, seed=6)
-        cross = (batch.column("a") * batch.column("b").conj()).mean()
+        _, samples = draw(glued_pair(k1, k2), 10**6, seed=6)
+        cross = (samples[:, 1] * samples[:, 2].conj()).mean()
         assert abs(cross - (0.25 + 0.25j)) < 0.01
 
     def test_swapping_operands_same_distribution(self):
         k1, k2 = cd_pair()
-        g12 = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        g21 = glue_realizations(realize_process(k2, "x0"), realize_process(k1, "x0"))
-        m12 = estimate_second_moments(sample_glued(g12, 200000, seed=8))
-        m21 = estimate_second_moments(sample_glued(g21, 200000, seed=9))
+        m12 = moments(glued_pair(k1, k2), 200000, seed=8)
+        m21 = moments(glued_pair(k2, k1), 200000, seed=9)
         aligned = m21.restrict(m12.labels)
         assert np.abs(aligned.entries - m12.entries).max() < 0.02
 
 
     def test_sample_count_validated(self):
         k1, k2 = cd_pair()
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
         with pytest.raises(InvalidParameterError):
-            sample_glued(glued, 0, seed=0)
+            sample_blocks(glued_pair(k1, k2), 0, seed=0)
 
 
 def golden_specs(real_mode):
@@ -335,8 +366,10 @@ def golden_specs(real_mode):
     return realize_process(k1, "x0"), realize_process(k2, "x0")
 
 
-def batch_digest(batch):
-    return hashlib.sha256(repr(batch.labels).encode() + batch.samples.tobytes()).hexdigest()
+def batch_digest(source, n, real_mode):
+    """sha256 of the labels and the bytes of n rows drawn with seed 123."""
+    labels, samples = draw(source, n, 123, real_mode)
+    return hashlib.sha256(repr(labels).encode() + samples.tobytes()).hexdigest()
 
 
 class TestGoldenSamples:
@@ -354,14 +387,12 @@ class TestGoldenSamples:
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_sample_realization(self, real_mode):
         spec1, _ = golden_specs(real_mode)
-        batch = sample_realization(spec1, 64, 123, real_mode=real_mode)
-        assert batch_digest(batch) == self.SINGLE[real_mode]
+        assert batch_digest(spec1, 64, real_mode) == self.SINGLE[real_mode]
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_sample_glued(self, real_mode):
-        glued = glue_realizations(*golden_specs(real_mode))
-        batch = sample_glued(glued, 64, 123, real_mode=real_mode)
-        assert batch_digest(batch) == self.GLUED[real_mode]
+        glued = GluedRealization(*golden_specs(real_mode))
+        assert batch_digest(glued, 64, real_mode) == self.GLUED[real_mode]
 
 
 class TestBlockStream:
@@ -380,14 +411,12 @@ class TestBlockStream:
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_sample_realization_across_blocks(self, real_mode):
         spec1, _ = golden_specs(real_mode)
-        batch = sample_realization(spec1, _CHUNK_ROWS + 5, 123, real_mode=real_mode)
-        assert batch_digest(batch) == self.SINGLE[real_mode]
+        assert batch_digest(spec1, _CHUNK_ROWS + 5, real_mode) == self.SINGLE[real_mode]
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_sample_glued_across_blocks(self, real_mode):
-        glued = glue_realizations(*golden_specs(real_mode))
-        batch = sample_glued(glued, _CHUNK_ROWS + 5, 123, real_mode=real_mode)
-        assert batch_digest(batch) == self.GLUED[real_mode]
+        glued = GluedRealization(*golden_specs(real_mode))
+        assert batch_digest(glued, _CHUNK_ROWS + 5, real_mode) == self.GLUED[real_mode]
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_verify_streams_the_sampled_batch(self, real_mode):
@@ -396,12 +425,12 @@ class TestBlockStream:
         k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
         n = 2 * _CHUNK_ROWS + 7  # three blocks, the last one short
         report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        batch = sample_glued(glued, n, 31, real_mode=real_mode)
-        moments = estimate_second_moments(batch)
-        assert report.empirical.entries.tobytes() == moments.entries.tobytes()
-        a2 = np.abs(batch.samples) ** 2
-        var = (a2.T @ a2) / n - np.abs(moments.entries) ** 2
+        glued = glued_pair(k1, k2)
+        _, samples = draw(glued, n, 31, real_mode)
+        empirical = moments(glued, n, 31, real_mode)
+        assert report.empirical.entries.tobytes() == empirical.entries.tobytes()
+        a2 = np.abs(samples) ** 2
+        var = (a2.T @ a2) / n - np.abs(empirical.entries) ** 2
         expected = 5.0 * math.sqrt(max(var.max(), 0.0) / n)
         assert report.mc_tol == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report.n_samples == n
@@ -419,20 +448,6 @@ class TestBlockStream:
         assert report.passed
         # the whole 2e5 x 63 complex batch alone is 192 MiB
         assert peak < 150 * 2**20
-
-    def test_sample_glued_holds_the_batch_once(self):
-        rng = np.random.default_rng(404)
-        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
-        k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)))
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        tracemalloc.start()
-        try:
-            batch = sample_glued(glued, 200_000, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a second copy of the 2e5 x 63 complex batch would double the peak
-        assert peak < 1.3 * batch.samples.nbytes
 
     def test_verify_reuses_its_block_buffers(self):
         rng = np.random.default_rng(404)
@@ -458,9 +473,8 @@ class TestBlockStream:
         k1, k2 = (big, small) if larger_first else (small, big)
         n = 2 * _CHUNK_ROWS + 7
         report = verify_realization(k1, k2, "x0", n, seed=17, real_mode=real_mode)
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        moments = estimate_second_moments(sample_glued(glued, n, 17, real_mode=real_mode))
-        assert report.empirical.entries.tobytes() == moments.entries.tobytes()
+        empirical = moments(glued_pair(k1, k2), n, 17, real_mode)
+        assert report.empirical.entries.tobytes() == empirical.entries.tobytes()
 
     def test_argument_errors_come_before_any_draw(self, monkeypatch):
         k1, k2 = cd_pair()
@@ -486,11 +500,10 @@ class TestSeedCheck:
     def draws(seed):
         k1, k2 = cd_pair()
         spec = realize_process(k1, "x0")
-        glued = glue_realizations(spec, realize_process(k2, "x0"))
+        glued = GluedRealization(spec, realize_process(k2, "x0"))
         return {
-            "sample_blocks": lambda: next(realization.sample_blocks(spec, 10, seed)),
-            "sample_realization": lambda: sample_realization(spec, 10, seed).samples,
-            "sample_glued": lambda: sample_glued(glued, 10, seed).samples,
+            "sample_blocks": lambda: draw(spec, 10, seed)[1],
+            "sample_blocks of a glued pair": lambda: draw(glued, 10, seed)[1],
             "verify_realization": lambda: verify_realization(k1, k2, "x0", 10, seed).empirical.entries,
         }
 
@@ -507,52 +520,44 @@ class TestSeedCheck:
             assert np.array_equal(draw(), same()), name
 
 
-class TestSampleBatch:
-    def test_caller_array_is_copied(self):
-        rows = np.array([[1.0, 0.5 + 0.5j], [1.0, -0.25j]])
-        batch = realization.SampleBatch(("x0", "a"), rows, seed=3)
-        rows[0, 1] = 99.0
-        assert batch.samples[0, 1] == 0.5 + 0.5j
-        assert not batch.samples.flags.writeable
-
-    def test_fortran_order_array_gives_the_same_moments(self):
-        k1, k2 = cd_pair()
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        batch = sample_glued(glued, 1000, seed=4)
-        fortran = realization.SampleBatch(
-            batch.labels, np.asfortranarray(batch.samples), batch.seed
-        )
-        expected = estimate_second_moments(batch).entries
-        assert estimate_second_moments(fortran).entries.tobytes() == expected.tobytes()
-
-
 class TestEstimateSecondMoments:
     def test_deterministic_batch_gives_exact_kernel(self):
         spec = RealizationSpec(("a", "b"), "x0", [0.5, 0.5j], np.zeros((2, 2)))
-        moments = estimate_second_moments(sample_realization(spec, 10, seed=0))
-        assert moments.entry("x0", "x0") == 1.0
-        assert moments.entry("a", "x0") == 0.5
-        assert moments.entry("x0", "b") == np.conj(0.5j)
-        assert abs(moments.entry("a", "b") - 0.5 * np.conj(0.5j)) < 1e-15
+        m = moments(spec, 10, seed=0)
+        assert m.entry("x0", "x0") == 1.0
+        assert m.entry("a", "x0") == 0.5
+        assert m.entry("x0", "b") == np.conj(0.5j)
+        assert abs(m.entry("a", "b") - 0.5 * np.conj(0.5j)) < 1e-15
 
     def test_output_is_hermitian_and_psd(self):
         rng = np.random.default_rng(11)
         k = random_gram_kernel(rng, ("x0", "a", "b"))
-        batch = sample_realization(realize_process(k, "x0"), 1000, seed=12)
-        moments = estimate_second_moments(batch)
-        assert np.array_equal(moments.entries, moments.entries.conj().T)
-        assert psd_check_eigen(moments).verdict
+        m = moments(realize_process(k, "x0"), 1000, seed=12)
+        assert np.array_equal(m.entries, m.entries.conj().T)
+        assert psd_check_eigen(m).verdict
 
     def test_basepoint_moment_exact(self):
         spec = realize_process(two_point_kernel(0.5), "x0")
         for n in (2, 3, 17, 1000):
-            moments = estimate_second_moments(sample_realization(spec, n, seed=n))
-            assert moments.entry("x0", "x0") == 1.0
+            assert moments(spec, n, seed=n).entry("x0", "x0") == 1.0
 
     def test_needs_two_rows(self):
         spec = realize_process(two_point_kernel(0.5), "x0")
         with pytest.raises(EmptyBatchError):
-            estimate_second_moments(sample_realization(spec, 1, seed=0))
+            moments(spec, 1, seed=0)
+
+    def test_fortran_order_blocks_give_the_same_moments(self):
+        glued = glued_pair(*cd_pair())
+        labels, samples = draw(glued, 1000, seed=4)
+        expected = estimate_second_moments([samples], labels, 1000).entries
+        fortran = estimate_second_moments([np.asfortranarray(samples)], labels, 1000)
+        assert fortran.entries.tobytes() == expected.tobytes()
+
+    def test_blocks_must_hold_n_rows(self):
+        labels, samples = draw(glued_pair(*cd_pair()), 100, seed=4)
+        for n in (99, 101):
+            with pytest.raises(InvalidParameterError, match=f"the blocks hold 100 rows, not n = {n}"):
+                estimate_second_moments([samples], labels, n)
 
 
 class TestVerifyRealization:
@@ -619,10 +624,9 @@ class TestVerifyRealization:
 
     def test_centered_columns_nearly_independent(self):
         k1, k2 = cd_pair()
-        glued = glue_realizations(realize_process(k1, "x0"), realize_process(k2, "x0"))
-        batch = sample_glued(glued, 10**5, seed=4)
-        a = batch.column("a") - batch.column("a").mean()
-        b = batch.column("b") - batch.column("b").mean()
+        _, samples = draw(glued_pair(k1, k2), 10**5, seed=4)
+        a = samples[:, 1] - samples[:, 1].mean()
+        b = samples[:, 2] - samples[:, 2].mean()
         assert abs((a * b.conj()).mean()) < 0.02
 
     @pytest.mark.parametrize(
