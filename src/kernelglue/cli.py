@@ -35,7 +35,13 @@ from .kernels import (
     markov_product,
     psd_check_eigen,
 )
-from .realization import _check_seed, realize_process, sample_blocks, verify_realization
+from .realization import (
+    _check_count,
+    _check_seed,
+    realize_process,
+    sample_blocks,
+    verify_realization,
+)
 from .trees import glue_tree
 
 COMMANDS = ("glue", "check", "realize", "sample", "verify", "glue-tree")
@@ -74,10 +80,8 @@ def _validate(config: RunConfig) -> None:
     _check_tolerance("basepoint_tol", config.basepoint_tol)
     if config.mc_tol is not None:
         _check_tolerance("mc_tol", config.mc_tol)
-    if config.command in _SAMPLING and config.samples < 1:
-        raise InvalidParameterError(
-            f"sample count must be >= 1, got {config.samples}"
-        )
+    if config.command in _SAMPLING:
+        _check_count(config.samples)
     _check_seed(config.seed)
 
 

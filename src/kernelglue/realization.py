@@ -12,9 +12,11 @@ kernel whose covariance does not factor.  Gluing two such realizations
 with independent randomness reproduces the Markov product, which
 ``verify_realization`` checks end to end.  ``sample_blocks`` draws in
 blocks of ``_CHUNK_ROWS`` rows from one stream into one reused block,
-so memory does not grow with n.  Each call allocates its scratch once
-and every block reuses it, with the same floating-point operations on
-the same operands as fresh arrays, so the stream is bitwise the same.
+so memory does not grow with n; complex draws are placed in bands of
+``_BAND_ROWS`` rows.  Each call allocates its scratch once, which every
+block reuses and ``verify_realization`` lends to its fourth moments,
+with the operations and operands of a whole-block product on fresh
+arrays, so the stream is bitwise the same.
 Draws are circularly-symmetric complex Gaussians (real and imaginary
 parts each of variance 1/2), or real ones in real mode.  The value
 types here check labels and arrays by the rule of ``kernels``.
@@ -65,6 +67,9 @@ _STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
 # Rows per sampling block; 2**11 to 2**16 run equally fast, 2**18 slower.
 _CHUNK_ROWS = 1 << 14
 
+# Rows per band of a block, drawn and placed while they are in cache.
+_BAND_ROWS = 1 << 10
+
 
 def _subseed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence((tag, seed)).generate_state(1, np.uint64)[0])
@@ -73,6 +78,13 @@ def _subseed(seed: int, tag: int) -> int:
 def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+
+
+def _check_count(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise InvalidParameterError(f"sample count must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,36 +250,52 @@ def realize_process(
     return spec
 
 
-def _draws(spec: RealizationSpec, rng, m: int, real_mode: bool, scratch) -> tuple:
-    """The mean and the m x dim centered draws ``L z`` for the non-basepoint
-    labels, written into ``scratch``: z goes into the first buffer, ``zr``
-    then ``zi``, and the product into the buffer that holds none of its
-    operands."""
-    L, d = spec.factor, spec.dim
-    z, w = (buffer[: 2 * m * d] for buffer in scratch)
+def _bands(m: int) -> list[slice]:
+    """The row bands of an m-row block, ``_BAND_ROWS`` rows each.  A 1-row
+    tail joins the band before it (no band starts at row m - 1): numpy
+    runs a 1-row product as gemv, whose bits differ from gemm's."""
+    edges = [*range(0, max(m - 1, 1), _BAND_ROWS), m]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _draws(spec: RealizationSpec, rng, out: np.ndarray, real_mode: bool, scratch) -> None:
+    """Write the centered draws ``L z`` into ``out``, the block's m x dim
+    columns for the non-basepoint labels.  ``scratch`` is a flat float
+    buffer and a band-sized complex one.  Real mode multiplies the whole
+    block, as dgemm's bits depend on the row count; complex mode draws
+    ``zr`` whole, then per band ``zi`` after it, scales both halves into
+    the band buffer and multiplies straight into the band's rows."""
+    (m, d), L = out.shape, spec.factor
+    flat, band = scratch
     if real_mode:
-        z, w = z[: m * d].reshape(m, d), w[: m * d].reshape(m, d)
+        z, y = flat[: 2 * m * d].reshape(2, m, d)
         rng.standard_normal(out=z)
-        return spec.mean.real, np.matmul(z, L.real.T, out=w)
-    zr, zi = z.reshape(2, m, d)
+        out[...] = np.matmul(z, L.real.T, out=y)
+        return
+    zr = flat[: m * d].reshape(m, d)
     rng.standard_normal(out=zr)
-    rng.standard_normal(out=zi)
-    scaled = w.view(complex).reshape(m, d)
-    np.multiply(zr, math.sqrt(0.5), out=scaled.real)
-    np.multiply(zi, math.sqrt(0.5), out=scaled.imag)
-    return spec.mean, np.matmul(scaled, L.T, out=z.view(complex).reshape(m, d))
+    for rows in _bands(m):
+        k = rows.stop - rows.start
+        zi, scaled = flat[m * d : (m + k) * d].reshape(k, d), band[: k * d].reshape(k, d)
+        rng.standard_normal(out=zi)
+        np.multiply(zr[rows], math.sqrt(0.5), out=scaled.real)
+        np.multiply(zi, math.sqrt(0.5), out=scaled.imag)
+        np.matmul(scaled, L.T, out=out[rows])
 
 
 def _place(block: np.ndarray, specs, rngs, real_mode: bool, scratch) -> np.ndarray:
-    """Fill a block: the first spec around its basepoint column of ones, then any second."""
-    m, i, stop = len(block), specs[0].basepoint_index, specs[0].dim + 1
-    mean, y = _draws(specs[0], rngs[0], m, real_mode, scratch)
-    np.add(mean[:i], y[:, :i], out=block[:, :i])
-    block[:, i] = 1.0
-    np.add(mean[i:], y[:, i:], out=block[:, i + 1 : stop])
-    if len(specs) == 2:
-        mean, y = _draws(specs[1], rngs[1], m, real_mode, scratch)
-        np.add(mean, y, out=block[:, stop:])
+    """Fill a block: each spec's draws go into the columns after the first,
+    then per band the first spec's columns before its basepoint move one
+    place left and the means, 1.0 at the basepoint, are added."""
+    i, stop = specs[0].basepoint_index, specs[0].dim + 1
+    for spec, rng, out in zip(specs, rngs, (block[:, 1:stop], block[:, stop:])):
+        _draws(spec, rng, out, real_mode, scratch)
+    mean = np.concatenate([np.insert(specs[0].mean, i, 1.0)] + [s.mean for s in specs[1:]])
+    for rows in _bands(len(block)):
+        band = block[rows]
+        band[:, :i] = band[:, 1 : i + 1]
+        band[:, i] = 0.0
+        band += mean
     return block
 
 
@@ -290,24 +318,31 @@ def sample_blocks(
     the seed mixed with two fixed tags.  Identical (source, seed, n) give
     bitwise-identical rows.
     """
+    return _sampler(source, n, seed, real_mode)[0]
+
+
+def _sampler(source, n, seed, real_mode: bool):
+    """``sample_blocks`` and its flat scratch of ``m * max(2 * dmax, D)``
+    floats (m rows, D columns, dmax in the larger spec), which a consumer
+    may use between blocks: a block is drawn only when asked for."""
     specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
     if not isinstance(specs[0], RealizationSpec):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
-    if n < 1:
-        raise InvalidParameterError(f"sample count must be >= 1, got {n}")
+    _check_count(n)
     _check_seed(seed)
     if real_mode and not all(spec.is_real for spec in specs):
         raise InvalidParameterError("real mode requires a real-valued mean and covariance")
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
     rngs = [np.random.default_rng(s) for s in seeds]
-    size = 2 * min(n, _CHUNK_ROWS) * max(spec.dim for spec in specs)
-    scratch = np.empty(size), np.empty(size)
-    block = np.empty((min(n, _CHUNK_ROWS), 1 + sum(spec.dim for spec in specs)), complex)
+    m, dims = min(n, _CHUNK_ROWS), [spec.dim for spec in specs]
+    flat = np.empty(m * max(2 * max(dims), 1 + sum(dims)))
+    scratch = flat, np.empty(min(m, _BAND_ROWS + 1) * max(dims), complex)
+    block = np.empty((m, 1 + sum(dims)), complex)
     views = (block[: min(n - i, _CHUNK_ROWS)] for i in range(0, n, _CHUNK_ROWS))
-    return (_place(view, specs, rngs, real_mode, scratch) for view in views)
+    return (_place(view, specs, rngs, real_mode, scratch) for view in views), flat
 
 
-def _moment_sums(blocks, labels, n: int, fourth: bool = False):
+def _moment_sums(blocks, labels, n: int, fourth: bool = False, scratch=None):
     """The empirical kernel, the sum over all n rows of ``X.T @ X.conj()``
     divided by n and mirrored, and, if ``fourth``, the sum of ``A.T @ A``
     with ``A = |X|**2``; both sums are added block by block in order, over
@@ -318,14 +353,15 @@ def _moment_sums(blocks, labels, n: int, fourth: bool = False):
     numpy runs as a symmetric rank-k update (half the flops of the
     complex product and no conjugate copy); its four interleaved
     quarters give the complex sum after the last block.  ``A`` is
-    written into one buffer that every block reuses.  The sums run with
+    written into the flat float buffer ``scratch``, or one made for the
+    first block, which every block reuses.  The sums run with
     numpy's overflow warnings off and are checked once at the end: a sum
     that is not finite raises ``NumericalFailureError`` naming its label
     pair.
     """
     if n < 2:
         raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
-    real_gram = quartic = buffer = None
+    real_gram = quartic = None
     rows = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for X in blocks:
@@ -337,8 +373,8 @@ def _moment_sums(blocks, labels, n: int, fourth: bool = False):
             g = V.T @ V
             real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
             if fourth:
-                buffer = np.empty(X.shape) if buffer is None else buffer
-                a2 = buffer[: len(X)]
+                scratch = np.empty(X.size) if scratch is None else scratch
+                a2 = scratch[: X.size].reshape(X.shape)
                 np.square(np.abs(X, out=a2), out=a2)
                 q = a2.T @ a2
                 quartic = q if quartic is None else np.add(quartic, q, out=quartic)
@@ -409,8 +445,8 @@ def verify_realization(
     spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)
     spec2 = realize_process(k2, x0, tol, basepoint_tol=basepoint_tol)
     glued = GluedRealization(spec1, spec2)
-    blocks = sample_blocks(glued, n, seed, real_mode=real_mode)
-    empirical, quartic = _moment_sums(blocks, glued.labels, n, fourth=mc_tol is None)
+    blocks, scratch = _sampler(glued, n, seed, real_mode)
+    empirical, quartic = _moment_sums(blocks, glued.labels, n, mc_tol is None, scratch)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         var = quartic / n - np.abs(empirical.entries) ** 2

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
 from kernelglue import GluedRealization, GluingTree, IndexedKernel, make_kernel, sample_blocks
+from kernelglue.realization import _CHUNK_ROWS, _STREAM_TAGS, _subseed
 
 #: Tolerance values the library must reject: each one is either not
 #: finite or not positive.
@@ -32,6 +34,38 @@ def draw(source, n, seed, real_mode=False):
     labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
     blocks = [block.copy() for block in sample_blocks(source, n, seed, real_mode=real_mode)]
     return labels, np.concatenate(blocks)
+
+
+def reference_blocks(source, n, seed, real_mode=False):
+    """The blocks of ``sample_blocks`` by the whole-block formula, each a
+    fresh array.  Per block of ``_CHUNK_ROWS`` rows and per spec, ``zr``
+    then ``zi`` are drawn whole and scaled by sqrt(0.5) into the real and
+    imaginary parts of one complex array, which is multiplied by ``L.T``
+    (in real mode z is drawn whole and multiplied by ``L.real.T``); the
+    mean is added, and the first spec's columns go around the basepoint
+    column of ones."""
+    glued = isinstance(source, GluedRealization)
+    specs = (source.spec1, source.spec2) if glued else (source,)
+    seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    i = specs[0].basepoint_index
+    for start in range(0, n, _CHUNK_ROWS):
+        m = min(n - start, _CHUNK_ROWS)
+        parts = []
+        for spec, rng in zip(specs, rngs):
+            L, d = spec.factor, spec.dim
+            if real_mode:
+                parts.append(spec.mean.real + rng.standard_normal((m, d)) @ L.real.T)
+                continue
+            zr = rng.standard_normal((m, d))
+            zi = rng.standard_normal((m, d))
+            scaled = np.empty((m, d), complex)
+            scaled.real = zr * math.sqrt(0.5)
+            scaled.imag = zi * math.sqrt(0.5)
+            parts.append(spec.mean + scaled @ L.T)
+        first = parts[0]
+        parts[0:1] = [first[:, :i], np.ones((m, 1)), first[:, i:]]
+        yield np.hstack(parts).astype(complex)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

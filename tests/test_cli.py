@@ -445,6 +445,13 @@ class TestMain:
         expected = f"InvalidParameter: seed must fit in 64 unsigned bits, got {int(seed, 0)}\n"
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize("command, files", [("sample", 1), ("verify", 2)])
+    def test_bad_sample_count_is_rejected_before_any_file(self, workdir, capsys, command, files):
+        absent = [str(workdir["dir"] / "absent.json")] * files
+        assert main([command, *absent, "--glue-label", "x0", "--samples", "0"]) == 2
+        expected = "InvalidParameter: sample count must be >= 1, got 0\n"
+        assert capsys.readouterr().err == expected
+
     def test_check_indefinite_exit_code(self, workdir, capsys):
         code = main(["check", workdir["indefinite"], "--no-timestamp"])
         assert code == 1

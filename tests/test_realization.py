@@ -16,6 +16,7 @@ from helpers import (
     random_glued_pair,
     random_gram_kernel,
     random_unit_corner_hermitian,
+    reference_blocks,
 )
 from kernelglue import (
     BasepointMismatchError,
@@ -460,9 +461,10 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert report.passed
-        # the 2**14 x 63 complex block is 15.75 MiB and the reused scratch
-        # about 24 MiB; fresh temporaries in every block took it to 55 MiB
-        assert peak < 45 * 2**20
+        # the 2**14 x 63 complex block is 15.75 MiB and the one scratch,
+        # shared by the draws and |X|**2, 8 MiB; a draw buffer of its own
+        # took it to 40 MiB, fresh temporaries in every block to 55 MiB
+        assert peak < 30 * 2**20
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("larger_first", [True, False])
@@ -490,6 +492,73 @@ class TestBlockStream:
             verify_realization(k1, k2, "x0", 1, seed=0)
         with pytest.raises(InvalidParameterError, match="real mode"):
             verify_realization(k1, complex_k, "x0", 100, seed=0, real_mode=True)
+
+
+class TestReferenceSampler:
+    """The banded sampler gives the bits of the whole-block formula with
+    the basepoint first, in the middle and last, at block and band edges,
+    in both modes; a glued pair adds the middle spec to a second one."""
+
+    SIZES = (1, 2, 1025, 1026, _CHUNK_ROWS + 1, _CHUNK_ROWS + 1025)
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 31, 32, 40])
+    def test_blocks_equal_the_whole_block_formula(self, d, real_mode):
+        rng = np.random.default_rng(d)
+        sources = []
+        for i in sorted({0, d // 2, d}):
+            labels = [f"a{j}" for j in range(d)]
+            labels.insert(i, "x0")
+            spec = realize_process(random_gram_kernel(rng, tuple(labels), not real_mode), "x0")
+            assert spec.basepoint_index == i
+            sources.append(spec)
+        other = random_gram_kernel(rng, ("x0",) + tuple(f"b{j}" for j in range(d)), not real_mode)
+        sources.append(GluedRealization(sources[len(sources) // 2], realize_process(other, "x0")))
+        for source in sources:
+            for n in self.SIZES:
+                got = sample_blocks(source, n, seed=n, real_mode=real_mode)
+                want = reference_blocks(source, n, n, real_mode)
+                for block, expected in zip(got, want, strict=True):
+                    assert block.tobytes() == expected.tobytes(), (source, n)
+
+
+class TestCountCheck:
+    """Every sampling entry point takes a sample count that is an integer
+    of at least 1, and rejects anything else with one library error."""
+
+    @staticmethod
+    def draws(n):
+        k1, k2 = cd_pair()
+        spec = realize_process(k1, "x0")
+        glued = GluedRealization(spec, realize_process(k2, "x0"))
+        return {
+            "sample_blocks": lambda: draw(spec, n, 0)[1],
+            "sample_blocks of a glued pair": lambda: draw(glued, n, 0)[1],
+            "verify_realization": lambda: verify_realization(k1, k2, "x0", n, 0).empirical.entries,
+        }
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (0, "sample count must be >= 1, got 0"),
+            (-3, "sample count must be >= 1, got -3"),
+            (np.int64(0), "sample count must be >= 1, got 0"),
+            (2.5, "sample count must be an integer, got 2.5"),
+            (10.0, "sample count must be an integer, got 10.0"),
+            (True, "sample count must be an integer, got True"),
+            ("3", "sample count must be an integer, got '3'"),
+            (None, "sample count must be an integer, got None"),
+        ],
+    )
+    def test_bad_count_is_invalid_parameter(self, n, message):
+        for draw in self.draws(n).values():
+            with pytest.raises(InvalidParameterError, match=re.escape(message)):
+                draw()
+
+    @pytest.mark.parametrize("n", [2, _CHUNK_ROWS + 1])
+    def test_numpy_integers_draw_as_their_value(self, n):
+        for (name, draw), same in zip(self.draws(n).items(), self.draws(np.int64(n)).values()):
+            assert np.array_equal(draw(), same()), name
 
 
 class TestSeedCheck:
