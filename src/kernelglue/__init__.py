@@ -16,7 +16,6 @@ from .errors import (
     DimensionMismatchError,
     DuplicateLabelError,
     EmptyBatchError,
-    FactorizationFailureError,
     FileFormatError,
     FileParseError,
     IntersectionNotSingletonError,
@@ -66,7 +65,6 @@ __all__ = [
     "DimensionMismatchError",
     "DuplicateLabelError",
     "EmptyBatchError",
-    "FactorizationFailureError",
     "FileFormatError",
     "FileParseError",
     "GluedRealization",

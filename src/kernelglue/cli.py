@@ -171,6 +171,13 @@ def _parse_seed(text: str) -> int:
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``InvalidParameterError``."""
+
+    def error(self, message):
+        raise InvalidParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # options not given stay out of the namespace: RunConfig holds the defaults
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -194,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--real-mode", action="store_true",
                         help="sample real Gaussians (real-valued kernels only)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kernelglue",
         description="Glue positive definite kernels at a shared point and verify "
                     "positivity by certification and by sampling.",
@@ -217,8 +224,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit status.  A document is
     written a row at a time, ``sample`` text a block at a time as it is
     drawn; a reader that closes stdout early ends the output quietly."""
-    config = RunConfig(**vars(_build_parser().parse_args(argv)))
-    status, document = run(config)
+    try:
+        config = RunConfig(**vars(_build_parser().parse_args(argv)))
+        status, document = run(config)
+    except InvalidParameterError as exc:  # a usage error; run returns its own
+        status, document = _failure(exc)
     if not (isinstance(document, dict) and "error" in document):
         pieces = document_text(document) if isinstance(document, dict) else document
         if not config.output:

@@ -92,7 +92,3 @@ class NotPsdError(MathError):
 
 class NumericalFailureError(MathError):
     code = "NumericalFailure"
-
-
-class FactorizationFailureError(MathError):
-    code = "FactorizationFailure"

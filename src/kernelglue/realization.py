@@ -6,9 +6,10 @@ s0, of a Gaussian family indexed by the remaining labels: one
 ``RealizationSpec``, made by ``schur_reduce``.  Pinning the basepoint
 coordinate to the constant 1 makes the second moments
 ``E(X_s conj(X_t))`` reproduce the kernel.  The kernel is PSD exactly
-when that covariance is, so ``psd_check_schur`` certifies the
-covariance, and ``realize_process`` rejects with ``NotPsdError`` any
-kernel whose covariance does not factor.  Gluing two such realizations
+when that covariance is, decided once at the spec's ``tol``:
+``psd_check_schur`` certifies it, and ``factor`` raises ``NotPsdError``
+if it does not factor, before ``realize_process`` or ``sample_blocks``
+returns.  Gluing two such realizations
 with independent randomness reproduces the Markov product, which
 ``verify_realization`` checks end to end.  ``sample_blocks`` draws in
 blocks of ``_CHUNK_ROWS`` rows from one stream into one reused block,
@@ -35,7 +36,6 @@ from .errors import (
     BasepointMismatchError,
     DimensionMismatchError,
     EmptyBatchError,
-    FactorizationFailureError,
     InvalidParameterError,
     LabelCollisionError,
     NotPsdError,
@@ -96,8 +96,8 @@ class RealizationSpec:
     remembers where the basepoint sat in the source kernel's label order
     so sampled batches and glued products line up column-for-column, so
     it is an integer in ``[0, dim]``, and the basepoint is not itself a
-    coordinate label.  ``tol`` is the relative PSD tolerance used when
-    factoring the covariance.
+    coordinate label.  ``tol``, finite and positive, is the relative PSD
+    tolerance of both ``factor`` and ``psd_check_schur``.
     """
 
     labels: tuple[str, ...]
@@ -114,6 +114,7 @@ class RealizationSpec:
             raise LabelCollisionError(f"basepoint {basepoint!r} is also a coordinate label")
         if isinstance(i, bool) or not isinstance(i, Integral) or not 0 <= i <= n:
             raise InvalidParameterError(f"basepoint_index {i!r} is not an integer in [0, {n}]")
+        _check_tolerance("tol", self.tol)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "basepoint", basepoint)
         object.__setattr__(self, "basepoint_index", int(i))
@@ -140,18 +141,17 @@ class RealizationSpec:
 
         Computed by eigendecomposition; eigenvalues within the PSD
         tolerance of zero are clipped to zero (rank-deficient covariances
-        sit exactly on the PSD boundary), anything lower fails.  The
-        tolerance is relative to the scale of the kernel the spec realizes,
-        whose diagonal is ``cov(s, s) + |mean_s|^2``, as in
-        ``psd_check_schur``.
+        sit exactly on the PSD boundary), anything lower raises
+        ``NotPsdError``.  The tolerance is relative to the scale of the
+        kernel the spec realizes, whose diagonal is
+        ``cov(s, s) + |mean_s|^2``, as in ``psd_check_schur``.
         """
         target = self.covariance.real if self.is_real else self.covariance
         floor = _bordered_scale(self.mean, self.covariance)
         w, v, scale, verdict = _psd_eigh(target, self.tol, floor)
         if not verdict:
-            raise FactorizationFailureError(
-                f"covariance has min eigenvalue {w[0]:.6e} below -{self.tol:g}*{scale:g}"
-            )
+            raise NotPsdError(f"kernel is not PSD at basepoint {self.basepoint!r}: covariance "
+                              f"has min eigenvalue {w[0]:.6e} below -{self.tol:g}*{scale:g}")
         factor = (v * np.sqrt(np.clip(w, 0.0, None))).astype(np.complex128)
         return _lock(factor)
 
@@ -219,15 +219,17 @@ def schur_reduce(
     )
 
 
-def psd_check_schur(spec: RealizationSpec, tol: float = DEFAULT_PSD_TOL) -> PsdCertificate:
+def psd_check_schur(spec: RealizationSpec) -> PsdCertificate:
     """Certify the bordered kernel of a spec via its Schur complement.
 
     A kernel with unit corner is PSD exactly when its complement
     ``spec.covariance`` is, so the verdict (and the certificate's
-    eigenvalue and witness) refer to the covariance, thresholded at the
-    kernel's scale: ``max(1, largest diagonal entry, |lambda|_max)``.
+    eigenvalue and witness) refer to the covariance, thresholded as
+    ``spec.factor`` is: ``lambda_min >= -spec.tol * max(1, largest
+    diagonal entry, |lambda|_max)``.  ``schur_reduce`` sets ``tol``.
     """
-    return _eigen_certificate(spec.covariance, tol, _bordered_scale(spec.mean, spec.covariance))
+    return _eigen_certificate(spec.covariance, spec.tol,
+                              _bordered_scale(spec.mean, spec.covariance))
 
 
 def realize_process(
@@ -243,10 +245,7 @@ def realize_process(
     check: the spec comes back with ``factor`` computed, or ``NotPsdError``.
     """
     spec = schur_reduce(k, s0, tol, basepoint_tol=basepoint_tol)
-    try:
-        spec.factor
-    except FactorizationFailureError as exc:
-        raise NotPsdError(f"kernel is not PSD at basepoint {s0!r}: {exc}") from exc
+    spec.factor
     return spec
 
 
@@ -306,9 +305,9 @@ def sample_blocks(
     *,
     real_mode: bool = False,
 ):
-    """Check the arguments, then iterate over n draws of a spec or a glued
-    pair in blocks of ``_CHUNK_ROWS`` rows, each filled into one reused
-    buffer that the next block overwrites.
+    """Check the arguments and each spec's ``factor``, then iterate over
+    n draws of a spec or a glued pair in ``_CHUNK_ROWS``-row blocks, each
+    filled into one reused buffer that the next block overwrites.
 
     A row is mean + L z for each spec around the constant basepoint
     column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
@@ -332,6 +331,8 @@ def _sampler(source, n, seed, real_mode: bool):
     _check_seed(seed)
     if real_mode and not all(spec.is_real for spec in specs):
         raise InvalidParameterError("real mode requires a real-valued mean and covariance")
+    for spec in specs:
+        spec.factor
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
     rngs = [np.random.default_rng(s) for s in seeds]
     m, dims = min(n, _CHUNK_ROWS), [spec.dim for spec in specs]
@@ -342,19 +343,19 @@ def _sampler(source, n, seed, real_mode: bool):
     return (_place(view, specs, rngs, real_mode, scratch) for view in views), flat
 
 
-def _moment_sums(blocks, labels, n: int, fourth: bool = False, scratch=None):
+def _moment_sums(blocks, labels, n: int, scratch=None):
     """The empirical kernel, the sum over all n rows of ``X.T @ X.conj()``
-    divided by n and mirrored, and, if ``fourth``, the sum of ``A.T @ A``
-    with ``A = |X|**2``; both sums are added block by block in order, over
-    blocks that hold n rows of one column per label.
+    divided by n and mirrored, and, with a ``scratch``, the sum of
+    ``A.T @ A`` for ``A = |X|**2`` (else None), both added block by block
+    in order, over blocks that hold n rows of one column per label.
 
     The Gram sum is taken as the real ``V.T @ V`` of ``V``, the
     C-contiguous block viewed as its ``[re, im]`` float columns, which
     numpy runs as a symmetric rank-k update (half the flops of the
     complex product and no conjugate copy); its four interleaved
     quarters give the complex sum after the last block.  ``A`` is
-    written into the flat float buffer ``scratch``, or one made for the
-    first block, which every block reuses.  The sums run with
+    written into ``scratch``, a flat float buffer of at least a block's
+    size, which every block reuses.  The sums run with
     numpy's overflow warnings off and are checked once at the end: a sum
     that is not finite raises ``NumericalFailureError`` naming its label
     pair.
@@ -372,8 +373,7 @@ def _moment_sums(blocks, labels, n: int, fourth: bool = False, scratch=None):
             V = X.view(np.float64)
             g = V.T @ V
             real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
-            if fourth:
-                scratch = np.empty(X.size) if scratch is None else scratch
+            if scratch is not None:
                 a2 = scratch[: X.size].reshape(X.shape)
                 np.square(np.abs(X, out=a2), out=a2)
                 q = a2.T @ a2
@@ -446,7 +446,8 @@ def verify_realization(
     spec2 = realize_process(k2, x0, tol, basepoint_tol=basepoint_tol)
     glued = GluedRealization(spec1, spec2)
     blocks, scratch = _sampler(glued, n, seed, real_mode)
-    empirical, quartic = _moment_sums(blocks, glued.labels, n, mc_tol is None, scratch)
+    empirical, quartic = _moment_sums(blocks, glued.labels, n,
+                                      scratch if mc_tol is None else None)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         var = quartic / n - np.abs(empirical.entries) ** 2

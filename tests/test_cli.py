@@ -452,6 +452,33 @@ class TestMain:
         expected = "InvalidParameter: sample count must be >= 1, got 0\n"
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "{k1}", "--seed", "abc"], "argument --seed: seed must be a decimal"),
+            (["sample", "{k1}", "--samples", "2.5"], "argument --samples: invalid int value"),
+            (["frob", "{k1}"], "argument command: invalid choice: 'frob'"),
+            (["check"], "the following arguments are required: FILE"),
+        ],
+        ids=["seed", "samples", "command", "no-file"],
+    )
+    def test_usage_errors_are_one_stderr_line(self, workdir, capsys, argv, message):
+        assert main([a.format(**workdir) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"InvalidParameter: {message}")
+
+    def test_short_entries_are_a_format_error(self, workdir, capsys):
+        # two labels and one row of float pairs: the row reader finds the
+        # matrix short and the reference reader names the expected shape
+        path = workdir["dir"] / "short.json"
+        path.write_text('{"labels": ["a", "b"], "entries": [[[1.0, 0.0], [0.5, 0.0]]]}')
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "FormatError: kernel 'entries' must be a 2x2 matrix\n"
+
     def test_check_indefinite_exit_code(self, workdir, capsys):
         code = main(["check", workdir["indefinite"], "--no-timestamp"])
         assert code == 1

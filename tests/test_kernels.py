@@ -282,7 +282,7 @@ class TestPsdCheckEigen:
             with pytest.raises(InvalidParameterError, match="^tol "):
                 psd_check_eigen(k, bad)
             with pytest.raises(InvalidParameterError, match="^tol "):
-                psd_check_schur(schur_reduce(k, "s0"), bad)
+                psd_check_schur(schur_reduce(k, "s0", bad))
 
 
 class TestSchurReduce:

@@ -22,7 +22,6 @@ from kernelglue import (
     BasepointMismatchError,
     BasepointNotUnitError,
     EmptyBatchError,
-    FactorizationFailureError,
     GluedRealization,
     InvalidParameterError,
     LabelCollisionError,
@@ -34,6 +33,7 @@ from kernelglue import (
     markov_product,
     mirror_upper,
     psd_check_eigen,
+    psd_check_schur,
     realize_process,
     sample_blocks,
     schur_reduce,
@@ -182,7 +182,7 @@ class TestRealizeProcess:
 
     def test_factor_failure_on_indefinite_covariance(self):
         spec = RealizationSpec(("a",), "x0", [0.0], [[-1.0]])
-        with pytest.raises(FactorizationFailureError):
+        with pytest.raises(NotPsdError):
             spec.factor
 
     def test_covariance_that_does_not_factor_is_not_psd(self):
@@ -221,7 +221,7 @@ class TestNearBoundaryGate:
     def test_realize_either_factors_or_rejects(self):
         # Factoring the covariance is the only PSD gate: every kernel comes
         # back with a usable factor or raises NotPsdError, never a late
-        # FactorizationFailureError, and accepted specs are the Schur pieces.
+        # failure of the factor, and accepted specs are the Schur pieces.
         # Thresholded at the bordered kernel's scale, no exactly PSD kernel
         # is refused (39 of the 700 "gram" ones were at the complement's own).
         rng = np.random.default_rng(20261018)
@@ -244,6 +244,53 @@ class TestNearBoundaryGate:
         assert outcomes.get(("indefinite", True), 0) == 0
         assert outcomes.get(("gram", False), 0) == 0
         assert outcomes[("gram", True)] == 700 and outcomes[("shifted", False)] > 0
+
+
+@pytest.fixture(scope="module")
+def near_boundary_corpus():
+    """The gate's 2,100 seeded kernels, then the real part of each."""
+    rng = np.random.default_rng(20261018)
+    kernels = [near_boundary_kernel(rng, ("gram", "shifted", "indefinite")[t % 3])
+               for t in range(2100)]
+    return kernels + [make_kernel(k.labels, k.entries.real) for k in kernels]
+
+
+class TestOneSchurVerdict:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_certificate_passes_exactly_when_realize_does(self, near_boundary_corpus, tol):
+        # the spec's certificate and its factor decide at the spec's tol
+        mismatches, verdicts = [], set()
+        for i, k in enumerate(near_boundary_corpus):
+            certified = psd_check_schur(schur_reduce(k, "s0", tol)).verdict
+            try:
+                realize_process(k, "s0", tol)
+                realized = True
+            except NotPsdError:
+                realized = False
+            verdicts.add(realized)
+            if certified != realized:
+                mismatches.append((i, certified))
+        assert mismatches == [] and verdicts == {True, False}
+
+    def test_indefinite_spec_is_rejected_at_the_sampling_call(self):
+        k = make_kernel(["x0", "b", "c"], [[1, 0.9, 0.9], [0.9, 1, -0.9], [0.9, -0.9, 1]])
+        spec = schur_reduce(k, "x0")
+        assert not psd_check_schur(spec).verdict
+        with pytest.raises(NotPsdError) as realized:
+            realize_process(k, "x0")
+        glued = GluedRealization(realize_process(two_point_kernel(0.5), "x0"), spec)
+        for source in (spec, glued):
+            with pytest.raises(NotPsdError) as sampled:
+                sample_blocks(source, 10, seed=0)
+            assert str(sampled.value) == str(realized.value)
+
+    def test_tolerance_validated_at_construction(self):
+        k = two_point_kernel(0.5)
+        for bad in BAD_TOLERANCES:
+            with pytest.raises(InvalidParameterError, match="^tol "):
+                schur_reduce(k, "x0", bad)
+            with pytest.raises(InvalidParameterError, match="^tol "):
+                RealizationSpec(("a",), "x0", [0.5], [[0.75]], tol=bad)
 
 
 class TestSampling:
