@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -154,8 +155,10 @@ def _array(value, name: str, n: int, ndim: int, labels=None) -> np.ndarray:
 
 
 def _check_tolerance(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidParameterError(f"{name} must be finite and positive, got {value}")
+    """A tolerance is a real number, not a bool, finite and positive."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not (math.isfinite(value) and value > 0)):
+        raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _check_unit_diagonal(value: complex, where: str, tol: float) -> None:

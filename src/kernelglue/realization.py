@@ -12,12 +12,14 @@ if it does not factor, before ``realize_process`` or ``sample_blocks``
 returns.  Gluing two such realizations
 with independent randomness reproduces the Markov product, which
 ``verify_realization`` checks end to end.  ``sample_blocks`` draws in
-blocks of ``_CHUNK_ROWS`` rows from one stream into one reused block,
-so memory does not grow with n; complex draws are placed in bands of
-``_BAND_ROWS`` rows.  Each call allocates its scratch once, which every
-block reuses and ``verify_realization`` lends to its fourth moments,
-with the operations and operands of a whole-block product on fresh
-arrays, so the stream is bitwise the same.
+blocks of ``_CHUNK_ROWS`` rows from one stream and yields each block in
+bands of about ``_BAND_ROWS`` rows, placed in one reused band buffer,
+so memory does not grow with n; ``verify_realization`` adds each band's
+moments while it is in cache, and lends the sampler's scratch to its
+fourth moments.  Each call allocates its buffers once, and the draws
+keep the operations and operands of a whole-block product on fresh
+arrays, so the stream is bitwise the same.  The band buffer's zero pad
+columns make the moment sums the same under any BLAS thread count.
 Draws are circularly-symmetric complex Gaussians (real and imaginary
 parts each of variance 1/2), or real ones in real mode.  The value
 types here check labels and arrays by the rule of ``kernels``.
@@ -64,11 +66,19 @@ from .kernels import (
 # sub-streams of a glued realization.
 _STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
 
-# Rows per sampling block; 2**11 to 2**16 run equally fast, 2**18 slower.
+# Rows per sampling block.  A block draws all its zr before the zi of its
+# bands, so this fixes the stream, and a run is reproducible per (seed, n);
+# memory is set by the bands.
 _CHUNK_ROWS = 1 << 14
 
-# Rows per band of a block, drawn and placed while they are in cache.
+# Rows per band of a block, drawn, placed and summed while in cache.
 _BAND_ROWS = 1 << 10
+
+# A band buffer is a multiple of this many complex columns wide, its pad
+# zero.  OpenBLAS orders the sums of a Gram update by thread count at some
+# widths, not at a multiple of 8 float columns, and |X|**2 has one float
+# column per complex column.
+_PAD_COLUMNS = 8
 
 
 def _subseed(seed: int, tag: int) -> int:
@@ -257,45 +267,52 @@ def _bands(m: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _draws(spec: RealizationSpec, rng, out: np.ndarray, real_mode: bool, scratch) -> None:
-    """Write the centered draws ``L z`` into ``out``, the block's m x dim
-    columns for the non-basepoint labels.  ``scratch`` is a flat float
-    buffer and a band-sized complex one.  Real mode multiplies the whole
-    block, as dgemm's bits depend on the row count; complex mode draws
-    ``zr`` whole, then per band ``zi`` after it, scales both halves into
-    the band buffer and multiplies straight into the band's rows."""
-    (m, d), L = out.shape, spec.factor
-    flat, band = scratch
-    if real_mode:
-        z, y = flat[: 2 * m * d].reshape(2, m, d)
-        rng.standard_normal(out=z)
-        out[...] = np.matmul(z, L.real.T, out=y)
-        return
-    zr = flat[: m * d].reshape(m, d)
-    rng.standard_normal(out=zr)
+def _padded(d: int) -> int:
+    """d columns rounded up to a multiple of ``_PAD_COLUMNS``."""
+    return -(-d // _PAD_COLUMNS) * _PAD_COLUMNS
+
+
+def _draw_bands(specs, rngs, m: int, real_mode: bool, buffers):
+    """Draw a block of m rows and yield it band by band, each placed in the
+    band buffer: every spec's centered draws ``L z`` go into its columns
+    after the first, then the first spec's columns before its basepoint
+    move one place left and the (padded) means, 1.0 at the basepoint, are
+    added.  Per spec, ``zr`` is drawn whole into ``held``, then per band
+    ``zi`` into ``scratch``; both are scaled into ``scaled`` and multiplied
+    straight into the band's columns.  Real mode multiplies the whole
+    block into ``held``, as dgemm's bits depend on the row count, and each
+    band copies its rows out."""
+    held, scratch, scaled, band, mean = buffers
+    parts, offset = [], 0
+    for spec, rng in zip(specs, rngs):
+        d = spec.dim
+        y = held[m * offset : m * (offset + d)].reshape(m, d)
+        if real_mode:
+            z = scratch[: m * d].reshape(m, d)
+            rng.standard_normal(out=z)
+            np.matmul(z, spec.factor.real.T, out=y)
+        else:
+            rng.standard_normal(out=y)
+        parts.append((spec, rng, y, slice(1 + offset, 1 + offset + d)))
+        offset += d
+    i = specs[0].basepoint_index
     for rows in _bands(m):
         k = rows.stop - rows.start
-        zi, scaled = flat[m * d : (m + k) * d].reshape(k, d), band[: k * d].reshape(k, d)
-        rng.standard_normal(out=zi)
-        np.multiply(zr[rows], math.sqrt(0.5), out=scaled.real)
-        np.multiply(zi, math.sqrt(0.5), out=scaled.imag)
-        np.matmul(scaled, L.T, out=out[rows])
-
-
-def _place(block: np.ndarray, specs, rngs, real_mode: bool, scratch) -> np.ndarray:
-    """Fill a block: each spec's draws go into the columns after the first,
-    then per band the first spec's columns before its basepoint move one
-    place left and the means, 1.0 at the basepoint, are added."""
-    i, stop = specs[0].basepoint_index, specs[0].dim + 1
-    for spec, rng, out in zip(specs, rngs, (block[:, 1:stop], block[:, stop:])):
-        _draws(spec, rng, out, real_mode, scratch)
-    mean = np.concatenate([np.insert(specs[0].mean, i, 1.0)] + [s.mean for s in specs[1:]])
-    for rows in _bands(len(block)):
-        band = block[rows]
-        band[:, :i] = band[:, 1 : i + 1]
-        band[:, i] = 0.0
-        band += mean
-    return block
+        X = band[:k]
+        for spec, rng, y, cols in parts:
+            if real_mode:
+                X[:, cols] = y[rows]
+                continue
+            d = spec.dim
+            zi, s = scratch[: k * d].reshape(k, d), scaled[: k * d].reshape(k, d)
+            rng.standard_normal(out=zi)
+            np.multiply(y[rows], math.sqrt(0.5), out=s.real)
+            np.multiply(zi, math.sqrt(0.5), out=s.imag)
+            np.matmul(s, spec.factor.T, out=X[:, cols])
+        X[:, :i] = X[:, 1 : i + 1]
+        X[:, i] = 0.0
+        X += mean
+        yield X
 
 
 def sample_blocks(
@@ -306,24 +323,31 @@ def sample_blocks(
     real_mode: bool = False,
 ):
     """Check the arguments and each spec's ``factor``, then iterate over
-    n draws of a spec or a glued pair in ``_CHUNK_ROWS``-row blocks, each
-    filled into one reused buffer that the next block overwrites.
+    n draws of a spec or a glued pair in bands of at most
+    ``_BAND_ROWS + 1`` rows, each a view of one reused buffer that the
+    next band overwrites.
 
     A row is mean + L z for each spec around the constant basepoint
     column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
-    order.  z is standard circularly-symmetric complex normal, ``zr``
-    then ``zi`` per block, or standard real normal in real mode (real
-    specs only).  A glued pair draws its components from two sub-seeds,
-    the seed mixed with two fixed tags.  Identical (source, seed, n) give
+    order.  z is standard circularly-symmetric complex normal, drawn per
+    ``_CHUNK_ROWS``-row block as all of the block's ``zr``, then its
+    ``zi`` band by band, or standard real normal in real mode (real specs
+    only).  A glued pair draws its components from two sub-seeds, the
+    seed mixed with two fixed tags.  Identical (source, seed, n) give
     bitwise-identical rows.
     """
-    return _sampler(source, n, seed, real_mode)[0]
+    bands, _ = _sampler(source, n, seed, real_mode)
+    d = len(source.labels if isinstance(source, GluedRealization) else source.full_labels)
+    return (band[:, :d] for band in bands)
 
 
 def _sampler(source, n, seed, real_mode: bool):
-    """``sample_blocks`` and its flat scratch of ``m * max(2 * dmax, D)``
-    floats (m rows, D columns, dmax in the larger spec), which a consumer
-    may use between blocks: a block is drawn only when asked for."""
+    """The bands of ``sample_blocks`` with their zero pad columns, and a
+    flat float scratch of at least a band's size, which a consumer may use
+    between bands: a band is drawn only when asked for.  Each call
+    allocates its buffers once: ``held``, a block's ``zr`` (or ``L z`` in
+    real mode) for every spec; the scratch, for a band's ``zi`` (or a
+    block's z in real mode); ``scaled``; and the band buffer."""
     specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
     if not isinstance(specs[0], RealizationSpec):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
@@ -336,39 +360,60 @@ def _sampler(source, n, seed, real_mode: bool):
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
     rngs = [np.random.default_rng(s) for s in seeds]
     m, dims = min(n, _CHUNK_ROWS), [spec.dim for spec in specs]
-    flat = np.empty(m * max(2 * max(dims), 1 + sum(dims)))
-    scratch = flat, np.empty(min(m, _BAND_ROWS + 1) * max(dims), complex)
-    block = np.empty((m, 1 + sum(dims)), complex)
-    views = (block[: min(n - i, _CHUNK_ROWS)] for i in range(0, n, _CHUNK_ROWS))
-    return (_place(view, specs, rngs, real_mode, scratch) for view in views), flat
+    k, width = min(m, _BAND_ROWS + 1), _padded(1 + sum(dims))
+    scratch = np.empty(max(k * width, m * max(dims) if real_mode else 0))
+    mean = np.zeros(width, complex)
+    i = specs[0].basepoint_index
+    mean[: 1 + sum(dims)] = np.concatenate([np.insert(specs[0].mean, i, 1.0)]
+                                           + [s.mean for s in specs[1:]])
+    buffers = (np.empty(m * sum(dims)), scratch, np.empty(k * max(dims), complex),
+               np.zeros((k, width), complex), mean)
+    sizes = [min(n - start, _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)]
+    return (X for size in sizes for X in _draw_bands(specs, rngs, size, real_mode, buffers)), scratch
 
 
-def _moment_sums(blocks, labels, n: int, scratch=None):
+def _padded_bands(blocks, d: int):
+    """A caller's blocks of d columns, band by band, each copied into one
+    buffer whose pad columns stay zero, as ``_moment_sums`` takes them."""
+    buffer = np.zeros((0, _padded(d)), complex)
+    for X in blocks:
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != d:
+            raise DimensionMismatchError(f"block of shape {X.shape} for {d} labels")
+        for rows in _bands(len(X)):
+            k = rows.stop - rows.start
+            if len(buffer) < k:
+                buffer = np.zeros((min(len(X), _BAND_ROWS + 1), _padded(d)), complex)
+            buffer[:k, :d] = X[rows]
+            yield buffer[:k]
+
+
+def _moment_sums(bands, labels, n: int, scratch=None):
     """The empirical kernel, the sum over all n rows of ``X.T @ X.conj()``
     divided by n and mirrored, and, with a ``scratch``, the sum of
-    ``A.T @ A`` for ``A = |X|**2`` (else None), both added block by block
-    in order, over blocks that hold n rows of one column per label.
+    ``A.T @ A`` for ``A = |X|**2`` (else None), both added band by band
+    in order.  A band is a C-contiguous complex array of rows, one column
+    per label and then zero columns up to a multiple of ``_PAD_COLUMNS``.
 
-    The Gram sum is taken as the real ``V.T @ V`` of ``V``, the
-    C-contiguous block viewed as its ``[re, im]`` float columns, which
-    numpy runs as a symmetric rank-k update (half the flops of the
-    complex product and no conjugate copy); its four interleaved
-    quarters give the complex sum after the last block.  ``A`` is
-    written into ``scratch``, a flat float buffer of at least a block's
-    size, which every block reuses.  The sums run with
-    numpy's overflow warnings off and are checked once at the end: a sum
-    that is not finite raises ``NumericalFailureError`` naming its label
-    pair.
+    The Gram sum is taken as the real ``V.T @ V`` of ``V``, the band
+    viewed as its ``[re, im]`` float columns, which numpy runs as a
+    symmetric rank-k update (half the flops of the complex product and no
+    conjugate copy); its four interleaved quarters give the complex sum
+    after the last band.  OpenBLAS orders the sums of such an update by
+    thread count for some widths, and not for a multiple of 8 columns:
+    the pad makes every sum the same under any BLAS thread count, and its
+    rows and columns are dropped at the end.  ``A`` is written into
+    ``scratch``, a flat float buffer of at least a band's size, which
+    every band reuses.  The sums run with numpy's overflow warnings off
+    and are checked once at the end: a sum that is not finite raises
+    ``NumericalFailureError`` naming its label pair.
     """
     if n < 2:
         raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
     real_gram = quartic = None
-    rows = 0
+    rows, d = 0, len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        for X in blocks:
-            X = np.ascontiguousarray(X, np.complex128)
-            if X.ndim != 2 or X.shape[1] != len(labels):
-                raise DimensionMismatchError(f"block of shape {X.shape} for {len(labels)} labels")
+        for X in bands:
             rows += len(X)
             V = X.view(np.float64)
             g = V.T @ V
@@ -380,8 +425,10 @@ def _moment_sums(blocks, labels, n: int, scratch=None):
                 quartic = q if quartic is None else np.add(quartic, q, out=quartic)
         if rows != n:
             raise InvalidParameterError(f"the blocks hold {rows} rows, not n = {n}")
-        re, im = real_gram[0::2], real_gram[1::2]
+        re, im = real_gram[0 : 2 * d : 2, : 2 * d], real_gram[1 : 2 * d : 2, : 2 * d]
         gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
+    if quartic is not None:
+        quartic = quartic[:d, :d]
     for order, total in (("second", gram), ("fourth", quartic)):
         if total is not None and not np.isfinite(total).all():
             i, j = np.argwhere(~np.isfinite(total))[0]
@@ -395,13 +442,15 @@ def estimate_second_moments(blocks, labels, n: int) -> IndexedKernel:
     """Empirical kernel of n rows given in blocks, one column per label:
     entry(s, t) = mean over rows of Y_s conj(Y_t).
 
-    Summed block by block as ``verify_realization`` sums, so the blocks of
-    ``sample_blocks`` give its ``empirical`` to the same bits.  The upper
-    triangle is mirrored by conjugation, so the output is exactly
-    Hermitian (and PSD, being an empirical Gram matrix); a basepoint
-    column of ones gives a diagonal entry of exactly 1.
+    Summed over the bands of each block, copied into a padded buffer, as
+    ``verify_realization`` sums, so the bands of ``sample_blocks`` give
+    its ``empirical`` to the same bits.  The upper triangle is mirrored
+    by conjugation, so the output is exactly Hermitian (and PSD, being an
+    empirical Gram matrix); a basepoint column of ones gives a diagonal
+    entry of exactly 1.
     """
-    return _moment_sums(blocks, tuple(labels), n)[0]
+    labels = tuple(labels)
+    return _moment_sums(_padded_bands(blocks, len(labels)), labels, n)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,7 +482,7 @@ def verify_realization(
     """Full constructive check that gluing preserves positivity.
 
     Forms the Markov product and its PSD certificate, samples the glued
-    realization block by block, sums second moments as it goes, and
+    realization band by band, sums second moments as it goes, and
     compares them entrywise to the exact product.  When ``mc_tol`` is
     None the pass threshold is ``5 * sqrt(v_max / n)`` with ``v_max`` the
     largest per-entry sample variance, summed from the same draws.
@@ -445,8 +494,8 @@ def verify_realization(
     spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)
     spec2 = realize_process(k2, x0, tol, basepoint_tol=basepoint_tol)
     glued = GluedRealization(spec1, spec2)
-    blocks, scratch = _sampler(glued, n, seed, real_mode)
-    empirical, quartic = _moment_sums(blocks, glued.labels, n,
+    bands, scratch = _sampler(glued, n, seed, real_mode)
+    empirical, quartic = _moment_sums(bands, glued.labels, n,
                                       scratch if mc_tol is None else None)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:

@@ -630,6 +630,28 @@ class TestMain:
         # the whole 2e5 x 8 batch and its 59 MB of text took the peak to 177 MB
         assert maxrss_kib < 100 * 1024
 
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS + 1, _CHUNK_ROWS + 1025])
+    def test_verify_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, n):
+        # 63 glued labels are 126 float columns, a width at which OpenBLAS
+        # orders the sums of V.T @ V by thread count
+        rng = np.random.default_rng(63)
+        paths = []
+        for prefix in "ab":
+            kernel = random_gram_kernel(rng, ("x0",) + tuple(f"{prefix}{i}" for i in range(31)))
+            paths.append(tmp_path / f"{prefix}.json")
+            paths[-1].write_text(dump_document(kernel_to_document(kernel)))
+        argv = ["verify", *map(str, paths), "--glue-label", "x0", "--samples", str(n),
+                "--no-timestamp"]
+        outputs = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "kernelglue.cli", *argv],
+                capture_output=True, env=_cli_env(OPENBLAS_NUM_THREADS=threads), timeout=300,
+            )
+            assert (done.returncode, done.stderr) == (0, b"")
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_glue_tree_memory_does_not_hold_the_document(self, glued_400):
         out, status, maxrss_kib = glued_400
         assert status == 0
@@ -661,7 +683,7 @@ class TestGoldenOutputs:
         "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "a3565628705a6a1c0d2422ad4e069ec25d0600a2bb1d44b6855306991c9cc17a",
+        "verify": "aa8f5cb2d81eb0726712e021c8238a81eb1860a36aefb26905f24c4b3e55121b",
         # text exports, three blocks with the last one short
         "sample": "b717596d164164af419fcc233833150b555f4e38ea9bd3e451914694bc6bdb8f",
         "sample-real": "42d13b16ae312da59eab232a7d506f8fcba53969062bfb41f1d37aec37dae27e",

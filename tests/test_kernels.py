@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from kernelglue import (
     psd_check_eigen,
     psd_check_schur,
     schur_reduce,
+    verify_realization,
 )
 
 # Independently computed: eigenvalues of the 3x3 glued matrix for the
@@ -283,6 +287,39 @@ class TestPsdCheckEigen:
                 psd_check_eigen(k, bad)
             with pytest.raises(InvalidParameterError, match="^tol "):
                 psd_check_schur(schur_reduce(k, "s0", bad))
+
+
+class TestToleranceTypes:
+    """Every library tolerance is a real number other than a bool; a
+    string, None, a bool or a complex number is one library error."""
+
+    @staticmethod
+    def checks(value):
+        k = make_kernel(["x0", "a"], np.eye(2))
+        k2 = make_kernel(["x0", "b"], np.eye(2))
+        return {
+            "tol": [lambda: psd_check_eigen(k, value), lambda: schur_reduce(k, "x0", value)],
+            "basepoint_tol": [lambda: schur_reduce(k, "x0", basepoint_tol=value),
+                              lambda: markov_product(k, k2, "x0", basepoint_tol=value)],
+            "mc_tol": [lambda: verify_realization(k, k2, "x0", 100, 0, mc_tol=value)],
+        }
+
+    @pytest.mark.parametrize("value", ["1e-9", None, True, False, np.True_, 1e-9j, [1e-9]])
+    def test_non_real_tolerance_is_invalid_parameter(self, value):
+        message = re.escape(f"must be finite and positive, got {value!r}")
+        checks = self.checks(value)
+        if value is None:
+            del checks["mc_tol"]  # None asks for the default 5-sigma rule
+        for name, calls in checks.items():
+            for call in calls:
+                with pytest.raises(InvalidParameterError, match=f"^{name} {message}$"):
+                    call()
+
+    @pytest.mark.parametrize("value", [1, np.float64(0.5), np.int64(1), Fraction(1, 2)])
+    def test_real_tolerance_is_taken(self, value):
+        for calls in self.checks(value).values():
+            for call in calls:
+                call()
 
 
 class TestSchurReduce:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +44,8 @@ from kernelglue import (
     verify_realization,
 )
 from kernelglue import realization
-from kernelglue.realization import _CHUNK_ROWS
+from kernelglue.fileio import sample_text
+from kernelglue.realization import _BAND_ROWS, _CHUNK_ROWS, _bands
 
 
 def two_point_kernel(c):
@@ -508,10 +513,62 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert report.passed
-        # the 2**14 x 63 complex block is 15.75 MiB and the one scratch,
-        # shared by the draws and |X|**2, 8 MiB; a draw buffer of its own
-        # took it to 40 MiB, fresh temporaries in every block to 55 MiB
-        assert peak < 30 * 2**20
+        # a block's zr is 7.75 MiB and the 1,025 x 64 complex band buffer
+        # 1 MiB; the 2**14 x 63 complex block that the sums read took the
+        # peak to 24.7 MiB, a draw buffer of its own to 40 MiB and fresh
+        # temporaries in every block to 55 MiB
+        assert peak < 15 * 2**20
+
+    def test_sample_text_holds_one_band(self):
+        rng = np.random.default_rng(405)
+        spec = realize_process(random_gram_kernel(rng, tuple(f"a{i}" for i in range(31)) + ("x0",)),
+                               "x0")
+        tracemalloc.start()
+        try:
+            size = sum(map(len, sample_text(spec.full_labels, 3, sample_blocks(spec, 50_000, 3))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 50_000 * 32 * 40
+        # the text of a 2**14-row block and its floats as Python objects
+        # took the peak to 79.5 MiB
+        assert peak < 20 * 2**20
+
+    def test_moment_sums_do_not_depend_on_the_blas_thread_count(self):
+        # 99 glued labels: |X|**2 padded to 100 columns, not a multiple of
+        # 8, summed in a thread-dependent order
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from helpers import random_gram_kernel\n"
+            "from kernelglue import GluedRealization, realize_process\n"
+            "from kernelglue.realization import _moment_sums, _sampler\n"
+            "rng = np.random.default_rng(6)\n"
+            "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(49)))\n"
+            "      for p in 'cd']\n"
+            "glued = GluedRealization(*(realize_process(k, 'x0') for k in ks))\n"
+            "bands, scratch = _sampler(glued, 5000, 1, False)\n"
+            "empirical, quartic = _moment_sums(bands, glued.labels, 5000, scratch)\n"
+            "print(hashlib.sha256(empirical.entries.tobytes() + quartic.tobytes()).hexdigest())\n"
+        )
+        tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}",
+                       OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, timeout=300)
+            assert (done.returncode, done.stderr) == (0, "")
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 1026, 2049, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1027])
+    def test_no_band_is_longer_than_a_band_and_a_row(self, n, real_mode):
+        glued = GluedRealization(*golden_specs(real_mode))
+        sizes = [len(band) for band in sample_blocks(glued, n, seed=1, real_mode=real_mode)]
+        assert sum(sizes) == n
+        assert max(sizes) <= _BAND_ROWS + 1
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("larger_first", [True, False])
@@ -532,7 +589,7 @@ class TestBlockStream:
         def no_draws(*args, **kwargs):
             raise AssertionError("samples were drawn")
 
-        monkeypatch.setattr(realization, "_draws", no_draws)
+        monkeypatch.setattr(realization, "_draw_bands", no_draws)
         with pytest.raises(InvalidParameterError):
             verify_realization(k1, k2, "x0", 0, seed=0)
         with pytest.raises(EmptyBatchError):
@@ -542,9 +599,10 @@ class TestBlockStream:
 
 
 class TestReferenceSampler:
-    """The banded sampler gives the bits of the whole-block formula with
-    the basepoint first, in the middle and last, at block and band edges,
-    in both modes; a glued pair adds the middle spec to a second one."""
+    """The banded sampler yields the bands of the whole-block formula's
+    blocks, bit for bit, with the basepoint first, in the middle and last,
+    at block and band edges, in both modes; a glued pair adds the middle
+    spec to a second one."""
 
     SIZES = (1, 2, 1025, 1026, _CHUNK_ROWS + 1, _CHUNK_ROWS + 1025)
 
@@ -564,9 +622,10 @@ class TestReferenceSampler:
         for source in sources:
             for n in self.SIZES:
                 got = sample_blocks(source, n, seed=n, real_mode=real_mode)
-                want = reference_blocks(source, n, n, real_mode)
-                for block, expected in zip(got, want, strict=True):
-                    assert block.tobytes() == expected.tobytes(), (source, n)
+                want = (block[rows] for block in reference_blocks(source, n, n, real_mode)
+                        for rows in _bands(len(block)))
+                for band, expected in zip(got, want, strict=True):
+                    assert band.tobytes() == expected.tobytes(), (source, n)
 
 
 class TestCountCheck:
