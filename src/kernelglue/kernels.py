@@ -179,10 +179,11 @@ def _psd_eigh(matrix: np.ndarray, tol: float, floor: float = 1.0, *, vectors: bo
     complement was reduced from (``_bordered_scale``): the complement's
     rounding error is of that size, not of its own.  Every PSD decision in
     the package is made here, and none is made on an eigenvalue that
-    overflowed to infinity.  Without vectors the eigenvalues come from
-    ``eigvalsh``, which agrees with ``eigh`` to rounding (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2002, ch. 10) in a quarter to
-    a third of its time.
+    overflowed to infinity; a spec's Schur complement is decided once,
+    with vectors, for both its factor and its certificate.  Without
+    vectors the eigenvalues come from ``eigvalsh``, which agrees with
+    ``eigh`` to rounding (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 10) in a quarter to a third of its time.
     """
     _check_tolerance("tol", tol)
     try:
@@ -272,11 +273,11 @@ class PsdCertificate:
     ``verdict`` is True when the minimum eigenvalue clears the relative
     threshold ``-tolerance_used * max(1, largest |eigenvalue|)``, or, for
     a Schur complement, ``max(1, largest diagonal entry of the bordered
-    matrix, largest |eigenvalue|)``.  A True verdict is decided from the
-    eigenvalues alone (``eigvalsh``).  A False one is decided again by
-    ``eigh``, which supplies ``min_eigenvalue`` and ``witness``: a unit
-    vector whose quadratic form against the tested matrix equals
-    ``min_eigenvalue``.
+    matrix, largest |eigenvalue|)``.  ``psd_check_eigen`` decides a pass
+    by ``eigvalsh`` alone and a failure again by ``eigh``; a Schur
+    complement is decided by the one ``eigh`` that factors it.  A
+    failure's ``witness`` is a unit vector whose quadratic form against
+    the tested matrix equals ``min_eigenvalue``.
     """
 
     verdict: bool
@@ -364,14 +365,14 @@ def markov_product(
     return _glue_chain(k1, [(k2, x0)], basepoint_tol)
 
 
-def _eigen_certificate(matrix: np.ndarray, tol: float, floor: float = 1.0) -> PsdCertificate:
+def _eigen_certificate(matrix: np.ndarray, tol: float) -> PsdCertificate:
     """The certificate of ``_psd_eigh``'s verdict.  A pass needs only the
     eigenvalues; a failure is decided again with the eigenvectors, and
     that decision, its smallest eigenvalue and its witness are the
     certificate's."""
-    w, _, _, verdict = _psd_eigh(matrix, tol, floor, vectors=False)
+    w, _, _, verdict = _psd_eigh(matrix, tol, vectors=False)
     if not verdict:
-        w, v, _, verdict = _psd_eigh(matrix, tol, floor)
+        w, v, _, verdict = _psd_eigh(matrix, tol)
     lam_min = float(w[0]) if w.size else 0.0
     witness = None if verdict else v[:, 0]
     return PsdCertificate(verdict, lam_min, witness, float(tol))

@@ -6,20 +6,21 @@ s0, of a Gaussian family indexed by the remaining labels: one
 ``RealizationSpec``, made by ``schur_reduce``.  Pinning the basepoint
 coordinate to the constant 1 makes the second moments
 ``E(X_s conj(X_t))`` reproduce the kernel.  The kernel is PSD exactly
-when that covariance is, decided once at the spec's ``tol``:
-``psd_check_schur`` certifies it, and ``factor`` raises ``NotPsdError``
-if it does not factor, before ``realize_process`` or ``sample_blocks``
-returns.  Gluing two such realizations
-with independent randomness reproduces the Markov product, which
-``verify_realization`` checks end to end.  ``sample_blocks`` draws in
-blocks of ``_CHUNK_ROWS`` rows from one stream and yields each block in
-bands of about ``_BAND_ROWS`` rows, placed in one reused band buffer,
+when that covariance is, decided once per spec, by one ``eigh`` at the
+spec's ``tol``: ``psd_check_schur`` reports that decision, and
+``factor`` raises ``NotPsdError`` if it fails, before
+``realize_process`` or ``sample_blocks`` returns.  Gluing two such
+realizations with independent randomness reproduces the Markov product,
+which ``verify_realization`` checks end to end.  ``sample_blocks`` draws
+in blocks of ``_CHUNK_ROWS`` rows from one stream and yields each block
+in bands of about ``_BAND_ROWS`` rows, placed in one reused band buffer,
 so memory does not grow with n; ``verify_realization`` adds each band's
 moments while it is in cache, and lends the sampler's scratch to its
 fourth moments.  Each call allocates its buffers once, and the draws
 keep the operations and operands of a whole-block product on fresh
 arrays, so the stream is bitwise the same.  The band buffer's zero pad
-columns make the moment sums the same under any BLAS thread count.
+columns make the moment sums the same under any BLAS thread count (the
+eigensolver's factor need not be, past about 96 coordinates).
 Draws are circularly-symmetric complex Gaussians (real and imaginary
 parts each of variance 1/2), or real ones in real mode.  The value
 types here check labels and arrays by the rule of ``kernels``.
@@ -40,6 +41,7 @@ from .errors import (
     EmptyBatchError,
     InvalidParameterError,
     LabelCollisionError,
+    NonFiniteError,
     NotPsdError,
     NumericalFailureError,
 )
@@ -52,7 +54,6 @@ from .kernels import (
     _band_rows,
     _bordered_scale,
     _check_tolerance,
-    _eigen_certificate,
     _labels,
     _lock,
     _mirror,
@@ -146,24 +147,28 @@ class RealizationSpec:
         return bool(np.all(self.mean.imag == 0.0) and np.all(self.covariance.imag == 0.0))
 
     @cached_property
-    def factor(self) -> np.ndarray:
-        """A matrix L with ``L @ L.conj().T`` equal to the covariance.
-
-        Computed by eigendecomposition; eigenvalues within the PSD
-        tolerance of zero are clipped to zero (rank-deficient covariances
-        sit exactly on the PSD boundary), anything lower raises
-        ``NotPsdError``.  The tolerance is relative to the scale of the
-        kernel the spec realizes, whose diagonal is
-        ``cov(s, s) + |mean_s|^2``, as in ``psd_check_schur``.
-        """
+    def _schur(self) -> tuple:
+        """The spec's one PSD decision, ``(w, scale, verdict, vectors)``:
+        one ``eigh`` of the covariance (of its real part for a real spec)
+        at ``tol``, relative to the scale of the kernel the spec realizes,
+        whose diagonal is ``cov(s, s) + |mean_s|^2``.  On a pass
+        ``vectors`` is the factor, eigenvalues within the tolerance of zero
+        clipped to zero (rank-deficient covariances sit exactly on the PSD
+        boundary); on a failure it is the witness, the first eigenvector."""
         target = self.covariance.real if self.is_real else self.covariance
         floor = _bordered_scale(self.mean, self.covariance)
         w, v, scale, verdict = _psd_eigh(target, self.tol, floor)
+        v = v * np.sqrt(np.clip(w, 0.0, None)) if verdict else v[:, 0]
+        return w, scale, verdict, _lock(v.astype(np.complex128))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """L with ``L @ L.conj().T`` the covariance, or ``NotPsdError``, as ``_schur`` decides."""
+        w, scale, verdict, factor = self._schur
         if not verdict:
             raise NotPsdError(f"kernel is not PSD at basepoint {self.basepoint!r}: covariance "
                               f"has min eigenvalue {w[0]:.6e} below -{self.tol:g}*{scale:g}")
-        factor = (v * np.sqrt(np.clip(w, 0.0, None))).astype(np.complex128)
-        return _lock(factor)
+        return factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +185,11 @@ class GluedRealization:
 
     def __post_init__(self):
         spec1, spec2 = self.spec1, self.spec2
+        for spec in (spec1, spec2):
+            if not isinstance(spec, RealizationSpec):
+                raise InvalidParameterError(
+                    f"cannot glue an object of type {type(spec).__name__}, not a RealizationSpec"
+                )
         if spec1.basepoint != spec2.basepoint:
             raise BasepointMismatchError(
                 f"basepoints differ: {spec1.basepoint!r} vs {spec2.basepoint!r}"
@@ -234,12 +244,13 @@ def psd_check_schur(spec: RealizationSpec) -> PsdCertificate:
 
     A kernel with unit corner is PSD exactly when its complement
     ``spec.covariance`` is, so the verdict (and the certificate's
-    eigenvalue and witness) refer to the covariance, thresholded as
-    ``spec.factor`` is: ``lambda_min >= -spec.tol * max(1, largest
+    eigenvalue and witness) refer to the covariance, decided by the one
+    ``eigh`` that gives ``spec.factor``: ``lambda_min >= -spec.tol * max(1, largest
     diagonal entry, |lambda|_max)``.  ``schur_reduce`` sets ``tol``.
     """
-    return _eigen_certificate(spec.covariance, spec.tol,
-                              _bordered_scale(spec.mean, spec.covariance))
+    w, _, verdict, vectors = spec._schur
+    return PsdCertificate(verdict, float(w[0]) if w.size else 0.0,
+                          None if verdict else vectors, float(spec.tol))
 
 
 def realize_process(
@@ -348,9 +359,9 @@ def _sampler(source, n, seed, real_mode: bool):
     allocates its buffers once: ``held``, a block's ``zr`` (or ``L z`` in
     real mode) for every spec; the scratch, for a band's ``zi`` (or a
     block's z in real mode); ``scaled``; and the band buffer."""
-    specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
-    if not isinstance(specs[0], RealizationSpec):
+    if not isinstance(source, (RealizationSpec, GluedRealization)):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
+    specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
     _check_count(n)
     _check_seed(seed)
     if real_mode and not all(spec.is_real for spec in specs):
@@ -372,9 +383,12 @@ def _sampler(source, n, seed, real_mode: bool):
     return (X for size in sizes for X in _draw_bands(specs, rngs, size, real_mode, buffers)), scratch
 
 
-def _padded_bands(blocks, d: int):
-    """A caller's blocks of d columns, band by band, each copied into one
-    buffer whose pad columns stay zero, as ``_moment_sums`` takes them."""
+def _padded_bands(blocks, labels):
+    """A caller's blocks of one column per label, band by band, each copied
+    into one buffer whose pad columns stay zero, as ``_moment_sums`` takes
+    them.  An entry that is not finite raises ``NonFiniteError`` naming
+    its row, counted over all blocks, and its label."""
+    d, start = len(labels), 0
     buffer = np.zeros((0, _padded(d)), complex)
     for X in blocks:
         X = np.asarray(X)
@@ -385,7 +399,12 @@ def _padded_bands(blocks, d: int):
             if len(buffer) < k:
                 buffer = np.zeros((min(len(X), _BAND_ROWS + 1), _padded(d)), complex)
             buffer[:k, :d] = X[rows]
+            if not np.isfinite(buffer[:k]).all():
+                r, c = np.argwhere(~np.isfinite(buffer[:k]))[0]
+                raise NonFiniteError(f"row {start + rows.start + r} entry {labels[c]!r} "
+                                     f"is {complex(buffer[r, c])}, not finite")
             yield buffer[:k]
+        start += len(X)
 
 
 def _moment_sums(bands, labels, n: int, scratch=None):
@@ -447,10 +466,12 @@ def estimate_second_moments(blocks, labels, n: int) -> IndexedKernel:
     its ``empirical`` to the same bits.  The upper triangle is mirrored
     by conjugation, so the output is exactly Hermitian (and PSD, being an
     empirical Gram matrix); a basepoint column of ones gives a diagonal
-    entry of exactly 1.
+    entry of exactly 1.  n is checked as the samplers check it, and a
+    block entry that is not finite raises ``NonFiniteError``.
     """
+    _check_count(n)
     labels = tuple(labels)
-    return _moment_sums(_padded_bands(blocks, len(labels)), labels, n)[0]
+    return _moment_sums(_padded_bands(blocks, labels), labels, n)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -184,6 +184,13 @@ class TestGluedRealization:
         with pytest.raises(BasepointMismatchError, match="basepoints differ"):
             GluedRealization(spec1, spec2)
 
+    def test_parts_must_be_specs(self):
+        spec, _ = self.specs()
+        for parts in ((spec, "x"), (None, spec), (spec, make_kernel(["x0"], [[1.0]]))):
+            bad = next(type(p).__name__ for p in parts if p is not spec)
+            with pytest.raises(InvalidParameterError, match=f"cannot glue an object of type {bad}"):
+                GluedRealization(*parts)
+
     def test_labels_are_derived(self):
         spec1, _ = self.specs()
         spec2 = realize_process(make_kernel(["b", "x0"], [[1, 0.25], [0.25, 1]]), "x0")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -23,12 +24,14 @@ from helpers import (
     reference_blocks,
 )
 from kernelglue import (
+    DEFAULT_PSD_TOL,
     BasepointMismatchError,
     BasepointNotUnitError,
     EmptyBatchError,
     GluedRealization,
     InvalidParameterError,
     LabelCollisionError,
+    NonFiniteError,
     NotPsdError,
     NumericalFailureError,
     RealizationSpec,
@@ -67,6 +70,19 @@ def moments(source, n, seed, real_mode=False):
     labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
     blocks = sample_blocks(source, n, seed, real_mode=real_mode)
     return estimate_second_moments(blocks, labels, n)
+
+
+def count_solver_calls(monkeypatch):
+    """A list to which each later call of ``eigh`` or ``eigvalsh`` appends
+    its name and its matrix's shape."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def near_boundary_kernel(rng, kind):
@@ -288,6 +304,71 @@ class TestOneSchurVerdict:
             with pytest.raises(NotPsdError) as sampled:
                 sample_blocks(source, 10, seed=0)
             assert str(sampled.value) == str(realized.value)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_bisected_threshold_has_one_verdict(self, complex_entries):
+        # 1 (+) Q diag(w) Q*: the basepoint row is zero, so the spec's
+        # covariance is Q diag(w) Q*.  Bisecting w_min in [-4 tol, 0] ends
+        # within rounding of the threshold -tol * scale, where two
+        # eigensolvers, or one on the real part and one on the complex
+        # matrix, can decide differently.
+        rng, tol = np.random.default_rng(2026), DEFAULT_PSD_TOL
+        mismatches, verdicts = [], set()
+        for trial in range(50):
+            d = int(rng.integers(2, 11))
+            a = rng.standard_normal((d, d))
+            if complex_entries:
+                a = a + 1j * rng.standard_normal((d, d))
+            q, _ = np.linalg.qr(a)
+            w = np.concatenate([[0.0], rng.uniform(0.0, 1.0, d - 1)])
+            labels = ["x0"] + [f"t{i}" for i in range(d)]
+            lo, hi = -4 * tol, 0.0
+            for step in range(55):
+                w[0] = (lo + hi) / 2
+                entries = np.zeros((d + 1, d + 1), complex)
+                entries[0, 0], entries[1:, 1:] = 1.0, mirror_upper((q * w) @ q.conj().T)
+                k = make_kernel(labels, entries)
+                certified = psd_check_schur(schur_reduce(k, "x0", tol)).verdict
+                try:
+                    realize_process(k, "x0", tol)
+                    realized = True
+                except NotPsdError:
+                    realized = False
+                verdicts.add(certified)
+                if certified != realized:
+                    mismatches.append((trial, step))
+                lo, hi = (lo, w[0]) if certified else (w[0], hi)
+        assert mismatches == [] and verdicts == {True, False}
+
+    @pytest.mark.parametrize("psd", [True, False])
+    def test_one_eigendecomposition_per_spec(self, monkeypatch, psd):
+        # the certificate, the factor and the sampler read one decision,
+        # in any order and however often, passing or failing
+        c = 0.9 if psd else -0.9
+        k = make_kernel(["x0", "b", "c"], [[1, 0.9, 0.9], [0.9, 1, c], [0.9, c, 1]])
+        calls = count_solver_calls(monkeypatch)
+
+        def check(spec):
+            assert psd_check_schur(spec).verdict == psd
+
+        def factor(spec):
+            try:
+                assert spec.factor.shape == (2, 2)
+            except NotPsdError:
+                assert not psd
+
+        def sample(spec):
+            try:
+                next(sample_blocks(spec, 10, seed=0))
+            except NotPsdError:
+                assert not psd
+
+        for order in itertools.permutations((check, factor, sample)):
+            calls.clear()
+            spec = schur_reduce(k, "x0")
+            for call in order + order:
+                call(spec)
+            assert calls == [("eigh", (2, 2))], order
 
     def test_tolerance_validated_at_construction(self):
         k = two_point_kernel(0.5)
@@ -637,10 +718,18 @@ class TestCountCheck:
         k1, k2 = cd_pair()
         spec = realize_process(k1, "x0")
         glued = GluedRealization(spec, realize_process(k2, "x0"))
+        labels, samples = draw(spec, _CHUNK_ROWS + 1, 0)
+
+        def first_rows():
+            # sliced only when read, so a bad n is never a slice bound
+            yield samples[:n]
+
         return {
             "sample_blocks": lambda: draw(spec, n, 0)[1],
             "sample_blocks of a glued pair": lambda: draw(glued, n, 0)[1],
             "verify_realization": lambda: verify_realization(k1, k2, "x0", n, 0).empirical.entries,
+            "estimate_second_moments":
+                lambda: estimate_second_moments(first_rows(), labels, n).entries,
         }
 
     @pytest.mark.parametrize(
@@ -727,6 +816,19 @@ class TestEstimateSecondMoments:
         expected = estimate_second_moments([samples], labels, 1000).entries
         fortran = estimate_second_moments([np.asfortranarray(samples)], labels, 1000)
         assert fortran.entries.tobytes() == expected.tobytes()
+
+    def test_non_finite_entry_names_its_row_and_label(self):
+        # counted over all blocks; a NaN is bad input, not an overflow
+        with pytest.raises(NonFiniteError, match=r"^row 0 entry 'a' is \(nan\+0j\), not finite$"):
+            estimate_second_moments([np.array([[1, np.nan], [1, 2]])], ("x0", "a"), 2)
+        bad = np.ones((_BAND_ROWS + 2, 2), complex)
+        bad[_BAND_ROWS + 1, 0] = complex(0, np.inf)
+        with pytest.raises(NonFiniteError, match=f"^row {_BAND_ROWS + 4} entry 'x0' is infj"):
+            estimate_second_moments([np.ones((3, 2)), bad], ("x0", "a"), _BAND_ROWS + 5)
+
+    def test_finite_entries_that_overflow_are_a_numerical_failure(self):
+        with pytest.raises(NumericalFailureError, match=r"second-moment sum at \('a', 'a'\)"):
+            estimate_second_moments([np.array([[1, 1e200], [1, 2]])], ("x0", "a"), 2)
 
     def test_blocks_must_hold_n_rows(self):
         labels, samples = draw(glued_pair(*cd_pair()), 100, seed=4)
