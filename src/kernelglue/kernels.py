@@ -9,8 +9,8 @@ cross entry through the shared point.
 Positive semidefiniteness is certified here by eigendecomposition and
 in ``realization`` by the Schur complement at a unit basepoint, so each
 route is an oracle for the other.  Both, and the covariance factor,
-share one eigenvalue threshold rule; an eigenvalue that overflows is a
-numerical failure.
+share one eigenvalue threshold rule, and one solver call decides each
+verdict; an eigenvalue that overflows is a numerical failure.
 Every value type here and in ``realization`` takes distinct string labels
 (``_labels``) and finite complex arrays of the expected shape, matrices
 exactly Hermitian (``_array``); errors name entries by label.
@@ -162,8 +162,8 @@ def _check_tolerance(name: str, value: float) -> None:
 
 
 def _check_unit_diagonal(value: complex, where: str, tol: float) -> None:
-    """The one unit-basepoint rule: ``|value - 1| <= tol``."""
-    _check_tolerance("basepoint_tol", tol)
+    """The one unit-basepoint rule: ``|value - 1| <= tol``, for a ``tol``
+    its entry point has checked with ``_check_tolerance``."""
     value = complex(value)
     if not abs(value - 1.0) <= tol:
         raise BasepointNotUnitError(f"{where} is {value}, not 1 within {tol:g}")
@@ -178,12 +178,13 @@ def _psd_eigh(matrix: np.ndarray, tol: float, floor: float = 1.0, *, vectors: bo
     an empty matrix passes.  ``floor`` is the scale of the kernel a Schur
     complement was reduced from (``_bordered_scale``): the complement's
     rounding error is of that size, not of its own.  Every PSD decision in
-    the package is made here, and none is made on an eigenvalue that
-    overflowed to infinity; a spec's Schur complement is decided once,
-    with vectors, for both its factor and its certificate.  Without
-    vectors the eigenvalues come from ``eigvalsh``, which agrees with
-    ``eigh`` to rounding (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2002, ch. 10) in a quarter to a third of its time.
+    the package is made here, once per matrix, and none on an eigenvalue
+    that overflowed to infinity: a spec's Schur complement with vectors,
+    for its factor and its certificate, and a kernel by ``eigvalsh``
+    alone, which agrees with ``eigh`` to rounding (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, ch. 10) in a quarter to a
+    third of its time.  A failing kernel's later call with vectors is for
+    its witness; that call's verdict is not read.
     """
     _check_tolerance("tol", tol)
     try:
@@ -273,11 +274,11 @@ class PsdCertificate:
     ``verdict`` is True when the minimum eigenvalue clears the relative
     threshold ``-tolerance_used * max(1, largest |eigenvalue|)``, or, for
     a Schur complement, ``max(1, largest diagonal entry of the bordered
-    matrix, largest |eigenvalue|)``.  ``psd_check_eigen`` decides a pass
-    by ``eigvalsh`` alone and a failure again by ``eigh``; a Schur
-    complement is decided by the one ``eigh`` that factors it.  A
-    failure's ``witness`` is a unit vector whose quadratic form against
-    the tested matrix equals ``min_eigenvalue``.
+    matrix, largest |eigenvalue|)``, decided with ``min_eigenvalue`` by one
+    solver call: ``eigvalsh`` in ``psd_check_eigen``, the ``eigh`` that
+    factors a Schur complement.  A failure's ``witness`` is a unit
+    eigenvector for ``min_eigenvalue``, its quadratic form against the
+    tested matrix to rounding.
     """
 
     verdict: bool
@@ -312,6 +313,7 @@ def _glue_chain(
     labels (the glue point keeps its placed diagonal), and every cross
     entry is ``placed(s, x0) * kernel(x0, t)`` or its conjugate.
     """
+    _check_tolerance("basepoint_tol", basepoint_tol)
     n = first.dim + sum(k.dim - 1 for k, _ in steps)
     out = np.zeros((n, n), dtype=np.complex128)
     out[: first.dim, : first.dim] = first.entries
@@ -365,27 +367,16 @@ def markov_product(
     return _glue_chain(k1, [(k2, x0)], basepoint_tol)
 
 
-def _eigen_certificate(matrix: np.ndarray, tol: float) -> PsdCertificate:
-    """The certificate of ``_psd_eigh``'s verdict.  A pass needs only the
-    eigenvalues; a failure is decided again with the eigenvectors, and
-    that decision, its smallest eigenvalue and its witness are the
-    certificate's."""
-    w, _, _, verdict = _psd_eigh(matrix, tol, vectors=False)
-    if not verdict:
-        w, v, _, verdict = _psd_eigh(matrix, tol)
-    lam_min = float(w[0]) if w.size else 0.0
-    witness = None if verdict else v[:, 0]
-    return PsdCertificate(verdict, lam_min, witness, float(tol))
-
-
 def psd_check_eigen(k: IndexedKernel, tol: float = DEFAULT_PSD_TOL) -> PsdCertificate:
     """Certify positive semidefiniteness by direct eigendecomposition.
 
-    The verdict is relative: ``lambda_min >= -tol * max(1, |lambda|_max)``.
-    A pass computes eigenvalues only.  On a False verdict the certificate
-    carries the minimizing unit eigenvector as witness.
+    The verdict is relative: ``lambda_min >= -tol * max(1, |lambda|_max)``,
+    decided by ``eigvalsh`` alone.  Only a False verdict computes
+    eigenvectors, for the witness.
     """
-    return _eigen_certificate(k.entries, tol)
+    w, _, _, verdict = _psd_eigh(k.entries, tol, vectors=False)
+    witness = None if verdict else _psd_eigh(k.entries, tol)[1][:, 0]
+    return PsdCertificate(verdict, float(w[0]), witness, float(tol))
 
 
 def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:

@@ -98,6 +98,24 @@ def _check_count(n) -> None:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
 
 
+def _check_rows(n) -> None:
+    """A moment estimate's row count: a sample count of at least 2."""
+    _check_count(n)
+    if n < 2:
+        raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
+
+
+def _check_draw(n, seed, real_mode, arrays) -> None:
+    """A draw's arguments: a sample count, a seed, and a bool ``real_mode``
+    (numpy's too), which needs every array of ``arrays`` real-valued."""
+    _check_count(n)
+    _check_seed(seed)
+    if not isinstance(real_mode, (bool, np.bool_)):
+        raise InvalidParameterError(f"real_mode must be a bool, got {real_mode!r}")
+    if real_mode and any(np.any(a.imag) for a in arrays):
+        raise InvalidParameterError("real mode requires a real-valued mean and covariance")
+
+
 @dataclass(frozen=True, eq=False)
 class RealizationSpec:
     """Mean and centered covariance of the Gaussian realization: the split
@@ -217,6 +235,7 @@ def schur_reduce(
     a time, which is then mirrored in place (``mirror_upper``).  An entry
     that overflows raises ``NumericalFailureError``.
     """
+    _check_tolerance("basepoint_tol", basepoint_tol)
     i0 = _unit_index(k, s0, basepoint_tol)
     rest = [i for i in range(k.dim) if i != i0]
     alpha = k.entries[i0, rest]
@@ -362,10 +381,7 @@ def _sampler(source, n, seed, real_mode: bool):
     if not isinstance(source, (RealizationSpec, GluedRealization)):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
     specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
-    _check_count(n)
-    _check_seed(seed)
-    if real_mode and not all(spec.is_real for spec in specs):
-        raise InvalidParameterError("real mode requires a real-valued mean and covariance")
+    _check_draw(n, seed, real_mode, [a for spec in specs for a in (spec.mean, spec.covariance)])
     for spec in specs:
         spec.factor
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
@@ -427,8 +443,6 @@ def _moment_sums(bands, labels, n: int, scratch=None):
     and are checked once at the end: a sum that is not finite raises
     ``NumericalFailureError`` naming its label pair.
     """
-    if n < 2:
-        raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
     real_gram = quartic = None
     rows, d = 0, len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -466,10 +480,11 @@ def estimate_second_moments(blocks, labels, n: int) -> IndexedKernel:
     its ``empirical`` to the same bits.  The upper triangle is mirrored
     by conjugation, so the output is exactly Hermitian (and PSD, being an
     empirical Gram matrix); a basepoint column of ones gives a diagonal
-    entry of exactly 1.  n is checked as the samplers check it, and a
-    block entry that is not finite raises ``NonFiniteError``.
+    entry of exactly 1.  n is checked as the samplers check it, and must
+    be at least 2 (``EmptyBatchError``); a block entry that is not finite
+    raises ``NonFiniteError``.
     """
-    _check_count(n)
+    _check_rows(n)
     labels = tuple(labels)
     return _moment_sums(_padded_bands(blocks, labels), labels, n)[0]
 
@@ -507,9 +522,12 @@ def verify_realization(
     compares them entrywise to the exact product.  When ``mc_tol`` is
     None the pass threshold is ``5 * sqrt(v_max / n)`` with ``v_max`` the
     largest per-entry sample variance, summed from the same draws.
+    Every argument is checked before the first eigensolver call.
     """
     if mc_tol is not None:
         _check_tolerance("mc_tol", mc_tol)
+    _check_draw(n, seed, real_mode, (k1.entries, k2.entries))
+    _check_rows(n)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
     certificate = psd_check_eigen(product, tol)
     spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)

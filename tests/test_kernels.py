@@ -15,15 +15,18 @@ from helpers import (
     random_unit_corner_hermitian,
 )
 from kernelglue import (
+    DEFAULT_PSD_TOL,
     BasepointNotUnitError,
     DimensionMismatchError,
     DuplicateLabelError,
+    GluingTree,
     IntersectionNotSingletonError,
     InvalidParameterError,
     LabelNotFoundError,
     NonFiniteError,
     NotHermitianError,
     NumericalFailureError,
+    glue_tree,
     make_kernel,
     markov_product,
     mirror_upper,
@@ -221,6 +224,8 @@ class TestMarkovProduct:
                 markov_product(k1, k2, "x0", basepoint_tol=bad)
             with pytest.raises(InvalidParameterError, match="basepoint_tol"):
                 schur_reduce(k1, "x0", basepoint_tol=bad)
+            with pytest.raises(InvalidParameterError, match="basepoint_tol"):
+                glue_tree(GluingTree((k1,), ()), basepoint_tol=bad)
 
     def test_glue_point_off_corner(self):
         # the shared label need not sit first in either operand
@@ -273,7 +278,7 @@ class TestPsdCheckEigen:
         def boom(_):
             raise np.linalg.LinAlgError("no convergence")
 
-        # a pass needs eigenvalues only; a failure is decided again by eigh
+        # eigvalsh decides every kernel; eigh runs only for a failure's witness
         for solver, entries in (("eigvalsh", [[1.0]]), ("eigh", [[-1.0]])):
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, solver, boom)
@@ -289,6 +294,39 @@ class TestPsdCheckEigen:
                 psd_check_schur(schur_reduce(k, "s0", bad))
 
 
+class TestOneEigenVerdict:
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_bisected_threshold_has_one_verdict(self, complex_entries):
+        # Q diag(w) Q*: bisecting w_min in [-4 tol, 0] ends within rounding
+        # of the threshold -tol * scale, where eigvalsh and eigh can
+        # decide differently; eigvalsh alone decides, and gives the
+        # certificate's eigenvalue to the bit
+        rng, tol = np.random.default_rng(2027), DEFAULT_PSD_TOL
+        mismatches, verdicts = [], set()
+        for trial in range(50):
+            d = int(rng.integers(3, 12))
+            a = rng.standard_normal((d, d))
+            if complex_entries:
+                a = a + 1j * rng.standard_normal((d, d))
+            q, _ = np.linalg.qr(a)
+            w = np.concatenate([[0.0], rng.uniform(0.0, 1.0, d - 1)])
+            labels = [f"t{i}" for i in range(d)]
+            lo, hi = -4 * tol, 0.0
+            for step in range(55):
+                w[0] = (lo + hi) / 2
+                k = make_kernel(labels, mirror_upper((q * w) @ q.conj().T))
+                cert = psd_check_eigen(k, tol)
+                lam = np.linalg.eigvalsh(k.entries)
+                expected = bool(lam[0] >= -tol * max(1.0, float(np.abs(lam).max())))
+                verdicts.add(cert.verdict)
+                if (cert.verdict != expected
+                        or cert.min_eigenvalue.hex() != float(lam[0]).hex()
+                        or (cert.witness is None) != cert.verdict):
+                    mismatches.append((trial, step))
+                lo, hi = (lo, w[0]) if cert.verdict else (w[0], hi)
+        assert mismatches == [] and verdicts == {True, False}
+
+
 class TestToleranceTypes:
     """Every library tolerance is a real number other than a bool; a
     string, None, a bool or a complex number is one library error."""
@@ -300,7 +338,8 @@ class TestToleranceTypes:
         return {
             "tol": [lambda: psd_check_eigen(k, value), lambda: schur_reduce(k, "x0", value)],
             "basepoint_tol": [lambda: schur_reduce(k, "x0", basepoint_tol=value),
-                              lambda: markov_product(k, k2, "x0", basepoint_tol=value)],
+                              lambda: markov_product(k, k2, "x0", basepoint_tol=value),
+                              lambda: glue_tree(GluingTree((k,), ()), basepoint_tol=value)],
             "mc_tol": [lambda: verify_realization(k, k2, "x0", 100, 0, mc_tol=value)],
         }
 

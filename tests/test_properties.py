@@ -4,8 +4,9 @@ Gluing preserves positive semidefiniteness and is associative, a glued
 realization carries the product's labels in the product's order, a kernel
 survives its JSON document bit for bit, and a tree glues to the same
 kernel from any root and to the closed form of Haagerup's kernel on a
-tree of edge kernels.  A certificate decided from eigenvalues alone
-gives the verdict of a full eigendecomposition, and its witness.
+tree of edge kernels.  Away from the threshold, where rounding cannot
+move a verdict, a certificate decided from eigenvalues alone gives the
+verdict of a full eigendecomposition, and its witness.
 """
 
 from __future__ import annotations

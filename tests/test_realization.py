@@ -887,6 +887,31 @@ class TestVerifyRealization:
         verify_realization(k1, k2, "x0", n=1000, seed=0)
         assert calls == [("eigvalsh", (3, 3)), ("eigh", (1, 1)), ("eigh", (1, 1))]
 
+    def test_arguments_are_checked_before_any_solve(self, monkeypatch):
+        k1, k2 = cd_pair()
+        real = make_kernel(["x0", "b"], [[1, 0.5], [0.5, 1]])
+        bad = [
+            (dict(n=0), InvalidParameterError, "sample count must be >= 1"),
+            (dict(n=1), EmptyBatchError, "need at least 2 rows"),
+            (dict(n=2.5), InvalidParameterError, "sample count must be an integer"),
+            (dict(seed=-1), InvalidParameterError, "seed must fit"),
+            (dict(real_mode="no"), InvalidParameterError, "real_mode must be a bool"),
+            (dict(real_mode=True), InvalidParameterError, "real mode requires"),
+        ]
+        calls = count_solver_calls(monkeypatch)
+        for change, error, message in bad:
+            args = dict(n=100, seed=0, real_mode=False) | change
+            with pytest.raises(error, match=message):
+                verify_realization(k1, k2, "x0", args["n"], args["seed"],
+                                   real_mode=args["real_mode"])
+            assert calls == [], change
+        # a truthy string is not a bool, and does not switch real mode on
+        with pytest.raises(InvalidParameterError, match="real_mode must be a bool, got 'no'"):
+            sample_blocks(schur_reduce(real, "x0"), 10, 0, real_mode="no")
+        assert calls == []
+        report = verify_realization(k1, real, "x0", 100, 0, real_mode=np.True_)
+        assert report.n_samples == 100
+
     def test_rejects_zero_samples(self):
         k1, k2 = cd_pair()
         with pytest.raises(InvalidParameterError):
