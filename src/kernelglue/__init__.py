@@ -48,7 +48,6 @@ from .realization import (
     VerificationReport,
     estimate_second_moments,
     psd_check_schur,
-    realize_process,
     sample_blocks,
     schur_reduce,
     verify_realization,
@@ -93,7 +92,6 @@ __all__ = [
     "normalize_at_basepoint",
     "psd_check_eigen",
     "psd_check_schur",
-    "realize_process",
     "sample_blocks",
     "schur_reduce",
     "verify_realization",

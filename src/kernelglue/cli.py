@@ -38,8 +38,8 @@ from .kernels import (
 from .realization import (
     _check_count,
     _check_seed,
-    realize_process,
     sample_blocks,
+    schur_reduce,
     verify_realization,
 )
 from .trees import glue_tree
@@ -109,13 +109,14 @@ def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     if cmd in ("realize", "sample"):
         kernel = load_kernel(config.inputs[0])
         # The basepoint defaults to the kernel's first label.
-        spec = realize_process(
+        spec = schur_reduce(
             kernel,
             config.glue_label or kernel.labels[0],
             config.tol,
             basepoint_tol=config.basepoint_tol,
         )
         if cmd == "realize":
+            spec.factor  # NotPsdError unless the covariance factors
             return 0, realization_to_document(spec)
         blocks = sample_blocks(spec, config.samples, config.seed, real_mode=config.real_mode)
         return 0, sample_text(spec.full_labels, config.seed, blocks)

@@ -13,7 +13,8 @@ share one eigenvalue threshold rule, and one solver call decides each
 verdict; an eigenvalue that overflows is a numerical failure.
 Every value type here and in ``realization`` takes distinct string labels
 (``_labels``) and finite complex arrays of the expected shape, matrices
-exactly Hermitian (``_array``); errors name entries by label.
+exactly Hermitian (``_array``); errors name entries by label.  A kernel,
+tree or spec argument must be one (``_check_type``).
 
 All types are immutable after construction (arrays are write-locked)
 and all operations are pure, so values are safe to share across threads.
@@ -159,6 +160,14 @@ def _check_tolerance(name: str, value: float) -> None:
     if (isinstance(value, bool) or not isinstance(value, Real)
             or not (math.isfinite(value) and value > 0)):
         raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_type(kind: type, **values) -> None:
+    """Each named value is a ``kind``: a kernel, tree or spec is never coerced."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            raise InvalidParameterError(
+                f"{name} must be of type {kind.__name__}, not {type(value).__name__}")
 
 
 def _check_unit_diagonal(value: complex, where: str, tol: float) -> None:
@@ -364,6 +373,7 @@ def markov_product(
     Both kernels must carry the value 1 at the glue point diagonal,
     within ``basepoint_tol``.
     """
+    _check_type(IndexedKernel, k1=k1, k2=k2)
     return _glue_chain(k1, [(k2, x0)], basepoint_tol)
 
 
@@ -374,6 +384,7 @@ def psd_check_eigen(k: IndexedKernel, tol: float = DEFAULT_PSD_TOL) -> PsdCertif
     decided by ``eigvalsh`` alone.  Only a False verdict computes
     eigenvectors, for the witness.
     """
+    _check_type(IndexedKernel, k=k)
     w, _, _, verdict = _psd_eigh(k.entries, tol, vectors=False)
     witness = None if verdict else _psd_eigh(k.entries, tol)[1][:, 0]
     return PsdCertificate(verdict, float(w[0]), witness, float(tol))
@@ -386,6 +397,7 @@ def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:
     rescaling then preserves positive semidefiniteness).  Never applied
     implicitly by any other operation.
     """
+    _check_type(IndexedKernel, k=k)
     i0 = k.index(x0)
     value = complex(k.entries[i0, i0])
     if not (value.imag == 0.0 and value.real > 0.0):

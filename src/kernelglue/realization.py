@@ -7,9 +7,8 @@ s0, of a Gaussian family indexed by the remaining labels: one
 coordinate to the constant 1 makes the second moments
 ``E(X_s conj(X_t))`` reproduce the kernel.  The kernel is PSD exactly
 when that covariance is, decided once per spec, by one ``eigh`` at the
-spec's ``tol``: ``psd_check_schur`` reports that decision, and
-``factor`` raises ``NotPsdError`` if it fails, before
-``realize_process`` or ``sample_blocks`` returns.  Gluing two such
+spec's ``tol`` on the first read of ``factor`` (``NotPsdError`` if it
+fails), ``psd_check_schur`` or ``sample_blocks``.  Gluing two such
 realizations with independent randomness reproduces the Markov product,
 which ``verify_realization`` checks end to end.  ``sample_blocks`` draws
 in blocks of ``_CHUNK_ROWS`` rows from one stream and yields each block
@@ -54,6 +53,7 @@ from .kernels import (
     _band_rows,
     _bordered_scale,
     _check_tolerance,
+    _check_type,
     _labels,
     _lock,
     _mirror,
@@ -235,6 +235,7 @@ def schur_reduce(
     a time, which is then mirrored in place (``mirror_upper``).  An entry
     that overflows raises ``NumericalFailureError``.
     """
+    _check_type(IndexedKernel, k=k)
     _check_tolerance("basepoint_tol", basepoint_tol)
     i0 = _unit_index(k, s0, basepoint_tol)
     rest = [i for i in range(k.dim) if i != i0]
@@ -267,26 +268,10 @@ def psd_check_schur(spec: RealizationSpec) -> PsdCertificate:
     ``eigh`` that gives ``spec.factor``: ``lambda_min >= -spec.tol * max(1, largest
     diagonal entry, |lambda|_max)``.  ``schur_reduce`` sets ``tol``.
     """
+    _check_type(RealizationSpec, spec=spec)
     w, _, verdict, vectors = spec._schur
     return PsdCertificate(verdict, float(w[0]) if w.size else 0.0,
                           None if verdict else vectors, float(spec.tol))
-
-
-def realize_process(
-    k: IndexedKernel,
-    s0: str,
-    tol: float = DEFAULT_PSD_TOL,
-    *,
-    basepoint_tol: float = DEFAULT_BASEPOINT_TOL,
-) -> RealizationSpec:
-    """Build the Gaussian realization spec of a PSD kernel at basepoint s0.
-
-    The spec of ``schur_reduce``; factoring its covariance is the PSD
-    check: the spec comes back with ``factor`` computed, or ``NotPsdError``.
-    """
-    spec = schur_reduce(k, s0, tol, basepoint_tol=basepoint_tol)
-    spec.factor
-    return spec
 
 
 def _bands(m: int) -> list[slice]:
@@ -395,7 +380,8 @@ def _sampler(source, n, seed, real_mode: bool):
                                            + [s.mean for s in specs[1:]])
     buffers = (np.empty(m * sum(dims)), scratch, np.empty(k * max(dims), complex),
                np.zeros((k, width), complex), mean)
-    sizes = [min(n - start, _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)]
+    # lazy, as a list of block sizes would grow with n
+    sizes = (min(n - start, _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS))
     return (X for size in sizes for X in _draw_bands(specs, rngs, size, real_mode, buffers)), scratch
 
 
@@ -524,15 +510,15 @@ def verify_realization(
     largest per-entry sample variance, summed from the same draws.
     Every argument is checked before the first eigensolver call.
     """
+    _check_type(IndexedKernel, k1=k1, k2=k2)
     if mc_tol is not None:
         _check_tolerance("mc_tol", mc_tol)
     _check_draw(n, seed, real_mode, (k1.entries, k2.entries))
     _check_rows(n)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
     certificate = psd_check_eigen(product, tol)
-    spec1 = realize_process(k1, x0, tol, basepoint_tol=basepoint_tol)
-    spec2 = realize_process(k2, x0, tol, basepoint_tol=basepoint_tol)
-    glued = GluedRealization(spec1, spec2)
+    glued = GluedRealization(*(schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol)
+                               for k in (k1, k2)))
     bands, scratch = _sampler(glued, n, seed, real_mode)
     empirical, quartic = _moment_sums(bands, glued.labels, n,
                                       scratch if mc_tol is None else None)

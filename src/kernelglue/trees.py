@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 from .errors import IntersectionNotSingletonError, NotATreeError
-from .kernels import DEFAULT_BASEPOINT_TOL, IndexedKernel, _glue_chain
+from .kernels import DEFAULT_BASEPOINT_TOL, IndexedKernel, _check_type, _glue_chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +31,7 @@ class GluingTree:
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
+        _check_type(IndexedKernel, **{f"node {i}": node for i, node in enumerate(nodes)})
         n = len(nodes)
         edges = []
         incident: list[list[tuple[int, str]]] = [[] for _ in nodes]
@@ -76,5 +77,6 @@ def glue_tree(tree: GluingTree, *, basepoint_tol: float = DEFAULT_BASEPOINT_TOL)
     The result is assembled once and equals, bit for bit, the Markov
     product applied edge by edge in that order.
     """
+    _check_type(GluingTree, tree=tree)
     steps = [(tree.nodes[v], label) for v, label in tree.order]
     return _glue_chain(tree.nodes[0], steps, basepoint_tol)

@@ -28,6 +28,19 @@ def json_native(doc):
     return doc
 
 
+def count_solver_calls(monkeypatch):
+    """A list to which each later call of ``eigh`` or ``eigvalsh`` appends
+    its name and its matrix's shape."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def draw(source, n, seed, real_mode=False):
     """The labels and the n sampled rows of a spec or a glued pair, as one
     array: ``sample_blocks`` reuses one buffer, so each block is copied."""

@@ -14,6 +14,7 @@ import pytest
 
 import kernelglue
 from helpers import (
+    count_solver_calls,
     edge_kernel_tree,
     json_native,
     random_glued_pair,
@@ -553,6 +554,22 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("InvalidParameter: ")
+
+    @pytest.mark.parametrize("entries", [[[1, 0.5j], [-0.5j, 1]], [[1, 2j], [-2j, 1]]],
+                             ids=["psd", "not-psd"])
+    def test_sample_checks_real_mode_before_any_solve(self, workdir, capsys, monkeypatch,
+                                                      entries):
+        # a complex kernel in real mode is a usage error, exit 2, also when
+        # it is not PSD: the arguments are checked before the spec is factored
+        path = workdir["dir"] / "complex.json"
+        path.write_text(dump_document(kernel_to_document(make_kernel(["x0", "a"], entries))))
+        calls = count_solver_calls(monkeypatch)
+        assert main(["sample", str(path), "--real-mode", "--samples", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("InvalidParameter: real mode requires ")
+        assert captured.err.count("\n") == 1
+        assert calls == []
 
     def test_mc_tol_nan_is_invalid(self, workdir, capsys):
         code = main(

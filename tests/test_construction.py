@@ -17,6 +17,7 @@ from kernelglue import (
     BasepointNotUnitError,
     DuplicateLabelError,
     GluedRealization,
+    GluingTree,
     InvalidParameterError,
     LabelCollisionError,
     NonFiniteError,
@@ -25,10 +26,12 @@ from kernelglue import (
     PsdCertificate,
     RealizationSpec,
     estimate_second_moments,
+    glue_tree,
     make_kernel,
+    normalize_at_basepoint,
     psd_check_eigen,
     psd_check_schur,
-    realize_process,
+    verify_realization,
 )
 from kernelglue import IndexedKernel, markov_product, schur_reduce
 from kernelglue.cli import main
@@ -163,11 +166,9 @@ class TestArraySharing:
         glued = markov_product(k1, k2, "x0")
         path = tmp_path / "k.json"
         path.write_text(dump_document(kernel_to_document(glued)))
-        reduced = schur_reduce(glued, "x0")
-        spec = realize_process(glued, "x0")
+        spec = schur_reduce(glued, "x0")
         matrices = [glued.entries, glued.restrict(["b", "a", "x0"]).entries,
-                    load_kernel(str(path)).entries, reduced.covariance, spec.covariance,
-                    glued.entries[1:, 1:]]
+                    load_kernel(str(path)).entries, spec.covariance, glued.entries[1:, 1:]]
         for m in matrices:
             assert IndexedKernel(tuple(f"s{i}" for i in range(len(m))), m).entries is m
         assert RealizationSpec(spec.labels, "x0", spec.mean, spec.covariance).mean is spec.mean
@@ -177,7 +178,7 @@ class TestGluedRealization:
     def specs(self):
         k = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
         other = make_kernel(["y0", "b"], [[1, 0.5], [0.5, 1]])
-        return realize_process(k, "x0"), realize_process(other, "y0")
+        return schur_reduce(k, "x0"), schur_reduce(other, "y0")
 
     def test_built_directly_checks_basepoints(self):
         spec1, spec2 = self.specs()
@@ -193,8 +194,37 @@ class TestGluedRealization:
 
     def test_labels_are_derived(self):
         spec1, _ = self.specs()
-        spec2 = realize_process(make_kernel(["b", "x0"], [[1, 0.25], [0.25, 1]]), "x0")
+        spec2 = schur_reduce(make_kernel(["b", "x0"], [[1, 0.25], [0.25, 1]]), "x0")
         assert GluedRealization(spec1, spec2).labels == ("x0", "a", "b")
+
+
+def _edge():
+    return make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
+
+
+class TestArgumentTypes:
+    """A kernel, tree or spec argument of the wrong type is named, with its
+    type, as the argument checks name every other bad argument."""
+
+    @pytest.mark.parametrize("call, name, kind, got", [
+        (lambda: GluingTree(("x",), ()), "node 0", "IndexedKernel", "str"),
+        (lambda: GluingTree((_edge(), None), ((0, 1, "x0"),)), "node 1", "IndexedKernel",
+         "NoneType"),
+        (lambda: glue_tree({}), "tree", "GluingTree", "dict"),
+        (lambda: glue_tree(_edge()), "tree", "GluingTree", "IndexedKernel"),
+        (lambda: markov_product(_edge(), "k2", "x0"), "k2", "IndexedKernel", "str"),
+        (lambda: markov_product(np.eye(2), _edge(), "x0"), "k1", "IndexedKernel", "ndarray"),
+        (lambda: psd_check_eigen(np.eye(2)), "k", "IndexedKernel", "ndarray"),
+        (lambda: normalize_at_basepoint(np.eye(2), "x0"), "k", "IndexedKernel", "ndarray"),
+        (lambda: schur_reduce(np.eye(2), "x0"), "k", "IndexedKernel", "ndarray"),
+        (lambda: psd_check_schur(_edge()), "spec", "RealizationSpec", "IndexedKernel"),
+        (lambda: verify_realization(_edge(), None, "x0", 10, 0), "k2", "IndexedKernel",
+         "NoneType"),
+    ])
+    def test_wrong_type_is_named(self, call, name, kind, got):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^{name} must be of type {kind}, not {got}$"):
+            call()
 
 
 class TestOverflowingEigenvalues:
@@ -214,9 +244,8 @@ class TestOverflowingEigenvalues:
     def test_schur_complement_overflow(self):
         # a finite kernel whose covariance 1e300 - 1e200 * 1e200 overflows
         k = make_kernel(["x0", "a"], [[1, 1e200], [1e200, 1e300]])
-        for reduce in (schur_reduce, realize_process):
-            with pytest.raises(NumericalFailureError, match="the Schur complement overflows"):
-                reduce(k, "x0")
+        with pytest.raises(NumericalFailureError, match="the Schur complement overflows"):
+            schur_reduce(k, "x0")
 
     def test_bordered_scale_overflow(self):
         # |mean|**2 overflows: the bordered kernel's scale would pass any covariance

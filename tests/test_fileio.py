@@ -23,7 +23,7 @@ from kernelglue import (
     NotHermitianError,
     make_kernel,
     psd_check_eigen,
-    realize_process,
+    schur_reduce,
     verify_realization,
 )
 from kernelglue import fileio
@@ -190,7 +190,7 @@ class TestReportDocuments:
 
     def test_realization_document(self):
         k = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
-        doc = json.loads(dump_document(realization_to_document(realize_process(k, "x0"))))
+        doc = json.loads(dump_document(realization_to_document(schur_reduce(k, "x0"))))
         assert doc["labels"] == ["a"]
         assert doc["basepoint"] == "x0"
         assert doc["basepoint_index"] == 0
@@ -214,7 +214,7 @@ class TestReportDocuments:
 class TestSampleExport:
     def test_header_and_shape(self):
         k = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]])
-        labels, samples = draw(realize_process(k, "x0"), 8, seed=99)
+        labels, samples = draw(schur_reduce(k, "x0"), 8, seed=99)
         text = export(labels, 99, samples)
         lines = text.strip().split("\n")
         assert lines[0] == "# seed=99 labels=x0,a"
@@ -223,7 +223,7 @@ class TestSampleExport:
     def test_values_round_trip_exactly(self):
         rng = np.random.default_rng(4)
         k = random_gram_kernel(rng, ("x0", "a", "b"))
-        labels, samples = draw(realize_process(k, "x0"), 20, seed=7)
+        labels, samples = draw(schur_reduce(k, "x0"), 20, seed=7)
         lines = export(labels, 7, samples).strip().split("\n")[1:]
         parsed = np.array([[parse_re_imi(tok) for tok in line.split(",")] for line in lines])
         # 17 significant digits round-trip float64 exactly
@@ -341,7 +341,7 @@ class TestWriterShapes:
     """Array shapes the writer must lay out as json does its lists."""
 
     def test_one_label_realization_has_empty_mean_and_covariance(self):
-        spec = realize_process(make_kernel(["x0"], [[1.0]]), "x0")
+        spec = schur_reduce(make_kernel(["x0"], [[1.0]]), "x0")
         twin = {"labels": [], "basepoint": "x0", "basepoint_index": 0, "mean": [], "covariance": []}
         assert dump_document(realization_to_document(spec)) == json.dumps(twin, indent=2) + "\n"
 

@@ -30,7 +30,7 @@ from kernelglue import (
     markov_product,
     mirror_upper,
     psd_check_eigen,
-    realize_process,
+    schur_reduce,
 )
 from kernelglue.fileio import dump_document, kernel_from_document, kernel_to_document
 
@@ -91,7 +91,7 @@ def _x0_at_every_position(k):
 @settings(max_examples=50)
 @given(unit_psd_kernels("a"), unit_psd_kernels("b"))
 def test_glued_realization_labels_are_the_product_labels(k1, k2):
-    specs = [[(k, realize_process(k, "x0")) for k in _x0_at_every_position(k)] for k in (k1, k2)]
+    specs = [[(k, schur_reduce(k, "x0")) for k in _x0_at_every_position(k)] for k in (k1, k2)]
     for a, spec1 in specs[0]:
         for b, spec2 in specs[1]:
             assert GluedRealization(spec1, spec2).labels == markov_product(a, b, "x0").labels

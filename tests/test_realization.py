@@ -17,6 +17,7 @@ import pytest
 
 from helpers import (
     BAD_TOLERANCES,
+    count_solver_calls,
     draw,
     random_glued_pair,
     random_gram_kernel,
@@ -41,7 +42,6 @@ from kernelglue import (
     mirror_upper,
     psd_check_eigen,
     psd_check_schur,
-    realize_process,
     sample_blocks,
     schur_reduce,
     verify_realization,
@@ -62,7 +62,7 @@ def cd_pair():
 
 
 def glued_pair(k1, k2):
-    return GluedRealization(realize_process(k1, "x0"), realize_process(k2, "x0"))
+    return GluedRealization(schur_reduce(k1, "x0"), schur_reduce(k2, "x0"))
 
 
 def moments(source, n, seed, real_mode=False):
@@ -70,19 +70,6 @@ def moments(source, n, seed, real_mode=False):
     labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
     blocks = sample_blocks(source, n, seed, real_mode=real_mode)
     return estimate_second_moments(blocks, labels, n)
-
-
-def count_solver_calls(monkeypatch):
-    """A list to which each later call of ``eigh`` or ``eigvalsh`` appends
-    its name and its matrix's shape."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counting(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return calls
 
 
 def near_boundary_kernel(rng, kind):
@@ -114,7 +101,7 @@ def near_boundary_kernel(rng, kind):
 class TestRealizeProcess:
     def test_two_point_example(self):
         # c = 0.5: mean(a) = K(a, x0) = 0.5, cov = 1 - |c|^2 = 0.75
-        spec = realize_process(two_point_kernel(0.5), "x0")
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
         assert spec.labels == ("a",)
         assert spec.basepoint == "x0"
         np.testing.assert_array_equal(spec.mean, [0.5])
@@ -123,7 +110,7 @@ class TestRealizeProcess:
     def test_zero_alpha_keeps_block(self):
         entries = np.diag([1.0, 2.0, 3.0]).astype(complex)
         k = make_kernel(["x0", "a", "b"], entries)
-        spec = realize_process(k, "x0")
+        spec = schur_reduce(k, "x0")
         np.testing.assert_array_equal(spec.mean, np.zeros(2))
         np.testing.assert_array_equal(spec.covariance, np.diag([2.0, 3.0]))
 
@@ -133,14 +120,14 @@ class TestRealizeProcess:
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v[0] = 1.0
         k = make_kernel(["x0", "a", "b", "c"], mirror_upper(np.outer(v, v.conj())))
-        spec = realize_process(k, "x0")
+        spec = schur_reduce(k, "x0")
         assert np.all(spec.covariance == 0)
         np.testing.assert_array_equal(spec.mean, v[1:])
 
     def test_covariance_matches_schur_complement(self):
-        # with the basepoint first, in the middle and last, realize_process
-        # gives schur_reduce's spec bitwise, and its covariance is
-        # K(rest, rest) - K(rest, s0) K(s0, rest) mirrored from the upper triangle
+        # with the basepoint first, in the middle and last, the spec's
+        # covariance is K(rest, rest) - K(rest, s0) K(s0, rest) mirrored
+        # from the upper triangle
         rng = np.random.default_rng(5)
         for _ in range(20):
             n = int(rng.integers(2, 8))
@@ -148,11 +135,9 @@ class TestRealizeProcess:
             k = random_gram_kernel(rng, tuple(others + ["x0"]))
             for i0 in (0, n // 2, n - 1):
                 kernel = k.restrict(others[:i0] + ["x0"] + others[i0:])
-                spec, reduced = realize_process(kernel, "x0"), schur_reduce(kernel, "x0")
-                assert spec.labels == reduced.labels == tuple(others)
-                assert spec.basepoint_index == reduced.basepoint_index == i0
-                assert spec.mean.tobytes() == reduced.mean.tobytes()
-                assert spec.covariance.tobytes() == reduced.covariance.tobytes()
+                spec = schur_reduce(kernel, "x0")
+                assert spec.labels == tuple(others)
+                assert spec.basepoint_index == i0
                 rest = [i for i in range(n) if i != i0]
                 alpha = kernel.entries[i0, rest]
                 assert spec.mean.tobytes() == alpha.conj().tobytes()
@@ -176,7 +161,7 @@ class TestRealizeProcess:
     def test_reconstructs_kernel(self):
         rng = np.random.default_rng(6)
         k = random_gram_kernel(rng, ("a", "x0", "b", "c"))
-        spec = realize_process(k, "x0")
+        spec = schur_reduce(k, "x0")
         rebuilt = spec.covariance + np.outer(spec.mean, spec.mean.conj())
         block = k.restrict([l for l in k.labels if l != "x0"]).entries
         np.testing.assert_allclose(rebuilt, block, atol=1e-12)
@@ -186,18 +171,18 @@ class TestRealizeProcess:
     def test_rejects_non_psd_kernel(self):
         k = make_kernel(["x0", "a"], [[1, 2], [2, 1]])
         with pytest.raises(NotPsdError):
-            realize_process(k, "x0")
+            schur_reduce(k, "x0").factor
 
     def test_rejects_non_unit_basepoint(self):
         k = make_kernel(["x0", "a"], [[2.0, 0], [0, 1.0]])
         with pytest.raises(BasepointNotUnitError):
-            realize_process(k, "x0")
+            schur_reduce(k, "x0")
 
     def test_factor_reproduces_covariance(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             k = random_gram_kernel(rng, ("x0", "a", "b", "c", "d"))
-            spec = realize_process(k, "x0")
+            spec = schur_reduce(k, "x0")
             err = np.abs(spec.factor @ spec.factor.conj().T - spec.covariance).max()
             assert err <= 1e-10
 
@@ -214,15 +199,15 @@ class TestRealizeProcess:
         assert psd_check_eigen(k).verdict
         expected = r"min eigenvalue -1.000000e\+00 below -1e-09\*1e\+08"
         with pytest.raises(NotPsdError, match=expected):
-            realize_process(k, "x0")
+            schur_reduce(k, "x0").factor
 
     def test_tolerance_validated(self):
         k = two_point_kernel(0.5)
         for bad in BAD_TOLERANCES:
             with pytest.raises(InvalidParameterError, match="^tol "):
-                realize_process(k, "x0", bad)
+                schur_reduce(k, "x0", bad).factor
             with pytest.raises(InvalidParameterError, match="basepoint_tol"):
-                realize_process(k, "x0", basepoint_tol=bad)
+                schur_reduce(k, "x0", basepoint_tol=bad).factor
             with pytest.raises(InvalidParameterError, match="^tol "):
                 RealizationSpec(("a",), "x0", [0.5], [[0.75]], tol=bad).factor
 
@@ -235,14 +220,13 @@ class TestRealizeProcess:
         with pytest.raises(NumericalFailureError):
             spec.factor
         with pytest.raises(NumericalFailureError):
-            realize_process(two_point_kernel(0.5), "x0")
+            schur_reduce(two_point_kernel(0.5), "x0").factor
 
 
 class TestNearBoundaryGate:
     def test_realize_either_factors_or_rejects(self):
-        # Factoring the covariance is the only PSD gate: every kernel comes
-        # back with a usable factor or raises NotPsdError, never a late
-        # failure of the factor, and accepted specs are the Schur pieces.
+        # Factoring the covariance is the only PSD gate: every spec's
+        # factor is usable or raises NotPsdError, never a late failure.
         # Thresholded at the bordered kernel's scale, no exactly PSD kernel
         # is refused (39 of the 700 "gram" ones were at the complement's own).
         rng = np.random.default_rng(20261018)
@@ -250,8 +234,9 @@ class TestNearBoundaryGate:
         for trial in range(2100):
             kind = ("gram", "shifted", "indefinite")[trial % 3]
             k = near_boundary_kernel(rng, kind)
+            spec = schur_reduce(k, "s0")
             try:
-                spec = realize_process(k, "s0")
+                spec.factor
             except NotPsdError:
                 outcomes[kind, False] = outcomes.get((kind, False), 0) + 1
                 continue
@@ -259,9 +244,6 @@ class TestNearBoundaryGate:
             assert "factor" in vars(spec)
             assert spec.factor.shape == (k.dim - 1, k.dim - 1)
             assert np.isfinite(spec.factor).all()
-            reduced = schur_reduce(k, "s0")
-            assert np.array_equal(spec.mean, reduced.mean)
-            assert np.array_equal(spec.covariance, reduced.covariance)
         assert outcomes.get(("indefinite", True), 0) == 0
         assert outcomes.get(("gram", False), 0) == 0
         assert outcomes[("gram", True)] == 700 and outcomes[("shifted", False)] > 0
@@ -284,7 +266,7 @@ class TestOneSchurVerdict:
         for i, k in enumerate(near_boundary_corpus):
             certified = psd_check_schur(schur_reduce(k, "s0", tol)).verdict
             try:
-                realize_process(k, "s0", tol)
+                schur_reduce(k, "s0", tol).factor
                 realized = True
             except NotPsdError:
                 realized = False
@@ -298,8 +280,8 @@ class TestOneSchurVerdict:
         spec = schur_reduce(k, "x0")
         assert not psd_check_schur(spec).verdict
         with pytest.raises(NotPsdError) as realized:
-            realize_process(k, "x0")
-        glued = GluedRealization(realize_process(two_point_kernel(0.5), "x0"), spec)
+            schur_reduce(k, "x0").factor
+        glued = GluedRealization(schur_reduce(two_point_kernel(0.5), "x0"), spec)
         for source in (spec, glued):
             with pytest.raises(NotPsdError) as sampled:
                 sample_blocks(source, 10, seed=0)
@@ -330,7 +312,7 @@ class TestOneSchurVerdict:
                 k = make_kernel(labels, entries)
                 certified = psd_check_schur(schur_reduce(k, "x0", tol)).verdict
                 try:
-                    realize_process(k, "x0", tol)
+                    schur_reduce(k, "x0", tol).factor
                     realized = True
                 except NotPsdError:
                     realized = False
@@ -388,7 +370,7 @@ class TestSampling:
         np.testing.assert_array_equal(samples, expected)
 
     def test_bitwise_reproducible(self):
-        spec = realize_process(two_point_kernel(0.3 + 0.2j), "x0")
+        spec = schur_reduce(two_point_kernel(0.3 + 0.2j), "x0")
         _, b1 = draw(spec, 100, seed=123)
         _, b2 = draw(spec, 100, seed=123)
         assert np.array_equal(b1, b2)
@@ -398,32 +380,32 @@ class TestSampling:
     def test_basepoint_column_exactly_one(self):
         rng = np.random.default_rng(8)
         k = random_gram_kernel(rng, ("a", "x0", "b"))
-        spec = realize_process(k, "x0")
+        spec = schur_reduce(k, "x0")
         labels, samples = draw(spec, 50, seed=1)
         assert labels == ("a", "x0", "b")
         assert np.all(samples[:, 1] == 1.0)
 
     def test_column_mean_converges(self):
-        spec = realize_process(two_point_kernel(0.5), "x0")
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
         _, samples = draw(spec, 10**6, seed=2024)
         # standard error is sqrt(0.75/n) ~ 0.00087; 0.005 is almost 6 sigma
         assert abs(samples[:, 1].mean() - 0.5) < 0.005
 
     def test_sample_count_validated(self):
-        spec = realize_process(two_point_kernel(0.5), "x0")
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
         with pytest.raises(InvalidParameterError):
             sample_blocks(spec, 0, seed=0)
 
     def test_real_mode_requires_real_spec(self):
-        spec = realize_process(two_point_kernel(0.5), "x0")
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
         _, samples = draw(spec, 100, seed=0, real_mode=True)
         assert np.all(samples.imag == 0.0)
-        complex_spec = realize_process(two_point_kernel(0.5j), "x0")
+        complex_spec = schur_reduce(two_point_kernel(0.5j), "x0")
         with pytest.raises(InvalidParameterError):
             sample_blocks(complex_spec, 100, seed=0, real_mode=True)
 
     def test_real_mode_matches_moments(self):
-        spec = realize_process(two_point_kernel(0.5), "x0")
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
         m = moments(spec, 10**5, seed=9, real_mode=True)
         assert abs(m.entry("a", "x0") - 0.5) < 0.01
         assert abs(m.entry("a", "a") - 1.0) < 0.02
@@ -447,14 +429,14 @@ class TestGluedRealization:
         assert glued_pair(k1, k2).labels == markov_product(k1, k2, "x0").labels
 
     def test_basepoint_mismatch(self):
-        s1 = realize_process(make_kernel(["x0", "a"], np.eye(2)), "x0")
-        s2 = realize_process(make_kernel(["y0", "b"], np.eye(2)), "y0")
+        s1 = schur_reduce(make_kernel(["x0", "a"], np.eye(2)), "x0")
+        s2 = schur_reduce(make_kernel(["y0", "b"], np.eye(2)), "y0")
         with pytest.raises(BasepointMismatchError):
             GluedRealization(s1, s2)
 
     def test_label_collision(self):
-        s1 = realize_process(make_kernel(["x0", "a"], np.eye(2)), "x0")
-        s2 = realize_process(make_kernel(["x0", "a"], np.eye(2)), "x0")
+        s1 = schur_reduce(make_kernel(["x0", "a"], np.eye(2)), "x0")
+        s2 = schur_reduce(make_kernel(["x0", "a"], np.eye(2)), "x0")
         with pytest.raises(LabelCollisionError):
             GluedRealization(s1, s2)
 
@@ -497,7 +479,7 @@ def golden_specs(real_mode):
     rng = np.random.default_rng(20261018)
     k1 = random_gram_kernel(rng, ("a0", "a1", "x0", "a2"), not real_mode)
     k2 = random_gram_kernel(rng, ("b0", "x0", "b1"), not real_mode)
-    return realize_process(k1, "x0"), realize_process(k2, "x0")
+    return schur_reduce(k1, "x0"), schur_reduce(k2, "x0")
 
 
 def batch_digest(source, n, real_mode):
@@ -600,10 +582,27 @@ class TestBlockStream:
         # temporaries in every block to 55 MiB
         assert peak < 15 * 2**20
 
+    def test_first_band_memory_does_not_grow_with_n(self):
+        # the block sizes are made as they are drawn: a list of them held
+        # 5.5 MB before the first band at n = 10**10, and n/16,384 entries
+        # at any n
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
+        spec.factor
+        peaks = []
+        for n in (10**6, 10**10):
+            tracemalloc.start()
+            try:
+                bands = sample_blocks(spec, n, 0)
+                next(bands)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**19, peaks
+
     def test_sample_text_holds_one_band(self):
         rng = np.random.default_rng(405)
-        spec = realize_process(random_gram_kernel(rng, tuple(f"a{i}" for i in range(31)) + ("x0",)),
-                               "x0")
+        spec = schur_reduce(random_gram_kernel(rng, tuple(f"a{i}" for i in range(31)) + ("x0",)),
+                            "x0")
         tracemalloc.start()
         try:
             size = sum(map(len, sample_text(spec.full_labels, 3, sample_blocks(spec, 50_000, 3))))
@@ -622,12 +621,12 @@ class TestBlockStream:
             "import hashlib\n"
             "import numpy as np\n"
             "from helpers import random_gram_kernel\n"
-            "from kernelglue import GluedRealization, realize_process\n"
+            "from kernelglue import GluedRealization, schur_reduce\n"
             "from kernelglue.realization import _moment_sums, _sampler\n"
             "rng = np.random.default_rng(6)\n"
             "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(49)))\n"
             "      for p in 'cd']\n"
-            "glued = GluedRealization(*(realize_process(k, 'x0') for k in ks))\n"
+            "glued = GluedRealization(*(schur_reduce(k, 'x0') for k in ks))\n"
             "bands, scratch = _sampler(glued, 5000, 1, False)\n"
             "empirical, quartic = _moment_sums(bands, glued.labels, 5000, scratch)\n"
             "print(hashlib.sha256(empirical.entries.tobytes() + quartic.tobytes()).hexdigest())\n"
@@ -695,11 +694,11 @@ class TestReferenceSampler:
         for i in sorted({0, d // 2, d}):
             labels = [f"a{j}" for j in range(d)]
             labels.insert(i, "x0")
-            spec = realize_process(random_gram_kernel(rng, tuple(labels), not real_mode), "x0")
+            spec = schur_reduce(random_gram_kernel(rng, tuple(labels), not real_mode), "x0")
             assert spec.basepoint_index == i
             sources.append(spec)
         other = random_gram_kernel(rng, ("x0",) + tuple(f"b{j}" for j in range(d)), not real_mode)
-        sources.append(GluedRealization(sources[len(sources) // 2], realize_process(other, "x0")))
+        sources.append(GluedRealization(sources[len(sources) // 2], schur_reduce(other, "x0")))
         for source in sources:
             for n in self.SIZES:
                 got = sample_blocks(source, n, seed=n, real_mode=real_mode)
@@ -716,8 +715,8 @@ class TestCountCheck:
     @staticmethod
     def draws(n):
         k1, k2 = cd_pair()
-        spec = realize_process(k1, "x0")
-        glued = GluedRealization(spec, realize_process(k2, "x0"))
+        spec = schur_reduce(k1, "x0")
+        glued = GluedRealization(spec, schur_reduce(k2, "x0"))
         labels, samples = draw(spec, _CHUNK_ROWS + 1, 0)
 
         def first_rows():
@@ -763,8 +762,8 @@ class TestSeedCheck:
     @staticmethod
     def draws(seed):
         k1, k2 = cd_pair()
-        spec = realize_process(k1, "x0")
-        glued = GluedRealization(spec, realize_process(k2, "x0"))
+        spec = schur_reduce(k1, "x0")
+        glued = GluedRealization(spec, schur_reduce(k2, "x0"))
         return {
             "sample_blocks": lambda: draw(spec, 10, seed)[1],
             "sample_blocks of a glued pair": lambda: draw(glued, 10, seed)[1],
@@ -796,17 +795,17 @@ class TestEstimateSecondMoments:
     def test_output_is_hermitian_and_psd(self):
         rng = np.random.default_rng(11)
         k = random_gram_kernel(rng, ("x0", "a", "b"))
-        m = moments(realize_process(k, "x0"), 1000, seed=12)
+        m = moments(schur_reduce(k, "x0"), 1000, seed=12)
         assert np.array_equal(m.entries, m.entries.conj().T)
         assert psd_check_eigen(m).verdict
 
     def test_basepoint_moment_exact(self):
-        spec = realize_process(two_point_kernel(0.5), "x0")
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
         for n in (2, 3, 17, 1000):
             assert moments(spec, n, seed=n).entry("x0", "x0") == 1.0
 
     def test_needs_two_rows(self):
-        spec = realize_process(two_point_kernel(0.5), "x0")
+        spec = schur_reduce(two_point_kernel(0.5), "x0")
         with pytest.raises(EmptyBatchError):
             moments(spec, 1, seed=0)
 
