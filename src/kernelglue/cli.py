@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command line and return its exit status.  A document is
-    written a row at a time, ``sample`` text a block at a time as it is
+    written a row at a time, ``sample`` text a band at a time as it is
     drawn; a reader that closes stdout early ends the output quietly."""
     try:
         config = RunConfig(**vars(_build_parser().parse_args(argv)))

@@ -11,14 +11,12 @@ spec's ``tol`` on the first read of ``factor`` (``NotPsdError`` if it
 fails), ``psd_check_schur`` or ``sample_blocks``.  Gluing two such
 realizations with independent randomness reproduces the Markov product,
 which ``verify_realization`` checks end to end.  ``sample_blocks`` draws
-in blocks of ``_CHUNK_ROWS`` rows from one stream and yields each block
-in bands of about ``_BAND_ROWS`` rows, placed in one reused band buffer,
-so memory does not grow with n; ``verify_realization`` adds each band's
-moments while it is in cache, and lends the sampler's scratch to its
-fourth moments.  Each call allocates its buffers once, and the draws
-keep the operations and operands of a whole-block product on fresh
-arrays, so the stream is bitwise the same.  The band buffer's zero pad
-columns make the moment sums the same under any BLAS thread count (the
+n rows in bands of about ``_BAND_ROWS`` rows, each band drawing its own
+normals and placed in one reused band buffer, so memory does not grow
+with n; ``verify_realization`` adds each band's moments while it is in
+cache, and lends the sampler's draw buffer to its fourth moments.  Each
+call allocates its buffers once.  The band buffer's zero pad columns
+make the moment sums the same under any BLAS thread count (the
 eigensolver's factor need not be, past about 96 coordinates).
 Draws are circularly-symmetric complex Gaussians (real and imaginary
 parts each of variance 1/2), or real ones in real mode.  The value
@@ -67,12 +65,9 @@ from .kernels import (
 # sub-streams of a glued realization.
 _STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
 
-# Rows per sampling block.  A block draws all its zr before the zi of its
-# bands, so this fixes the stream, and a run is reproducible per (seed, n);
-# memory is set by the bands.
-_CHUNK_ROWS = 1 << 14
-
-# Rows per band of a block, drawn, placed and summed while in cache.
+# Rows per band, drawn, placed and summed while in cache.  Each band draws
+# its own normals, so this fixes the stream, and a run is reproducible per
+# (seed, n).
 _BAND_ROWS = 1 << 10
 
 # A band buffer is a multiple of this many complex columns wide, its pad
@@ -274,12 +269,13 @@ def psd_check_schur(spec: RealizationSpec) -> PsdCertificate:
                           None if verdict else vectors, float(spec.tol))
 
 
-def _bands(m: int) -> list[slice]:
-    """The row bands of an m-row block, ``_BAND_ROWS`` rows each.  A 1-row
-    tail joins the band before it (no band starts at row m - 1): numpy
-    runs a 1-row product as gemv, whose bits differ from gemm's."""
-    edges = [*range(0, max(m - 1, 1), _BAND_ROWS), m]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+def _bands(m: int):
+    """The row bands of m rows, ``_BAND_ROWS`` rows each, made as they are
+    asked for.  A 1-row tail joins the band before it (no band starts at
+    row m - 1): numpy runs a 1-row product as gemv, whose bits differ
+    from gemm's."""
+    starts = range(0, max(m - 1, 1), _BAND_ROWS)
+    return (slice(a, a + _BAND_ROWS if a + _BAND_ROWS < m - 1 else m) for a in starts)
 
 
 def _padded(d: int) -> int:
@@ -287,43 +283,28 @@ def _padded(d: int) -> int:
     return -(-d // _PAD_COLUMNS) * _PAD_COLUMNS
 
 
-def _draw_bands(specs, rngs, m: int, real_mode: bool, buffers):
-    """Draw a block of m rows and yield it band by band, each placed in the
-    band buffer: every spec's centered draws ``L z`` go into its columns
+def _draw_bands(specs, rngs, factors, n: int, real_mode: bool, buffers):
+    """Draw n rows and yield them band by band, each placed in the band
+    buffer: every spec's centered draws ``z @ factor`` go into its columns
     after the first, then the first spec's columns before its basepoint
     move one place left and the (padded) means, 1.0 at the basepoint, are
-    added.  Per spec, ``zr`` is drawn whole into ``held``, then per band
-    ``zi`` into ``scratch``; both are scaled into ``scaled`` and multiplied
-    straight into the band's columns.  Real mode multiplies the whole
-    block into ``held``, as dgemm's bits depend on the row count, and each
-    band copies its rows out."""
-    held, scratch, scaled, band, mean = buffers
-    parts, offset = [], 0
-    for spec, rng in zip(specs, rngs):
-        d = spec.dim
-        y = held[m * offset : m * (offset + d)].reshape(m, d)
-        if real_mode:
-            z = scratch[: m * d].reshape(m, d)
-            rng.standard_normal(out=z)
-            np.matmul(z, spec.factor.real.T, out=y)
-        else:
-            rng.standard_normal(out=y)
-        parts.append((spec, rng, y, slice(1 + offset, 1 + offset + d)))
-        offset += d
+    added.  Per band and spec, z is drawn into the flat ``draws`` buffer
+    by one call, 2kd floats viewed as k x d complex normals (``factor``
+    is ``L.T`` pre-scaled by sqrt(0.5)), or k x d real normals in real
+    mode (``factor`` is ``L.real.T``), and multiplied straight into the
+    band's columns."""
+    draws, band, mean = buffers
     i = specs[0].basepoint_index
-    for rows in _bands(m):
+    for rows in _bands(n):
         k = rows.stop - rows.start
-        X = band[:k]
-        for spec, rng, y, cols in parts:
-            if real_mode:
-                X[:, cols] = y[rows]
-                continue
+        X, col = band[:k], 1
+        for spec, rng, factor in zip(specs, rngs, factors):
             d = spec.dim
-            zi, s = scratch[: k * d].reshape(k, d), scaled[: k * d].reshape(k, d)
-            rng.standard_normal(out=zi)
-            np.multiply(y[rows], math.sqrt(0.5), out=s.real)
-            np.multiply(zi, math.sqrt(0.5), out=s.imag)
-            np.matmul(s, spec.factor.T, out=X[:, cols])
+            z = draws[: k * d * (1 if real_mode else 2)]
+            rng.standard_normal(out=z)
+            z = z.view(float if real_mode else complex).reshape(k, d)
+            np.matmul(z, factor, out=X[:, col : col + d])
+            col += d
         X[:, :i] = X[:, 1 : i + 1]
         X[:, i] = 0.0
         X += mean
@@ -345,11 +326,10 @@ def sample_blocks(
     A row is mean + L z for each spec around the constant basepoint
     column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
     order.  z is standard circularly-symmetric complex normal, drawn per
-    ``_CHUNK_ROWS``-row block as all of the block's ``zr``, then its
-    ``zi`` band by band, or standard real normal in real mode (real specs
-    only).  A glued pair draws its components from two sub-seeds, the
-    seed mixed with two fixed tags.  Identical (source, seed, n) give
-    bitwise-identical rows.
+    band as interleaved real and imaginary parts, or standard real normal
+    in real mode (real specs only).  A glued pair draws its components
+    from two sub-seeds, the seed mixed with two fixed tags.  Identical
+    (source, seed, n) give bitwise-identical rows.
     """
     bands, _ = _sampler(source, n, seed, real_mode)
     d = len(source.labels if isinstance(source, GluedRealization) else source.full_labels)
@@ -359,30 +339,27 @@ def sample_blocks(
 def _sampler(source, n, seed, real_mode: bool):
     """The bands of ``sample_blocks`` with their zero pad columns, and a
     flat float scratch of at least a band's size, which a consumer may use
-    between bands: a band is drawn only when asked for.  Each call
-    allocates its buffers once: ``held``, a block's ``zr`` (or ``L z`` in
-    real mode) for every spec; the scratch, for a band's ``zi`` (or a
-    block's z in real mode); ``scaled``; and the band buffer."""
+    between bands: a band is drawn only when asked for.  Each call reads
+    every spec's factor once, pre-scaled for its mode, and allocates two
+    buffers: the band buffer, and the scratch, which holds a band's draws
+    for one spec."""
     if not isinstance(source, (RealizationSpec, GluedRealization)):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
     specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
     _check_draw(n, seed, real_mode, [a for spec in specs for a in (spec.mean, spec.covariance)])
-    for spec in specs:
-        spec.factor
+    factors = [spec.factor.real.T if real_mode else spec.factor.T * math.sqrt(0.5)
+               for spec in specs]
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
     rngs = [np.random.default_rng(s) for s in seeds]
-    m, dims = min(n, _CHUNK_ROWS), [spec.dim for spec in specs]
-    k, width = min(m, _BAND_ROWS + 1), _padded(1 + sum(dims))
-    scratch = np.empty(max(k * width, m * max(dims) if real_mode else 0))
+    dims = [spec.dim for spec in specs]
+    k, width = min(n, _BAND_ROWS + 1), _padded(1 + sum(dims))
+    scratch = np.empty(k * max(2 * max(dims), width))
     mean = np.zeros(width, complex)
     i = specs[0].basepoint_index
     mean[: 1 + sum(dims)] = np.concatenate([np.insert(specs[0].mean, i, 1.0)]
                                            + [s.mean for s in specs[1:]])
-    buffers = (np.empty(m * sum(dims)), scratch, np.empty(k * max(dims), complex),
-               np.zeros((k, width), complex), mean)
-    # lazy, as a list of block sizes would grow with n
-    sizes = (min(n - start, _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS))
-    return (X for size in sizes for X in _draw_bands(specs, rngs, size, real_mode, buffers)), scratch
+    buffers = scratch, np.zeros((k, width), complex), mean
+    return _draw_bands(specs, rngs, factors, n, real_mode, buffers), scratch
 
 
 def _padded_bands(blocks, labels):

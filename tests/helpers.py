@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 
 from kernelglue import GluedRealization, GluingTree, IndexedKernel, make_kernel, sample_blocks
-from kernelglue.realization import _CHUNK_ROWS, _STREAM_TAGS, _subseed
+from kernelglue.realization import _STREAM_TAGS, _subseed
 
 #: Tolerance values the library must reject: each one is either not
 #: finite or not positive.
@@ -50,35 +50,32 @@ def draw(source, n, seed, real_mode=False):
 
 
 def reference_blocks(source, n, seed, real_mode=False):
-    """The blocks of ``sample_blocks`` by the whole-block formula, each a
-    fresh array.  Per block of ``_CHUNK_ROWS`` rows and per spec, ``zr``
-    then ``zi`` are drawn whole and scaled by sqrt(0.5) into the real and
-    imaginary parts of one complex array, which is multiplied by ``L.T``
-    (in real mode z is drawn whole and multiplied by ``L.real.T``); the
-    mean is added, and the first spec's columns go around the basepoint
-    column of ones."""
+    """The bands of ``sample_blocks`` by the per-band formula, each a
+    fresh array.  Bands are 1,024 rows, and the last one takes a 1-row
+    tail.  Per band of k rows and per spec, 2kd normals are drawn and
+    viewed as a k x d complex z, which is multiplied by ``L.T`` scaled by
+    sqrt(0.5) (in real mode k x d real normals are multiplied by
+    ``L.real.T``); the mean is added, and the first spec's columns go
+    around the basepoint column of ones."""
     glued = isinstance(source, GluedRealization)
     specs = (source.spec1, source.spec2) if glued else (source,)
     seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
     rngs = [np.random.default_rng(s) for s in seeds]
-    i = specs[0].basepoint_index
-    for start in range(0, n, _CHUNK_ROWS):
-        m = min(n - start, _CHUNK_ROWS)
+    i, start = specs[0].basepoint_index, 0
+    while start < n:
+        k = n - start if n - start <= 1025 else 1024
         parts = []
         for spec, rng in zip(specs, rngs):
             L, d = spec.factor, spec.dim
             if real_mode:
-                parts.append(spec.mean.real + rng.standard_normal((m, d)) @ L.real.T)
+                parts.append(spec.mean.real + rng.standard_normal((k, d)) @ L.real.T)
                 continue
-            zr = rng.standard_normal((m, d))
-            zi = rng.standard_normal((m, d))
-            scaled = np.empty((m, d), complex)
-            scaled.real = zr * math.sqrt(0.5)
-            scaled.imag = zi * math.sqrt(0.5)
-            parts.append(spec.mean + scaled @ L.T)
+            z = rng.standard_normal(2 * k * d).view(complex).reshape(k, d)
+            parts.append(spec.mean + z @ (L.T * math.sqrt(0.5)))
         first = parts[0]
-        parts[0:1] = [first[:, :i], np.ones((m, 1)), first[:, i:]]
+        parts[0:1] = [first[:, :i], np.ones((k, 1)), first[:, i:]]
         yield np.hstack(parts).astype(complex)
+        start += k
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

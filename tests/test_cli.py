@@ -24,7 +24,6 @@ from helpers import (
 from kernelglue import make_kernel, markov_product
 from kernelglue.cli import RunConfig, _build_parser, main, run
 from kernelglue.fileio import dump_document, kernel_to_document, tree_to_document
-from kernelglue.realization import _CHUNK_ROWS
 
 
 @pytest.fixture
@@ -647,7 +646,7 @@ class TestMain:
         # the whole 2e5 x 8 batch and its 59 MB of text took the peak to 177 MB
         assert maxrss_kib < 100 * 1024
 
-    @pytest.mark.parametrize("n", [_CHUNK_ROWS + 1, _CHUNK_ROWS + 1025])
+    @pytest.mark.parametrize("n", [16385, 17409])
     def test_verify_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, n):
         # 63 glued labels are 126 float columns, a width at which OpenBLAS
         # orders the sums of V.T @ V by thread count
@@ -700,9 +699,9 @@ class TestGoldenOutputs:
         "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "aa8f5cb2d81eb0726712e021c8238a81eb1860a36aefb26905f24c4b3e55121b",
-        # text exports, three blocks with the last one short
-        "sample": "b717596d164164af419fcc233833150b555f4e38ea9bd3e451914694bc6bdb8f",
+        "verify": "298866a849fd5e2493de42efafac4b80ebb3e719b6a8f0f0d04b9d7d061a228a",
+        # text exports, 32 bands and a short one
+        "sample": "1fdc476197d052339699533e810b9738e17576ae72ed492b5753a50cee450570",
         "sample-real": "42d13b16ae312da59eab232a7d506f8fcba53969062bfb41f1d37aec37dae27e",
     }
 
@@ -758,7 +757,7 @@ class TestGoldenOutputs:
     )
     def test_sample_bytes(self, inputs, tmp_path, capsys, case, argv, to_stdout):
         args = [a.format(**inputs) for a in argv]
-        args += ["--samples", str(2 * _CHUNK_ROWS + 7), "--seed", "7"]
+        args += ["--samples", "32775", "--seed", "7"]
         out = tmp_path / "out.txt"
         assert main(args if to_stdout else args + ["--output", str(out)]) == 0
         captured = capsys.readouterr()

@@ -43,12 +43,11 @@ from kernelglue.fileio import (
     tree_from_document,
     tree_to_document,
 )
-from kernelglue.realization import _CHUNK_ROWS
 
 
 def export(labels, seed, samples):
-    """The whole ``sample_text`` of the rows, in blocks of ``_CHUNK_ROWS``."""
-    blocks = np.split(samples, range(_CHUNK_ROWS, len(samples), _CHUNK_ROWS))
+    """The whole ``sample_text`` of the rows, in blocks of 16,384 rows."""
+    blocks = np.split(samples, range(16384, len(samples), 16384))
     return "".join(sample_text(labels, seed, blocks))
 
 
@@ -238,12 +237,12 @@ class TestSampleExport:
 
         rng = np.random.default_rng(12)
         scales = 10.0 ** rng.integers(-20, 20, (1, 3, 2))
-        rows = rng.standard_normal((_CHUNK_ROWS + 3, 3, 2)) * scales
+        rows = rng.standard_normal((16387, 3, 2)) * scales
         specials = [-0.0, 5e-324, -5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan, 0.0]
         for k, value in enumerate(specials):
             # both sides of the block boundary, in real and imaginary parts
             rows[k, k % 3, k % 2] = value
-            rows[_CHUNK_ROWS - 1 + k % 4, k % 3, (k + 1) % 2] = value
+            rows[16383 + k % 4, k % 3, (k + 1) % 2] = value
         batch = ("x0", "a", "b"), 5, rows.view(np.complex128)[..., 0]
         assert export(*batch) == per_entry(*batch)
 

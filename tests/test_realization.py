@@ -48,7 +48,7 @@ from kernelglue import (
 )
 from kernelglue import realization
 from kernelglue.fileio import sample_text
-from kernelglue.realization import _BAND_ROWS, _CHUNK_ROWS, _bands
+from kernelglue.realization import _BAND_ROWS
 
 
 def two_point_kernel(c):
@@ -492,11 +492,11 @@ class TestGoldenSamples:
     """sha256 of labels and sample bytes, pinned so the draws stay bitwise stable."""
 
     SINGLE = {
-        False: "9c8d90fdace61274b073b85f6b432a5b2be4dc3fa88c4add2cf95b9fe4ae012e",
+        False: "f6fcc7c6128c6dfc790f96912c5b9b25d038000f8bae92e51b59cf03b5e95a6b",
         True: "492a4522d17a95600a1ccc2a51378479a8012f4f8c84ac407d2afdca3f394627",
     }
     GLUED = {
-        False: "d544403662960361086734127db21ae3b7c7ec7a175caa447481a535b26ba19c",
+        False: "7602f69ed0c00004922cd614243f0b497337f23b4845fed4241b9bbf0af12f64",
         True: "6cae3a84c689d5feaadd5f907eb9f2b320cc3419f8c6a68a968fb163396ee664",
     }
 
@@ -512,34 +512,34 @@ class TestGoldenSamples:
 
 
 class TestBlockStream:
-    """Sampling runs in blocks of ``_CHUNK_ROWS`` rows; these pin the stream
-    across a block boundary and tie ``verify_realization`` to it."""
+    """Sampling runs in bands of ``_BAND_ROWS`` rows; these pin the stream
+    across many band boundaries and tie ``verify_realization`` to it."""
 
     SINGLE = {
-        False: "42cd23e406eb835fd9e5c8c764fa0de9794339420e03b7e5f85fc0c0b7e152d5",
+        False: "1139b4d8ff9b57ddf6708f7a25fb132d2e78bba3f440e2f91c5abbafeb833556",
         True: "cbeb225923443125188e3aca8729e93bc4dc7360071cc5cb855bc880e22969ab",
     }
     GLUED = {
-        False: "53d182d93a5e77d6f8a3a381dd877aedeb1238ead1277659516afc4585ed2e50",
+        False: "2ee24bdfaaf9b773b42c69e0d1255d4400a441360efcbdf1b52c381af9896750",
         True: "99c60362d453da0bb0ae28f8cf74f2ae5e88483382fddec4cce7677e91a53e8d",
     }
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_sample_realization_across_blocks(self, real_mode):
         spec1, _ = golden_specs(real_mode)
-        assert batch_digest(spec1, _CHUNK_ROWS + 5, real_mode) == self.SINGLE[real_mode]
+        assert batch_digest(spec1, 16389, real_mode) == self.SINGLE[real_mode]
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_sample_glued_across_blocks(self, real_mode):
         glued = GluedRealization(*golden_specs(real_mode))
-        assert batch_digest(glued, _CHUNK_ROWS + 5, real_mode) == self.GLUED[real_mode]
+        assert batch_digest(glued, 16389, real_mode) == self.GLUED[real_mode]
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_verify_streams_the_sampled_batch(self, real_mode):
         rng = np.random.default_rng(2027)
         k1 = random_gram_kernel(rng, ("a0", "x0", "a1"), not real_mode)
         k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
-        n = 2 * _CHUNK_ROWS + 7  # three blocks, the last one short
+        n = 32775  # 32 bands and a short one
         report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
         glued = glued_pair(k1, k2)
         _, samples = draw(glued, n, 31, real_mode)
@@ -576,16 +576,34 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert report.passed
-        # a block's zr is 7.75 MiB and the 1,025 x 64 complex band buffer
-        # 1 MiB; the 2**14 x 63 complex block that the sums read took the
-        # peak to 24.7 MiB, a draw buffer of its own to 40 MiB and fresh
+        # the 1,025 x 64 complex band buffer is 1 MiB and the draw buffer
+        # 0.5 MiB; a 2**14-row block's zr held besides took the peak to
+        # 10.3 MiB, the 2**14 x 63 complex block that the sums read to
+        # 24.7 MiB, a draw buffer of its own to 40 MiB and fresh
         # temporaries in every block to 55 MiB
         assert peak < 15 * 2**20
 
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_verify_holds_no_block(self, real_mode):
+        rng = np.random.default_rng(404)
+        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)), not real_mode)
+        k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)), not real_mode)
+        tracemalloc.start()
+        try:
+            report = verify_realization(k1, k2, "x0", 200_000, seed=5, real_mode=real_mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        # a band and its draws peak at 2.2 MiB; the draws of a 2**14-row
+        # block, held while its bands were placed, took the peak to
+        # 10.3 MiB (and 13.7 MiB in real mode, products too)
+        assert peak < 4 * 2**20
+
     def test_first_band_memory_does_not_grow_with_n(self):
-        # the block sizes are made as they are drawn: a list of them held
-        # 5.5 MB before the first band at n = 10**10, and n/16,384 entries
-        # at any n
+        # the bands are made as they are drawn: at n = 10**10 a list of
+        # the n/1,024 band edges alone would hold 390 MB before the first
+        # band, and a list of 16,384-row block sizes held 5.5 MB
         spec = schur_reduce(two_point_kernel(0.5), "x0")
         spec.factor
         peaks = []
@@ -643,7 +661,7 @@ class TestBlockStream:
         assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("real_mode", [False, True])
-    @pytest.mark.parametrize("n", [1, 1024, 1025, 1026, 2049, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1027])
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 1026, 2049, 16385, 33795])
     def test_no_band_is_longer_than_a_band_and_a_row(self, n, real_mode):
         glued = GluedRealization(*golden_specs(real_mode))
         sizes = [len(band) for band in sample_blocks(glued, n, seed=1, real_mode=real_mode)]
@@ -657,7 +675,7 @@ class TestBlockStream:
         big = random_gram_kernel(rng, ("a0", "a1", "x0", "a2", "a3"), not real_mode)
         small = random_gram_kernel(rng, ("x0", "b0"), not real_mode)
         k1, k2 = (big, small) if larger_first else (small, big)
-        n = 2 * _CHUNK_ROWS + 7
+        n = 32775
         report = verify_realization(k1, k2, "x0", n, seed=17, real_mode=real_mode)
         empirical = moments(glued_pair(k1, k2), n, 17, real_mode)
         assert report.empirical.entries.tobytes() == empirical.entries.tobytes()
@@ -679,12 +697,12 @@ class TestBlockStream:
 
 
 class TestReferenceSampler:
-    """The banded sampler yields the bands of the whole-block formula's
-    blocks, bit for bit, with the basepoint first, in the middle and last,
-    at block and band edges, in both modes; a glued pair adds the middle
-    spec to a second one."""
+    """The banded sampler yields the bands of the per-band formula on
+    fresh arrays, bit for bit, with the basepoint first, in the middle and
+    last, at band edges and past 16,384 rows, in both modes; a glued pair
+    adds the middle spec to a second one."""
 
-    SIZES = (1, 2, 1025, 1026, _CHUNK_ROWS + 1, _CHUNK_ROWS + 1025)
+    SIZES = (1, 2, 1025, 1026, 16385, 17409)
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 31, 32, 40])
@@ -702,11 +720,34 @@ class TestReferenceSampler:
         for source in sources:
             for n in self.SIZES:
                 got = sample_blocks(source, n, seed=n, real_mode=real_mode)
-                want = (block[rows] for block in reference_blocks(source, n, n, real_mode)
-                        for rows in _bands(len(block)))
+                want = reference_blocks(source, n, n, real_mode)
                 for band, expected in zip(got, want, strict=True):
                     assert band.tobytes() == expected.tobytes(), (source, n)
 
+
+
+class TestCircularDraws:
+    """Complex draws are circular: their real and imaginary parts are
+    independent with equal variance, which the second moments alone do
+    not show; real-mode draws have no imaginary part."""
+
+    def test_complex_pseudo_covariance_is_zero(self):
+        rng = np.random.default_rng(2029)
+        spec = schur_reduce(random_gram_kernel(rng, ("a0", "a1", "x0", "a2", "a3", "a4")), "x0")
+        n = 40_000
+        _, samples = draw(spec, n, 9)
+        centered = np.delete(samples, spec.basepoint_index, axis=1) - spec.mean
+        pseudo = centered.T @ centered / n
+        # Var(Z_s Z_t) = C_ss C_tt + |C_st|^2 for circular Z (Isserlis)
+        c = spec.covariance
+        se = np.sqrt((np.outer(c.diagonal().real, c.diagonal().real) + np.abs(c) ** 2) / n)
+        assert np.all(np.abs(pseudo) <= 5 * se), np.max(np.abs(pseudo) / se)
+
+    @pytest.mark.parametrize("glued", [False, True])
+    def test_real_mode_imaginary_parts_are_zero(self, glued):
+        spec1, spec2 = golden_specs(real_mode=True)
+        _, samples = draw(GluedRealization(spec1, spec2) if glued else spec1, 2049, 9, True)
+        assert np.all(samples.imag == 0.0)
 
 class TestCountCheck:
     """Every sampling entry point takes a sample count that is an integer
@@ -717,7 +758,7 @@ class TestCountCheck:
         k1, k2 = cd_pair()
         spec = schur_reduce(k1, "x0")
         glued = GluedRealization(spec, schur_reduce(k2, "x0"))
-        labels, samples = draw(spec, _CHUNK_ROWS + 1, 0)
+        labels, samples = draw(spec, 16385, 0)
 
         def first_rows():
             # sliced only when read, so a bad n is never a slice bound
@@ -749,7 +790,7 @@ class TestCountCheck:
             with pytest.raises(InvalidParameterError, match=re.escape(message)):
                 draw()
 
-    @pytest.mark.parametrize("n", [2, _CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("n", [2, 16385])
     def test_numpy_integers_draw_as_their_value(self, n):
         for (name, draw), same in zip(self.draws(n).items(), self.draws(np.int64(n)).values()):
             assert np.array_equal(draw(), same()), name
