@@ -10,17 +10,17 @@ when that covariance is, decided once per spec, by one ``eigh`` at the
 spec's ``tol`` on the first read of ``factor`` (``NotPsdError`` if it
 fails), ``psd_check_schur`` or ``sample_blocks``.  Gluing two such
 realizations with independent randomness reproduces the Markov product,
-which ``verify_realization`` checks end to end.  ``sample_blocks`` draws
-n rows in bands of about ``_BAND_ROWS`` rows, each band drawing its own
-normals and placed in one reused band buffer, so memory does not grow
-with n; ``verify_realization`` adds each band's moments while it is in
-cache, and lends the sampler's draw buffer to its fourth moments.  Each
-call allocates its buffers once.  The band buffer's zero pad columns
-make the moment sums the same under any BLAS thread count (the
-eigensolver's factor need not be, past about 96 coordinates).
-Draws are circularly-symmetric complex Gaussians (real and imaginary
-parts each of variance 1/2), or real ones in real mode.  The value
-types here check labels and arrays by the rule of ``kernels``.
+which ``verify_realization`` checks end to end from second moments
+alone.  ``sample_blocks`` draws n rows in bands of about ``_BAND_ROWS``
+rows, each band drawing its own normals from SFC64 and placed in one
+reused band buffer, so memory does not grow with n;
+``verify_realization`` adds each band's Gram matrix while it is in
+cache, and takes its threshold's variance in closed form.  The band
+buffer's zero pad columns make the moment sums the same under any BLAS
+thread count (the eigensolver's factor need not be, past about 96
+coordinates).  Draws are circularly-symmetric complex Gaussians (real
+and imaginary parts each of variance 1/2), or real ones in real mode.
+The value types here check labels and arrays by the rule of ``kernels``.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ _BAND_ROWS = 1 << 10
 
 # A band buffer is a multiple of this many complex columns wide, its pad
 # zero.  OpenBLAS orders the sums of a Gram update by thread count at some
-# widths, not at a multiple of 8 float columns, and |X|**2 has one float
-# column per complex column.
+# widths, not at a multiple of 8 float columns.
 _PAD_COLUMNS = 8
 
 
@@ -283,34 +282,6 @@ def _padded(d: int) -> int:
     return -(-d // _PAD_COLUMNS) * _PAD_COLUMNS
 
 
-def _draw_bands(specs, rngs, factors, n: int, real_mode: bool, buffers):
-    """Draw n rows and yield them band by band, each placed in the band
-    buffer: every spec's centered draws ``z @ factor`` go into its columns
-    after the first, then the first spec's columns before its basepoint
-    move one place left and the (padded) means, 1.0 at the basepoint, are
-    added.  Per band and spec, z is drawn into the flat ``draws`` buffer
-    by one call, 2kd floats viewed as k x d complex normals (``factor``
-    is ``L.T`` pre-scaled by sqrt(0.5)), or k x d real normals in real
-    mode (``factor`` is ``L.real.T``), and multiplied straight into the
-    band's columns."""
-    draws, band, mean = buffers
-    i = specs[0].basepoint_index
-    for rows in _bands(n):
-        k = rows.stop - rows.start
-        X, col = band[:k], 1
-        for spec, rng, factor in zip(specs, rngs, factors):
-            d = spec.dim
-            z = draws[: k * d * (1 if real_mode else 2)]
-            rng.standard_normal(out=z)
-            z = z.view(float if real_mode else complex).reshape(k, d)
-            np.matmul(z, factor, out=X[:, col : col + d])
-            col += d
-        X[:, :i] = X[:, 1 : i + 1]
-        X[:, i] = 0.0
-        X += mean
-        yield X
-
-
 def sample_blocks(
     source: RealizationSpec | GluedRealization,
     n: int,
@@ -327,22 +298,27 @@ def sample_blocks(
     column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
     order.  z is standard circularly-symmetric complex normal, drawn per
     band as interleaved real and imaginary parts, or standard real normal
-    in real mode (real specs only).  A glued pair draws its components
-    from two sub-seeds, the seed mixed with two fixed tags.  Identical
-    (source, seed, n) give bitwise-identical rows.
+    in real mode (real specs only).  Each spec draws from its own SFC64
+    generator, seeded through ``SeedSequence`` by the seed, or for a
+    glued pair by two sub-seeds, the seed mixed with two fixed tags.
+    Identical (source, seed, n) give bitwise-identical rows.
     """
-    bands, _ = _sampler(source, n, seed, real_mode)
+    bands = _draw_bands(source, n, seed, real_mode)
     d = len(source.labels if isinstance(source, GluedRealization) else source.full_labels)
     return (band[:, :d] for band in bands)
 
 
-def _sampler(source, n, seed, real_mode: bool):
-    """The bands of ``sample_blocks`` with their zero pad columns, and a
-    flat float scratch of at least a band's size, which a consumer may use
-    between bands: a band is drawn only when asked for.  Each call reads
-    every spec's factor once, pre-scaled for its mode, and allocates two
-    buffers: the band buffer, and the scratch, which holds a band's draws
-    for one spec."""
+def _draw_bands(source, n, seed, real_mode: bool):
+    """Check the arguments of ``sample_blocks``, read every spec's factor
+    once, pre-scaled for its mode, and allocate two buffers; then iterate
+    over the bands with their zero pad columns, each drawn when asked for
+    into the band buffer.  Every spec's centered draws ``z @ factor`` go
+    into its columns after the first, then the first spec's columns before
+    its basepoint move one place left and the (padded) means, 1.0 at the
+    basepoint, are added.  Per band and spec, z is drawn into the flat
+    ``draws`` buffer by one call, 2kd floats viewed as k x d complex
+    normals (``factor`` is ``L.T`` pre-scaled by sqrt(0.5)), or k x d real
+    normals in real mode (``factor`` is ``L.real.T``)."""
     if not isinstance(source, (RealizationSpec, GluedRealization)):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
     specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
@@ -350,16 +326,31 @@ def _sampler(source, n, seed, real_mode: bool):
     factors = [spec.factor.real.T if real_mode else spec.factor.T * math.sqrt(0.5)
                for spec in specs]
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
     dims = [spec.dim for spec in specs]
-    k, width = min(n, _BAND_ROWS + 1), _padded(1 + sum(dims))
-    scratch = np.empty(k * max(2 * max(dims), width))
+    rows_max, width, i = min(n, _BAND_ROWS + 1), _padded(1 + sum(dims)), specs[0].basepoint_index
+    draws = np.empty(rows_max * max(dims) * (1 if real_mode else 2))
+    band = np.zeros((rows_max, width), complex)
     mean = np.zeros(width, complex)
-    i = specs[0].basepoint_index
     mean[: 1 + sum(dims)] = np.concatenate([np.insert(specs[0].mean, i, 1.0)]
                                            + [s.mean for s in specs[1:]])
-    buffers = scratch, np.zeros((k, width), complex), mean
-    return _draw_bands(specs, rngs, factors, n, real_mode, buffers), scratch
+
+    def bands():
+        for rows in _bands(n):
+            k = rows.stop - rows.start
+            X, col = band[:k], 1
+            for d, rng, factor in zip(dims, rngs, factors):
+                z = draws[: k * d * (1 if real_mode else 2)]
+                rng.standard_normal(out=z)
+                np.matmul(z.view(float if real_mode else complex).reshape(k, d), factor,
+                          out=X[:, col : col + d])
+                col += d
+            X[:, :i] = X[:, 1 : i + 1]
+            X[:, i] = 0.0
+            X += mean
+            yield X
+
+    return bands()
 
 
 def _padded_bands(blocks, labels):
@@ -386,27 +377,24 @@ def _padded_bands(blocks, labels):
         start += len(X)
 
 
-def _moment_sums(bands, labels, n: int, scratch=None):
-    """The empirical kernel, the sum over all n rows of ``X.T @ X.conj()``
-    divided by n and mirrored, and, with a ``scratch``, the sum of
-    ``A.T @ A`` for ``A = |X|**2`` (else None), both added band by band
-    in order.  A band is a C-contiguous complex array of rows, one column
-    per label and then zero columns up to a multiple of ``_PAD_COLUMNS``.
+def _moment_sums(bands, labels, n: int) -> IndexedKernel:
+    """The empirical kernel: the sum over all n rows of ``X.T @ X.conj()``,
+    added band by band in order, divided by n and mirrored.  A band is a
+    C-contiguous complex array of rows, one column per label and then zero
+    columns up to a multiple of ``_PAD_COLUMNS``.
 
-    The Gram sum is taken as the real ``V.T @ V`` of ``V``, the band
-    viewed as its ``[re, im]`` float columns, which numpy runs as a
-    symmetric rank-k update (half the flops of the complex product and no
-    conjugate copy); its four interleaved quarters give the complex sum
-    after the last band.  OpenBLAS orders the sums of such an update by
-    thread count for some widths, and not for a multiple of 8 columns:
-    the pad makes every sum the same under any BLAS thread count, and its
-    rows and columns are dropped at the end.  ``A`` is written into
-    ``scratch``, a flat float buffer of at least a band's size, which
-    every band reuses.  The sums run with numpy's overflow warnings off
-    and are checked once at the end: a sum that is not finite raises
+    The sum is taken as the real ``V.T @ V`` of ``V``, the band viewed as
+    its ``[re, im]`` float columns, which numpy runs as a symmetric rank-k
+    update (half the flops of the complex product and no conjugate copy);
+    its four interleaved quarters give the complex sum after the last
+    band.  OpenBLAS orders the sums of such an update by thread count for
+    some widths, and not for a multiple of 8 columns: the pad makes every
+    sum the same under any BLAS thread count, and its rows and columns
+    are dropped at the end.  The sums run with numpy's overflow warnings
+    off and are checked once at the end: a sum that is not finite raises
     ``NumericalFailureError`` naming its label pair.
     """
-    real_gram = quartic = None
+    real_gram = None
     rows, d = 0, len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
         for X in bands:
@@ -414,24 +402,16 @@ def _moment_sums(bands, labels, n: int, scratch=None):
             V = X.view(np.float64)
             g = V.T @ V
             real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
-            if scratch is not None:
-                a2 = scratch[: X.size].reshape(X.shape)
-                np.square(np.abs(X, out=a2), out=a2)
-                q = a2.T @ a2
-                quartic = q if quartic is None else np.add(quartic, q, out=quartic)
         if rows != n:
             raise InvalidParameterError(f"the blocks hold {rows} rows, not n = {n}")
         re, im = real_gram[0 : 2 * d : 2, : 2 * d], real_gram[1 : 2 * d : 2, : 2 * d]
         gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
-    if quartic is not None:
-        quartic = quartic[:d, :d]
-    for order, total in (("second", gram), ("fourth", quartic)):
-        if total is not None and not np.isfinite(total).all():
-            i, j = np.argwhere(~np.isfinite(total))[0]
-            raise NumericalFailureError(
-                f"the {order}-moment sum at ({labels[i]!r}, {labels[j]!r}) overflows float64"
-            )
-    return IndexedKernel(labels, _lock(_mirror(gram / n))), quartic
+    if not np.isfinite(gram).all():
+        i, j = np.argwhere(~np.isfinite(gram))[0]
+        raise NumericalFailureError(
+            f"the second-moment sum at ({labels[i]!r}, {labels[j]!r}) overflows float64"
+        )
+    return IndexedKernel(labels, _lock(_mirror(gram / n)))
 
 
 def estimate_second_moments(blocks, labels, n: int) -> IndexedKernel:
@@ -449,7 +429,25 @@ def estimate_second_moments(blocks, labels, n: int) -> IndexedKernel:
     """
     _check_rows(n)
     labels = tuple(labels)
-    return _moment_sums(_padded_bands(blocks, labels), labels, n)[0]
+    return _moment_sums(_padded_bands(blocks, labels), labels, n)
+
+
+def _null_variance(product: IndexedKernel, x0: str, real_mode: bool):
+    """``(m, v)``: m is the product's largest diagonal entry, and ``m**2 * v``
+    the exact variance of ``Y_s conj(Y_t)`` for one row Y of the glued
+    realization, for every label pair (Isserlis' theorem, with the mean
+    ``mu_s = P(s, x0)`` and the basepoint coordinate the constant 1):
+    ``P_ss P_tt - |mu_s|^2 |mu_t|^2`` for circular complex draws, and
+    ``P_ss P_tt + P_st^2 - 2 mu_s^2 mu_t^2`` in real mode.  Each term is of
+    degree 2 in P and is divided by ``m**2`` (``|mu_s|^2`` by m), so v is
+    at most about 1 for a PSD product."""
+    p = product.entries
+    m = float(p.diagonal().real.max())
+    d, a = p.diagonal().real / m, np.abs(p[:, product.index(x0)]) ** 2 / m
+    v = np.outer(d, d) - np.outer(a, a)
+    if real_mode:
+        v += np.square(p.real / m) - np.outer(a, a)
+    return m, v
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,9 +481,9 @@ def verify_realization(
     Forms the Markov product and its PSD certificate, samples the glued
     realization band by band, sums second moments as it goes, and
     compares them entrywise to the exact product.  When ``mc_tol`` is
-    None the pass threshold is ``5 * sqrt(v_max / n)`` with ``v_max`` the
-    largest per-entry sample variance, summed from the same draws.
-    Every argument is checked before the first eigensolver call.
+    None the pass threshold is ``5 * sqrt(v_max / n)``, with ``v_max`` the
+    largest variance of one row's ``Y_s conj(Y_t)``, in closed form from
+    the product.  Every argument is checked before the first eigensolver call.
     """
     _check_type(IndexedKernel, k1=k1, k2=k2)
     if mc_tol is not None:
@@ -496,13 +494,11 @@ def verify_realization(
     certificate = psd_check_eigen(product, tol)
     glued = GluedRealization(*(schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol)
                                for k in (k1, k2)))
-    bands, scratch = _sampler(glued, n, seed, real_mode)
-    empirical, quartic = _moment_sums(bands, glued.labels, n,
-                                      scratch if mc_tol is None else None)
+    empirical = _moment_sums(_draw_bands(glued, n, seed, real_mode), glued.labels, n)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
-        var = quartic / n - np.abs(empirical.entries) ** 2
-        mc_tol = 5.0 * math.sqrt(max(var.max(), 0.0) / n)
+        m, v = _null_variance(product, x0, real_mode)
+        mc_tol = 5.0 * m * math.sqrt(max(v.max(), 0.0) / n)
     passed = bool(certificate.verdict and max_dev <= mc_tol)
     return VerificationReport(product, certificate, empirical, max_dev, float(mc_tol), n,
                               int(seed), passed)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,7 +62,7 @@ def reference_blocks(source, n, seed, real_mode=False):
     glued = isinstance(source, GluedRealization)
     specs = (source.spec1, source.spec2) if glued else (source,)
     seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
     i, start = specs[0].basepoint_index, 0
     while start < n:
         k = n - start if n - start <= 1025 else 1024
@@ -76,6 +78,32 @@ def reference_blocks(source, n, seed, real_mode=False):
         parts[0:1] = [first[:, :i], np.ones((k, 1)), first[:, i:]]
         yield np.hstack(parts).astype(complex)
         start += k
+
+
+def isserlis_mc_tol(product, x0, n, real_mode=False):
+    """The default ``mc_tol`` of ``verify_realization``, ``5 sqrt(v_max / n)``,
+    with ``v_max`` by Isserlis' theorem in exact rational arithmetic, from
+    the mean ``mu_s = P(s, x0)`` and covariance ``C = P - mu mu*`` of the
+    glued realization: ``|mu_s|^2 C_tt + |mu_t|^2 C_ss + C_ss C_tt`` for
+    circular complex draws, and ``mu_s^2 C_tt + mu_t^2 C_ss + 2 mu_s mu_t
+    C_st + C_ss C_tt + C_st^2`` in real mode.  Only the last step, a square
+    root of ``v_max / m^2`` with m the largest diagonal entry, is in floats."""
+    p, i0 = product.entries, product.index(x0)
+    fr = [[(Fraction(float(z.real)), Fraction(float(z.imag))) for z in row] for row in p]
+    mu = [fr[s][i0] for s in range(len(p))]
+    # the real part of C, all that either form reads
+    c = [[fr[s][t][0] - mu[s][0] * mu[t][0] - mu[s][1] * mu[t][1] for t in range(len(p))]
+         for s in range(len(p))]
+    mod2 = [re * re + im * im for re, im in mu]
+    v_max = None
+    for s, t in itertools.product(range(len(p)), repeat=2):
+        css, ctt, cst = c[s][s], c[t][t], c[s][t]
+        v = mod2[s] * ctt + mod2[t] * css + css * ctt
+        if real_mode:
+            v += 2 * mu[s][0] * mu[t][0] * cst + cst**2
+        v_max = v if v_max is None else max(v_max, v)
+    m = max(row[s][0] for s, row in enumerate(fr))
+    return 5.0 * float(m) * math.sqrt(max(float(v_max / m**2), 0.0) / n)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

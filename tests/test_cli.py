@@ -699,10 +699,10 @@ class TestGoldenOutputs:
         "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "298866a849fd5e2493de42efafac4b80ebb3e719b6a8f0f0d04b9d7d061a228a",
+        "verify": "7b0155aceec47d6df582059c727ffeb2913bb4e8e436f2ea4fc28e7d4fada6b4",
         # text exports, 32 bands and a short one
-        "sample": "1fdc476197d052339699533e810b9738e17576ae72ed492b5753a50cee450570",
-        "sample-real": "42d13b16ae312da59eab232a7d506f8fcba53969062bfb41f1d37aec37dae27e",
+        "sample": "0a8aa9060e91a25aa194a9342949627a8427d76768329585dda519f690b5f4d3",
+        "sample-real": "933235375c85f39f82d3d412579ec091f058f806dbb81146a3572107812cae86",
     }
 
     @pytest.fixture(scope="class")

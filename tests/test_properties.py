@@ -1,6 +1,8 @@
 """Invariants as properties over generated inputs.
 
-Gluing preserves positive semidefiniteness and is associative, a glued
+Gluing preserves positive semidefiniteness and is associative, the
+closed-form variance behind ``verify``'s default threshold is nonnegative
+and at the glue point the Schur complement's diagonal, a glued
 realization carries the product's labels in the product's order, a kernel
 survives its JSON document bit for bit, and a tree glues to the same
 kernel from any root and to the closed form of Haagerup's kernel on a
@@ -33,6 +35,7 @@ from kernelglue import (
     schur_reduce,
 )
 from kernelglue.fileio import dump_document, kernel_from_document, kernel_to_document
+from kernelglue.realization import _null_variance
 
 
 @st.composite
@@ -58,6 +61,23 @@ def unit_psd_kernels(draw, prefix):
 def test_markov_product_of_psd_kernels_is_psd(k1, k2):
     assert psd_check_eigen(k1).verdict and psd_check_eigen(k2).verdict
     assert psd_check_eigen(markov_product(k1, k2, "x0")).verdict
+
+
+@settings(max_examples=150)
+@given(unit_psd_kernels("a"), unit_psd_kernels("b"), st.booleans())
+def test_null_variance_is_nonnegative_and_the_schur_diagonal_at_x0(k1, k2, real_mode):
+    if real_mode:
+        k1, k2 = (make_kernel(k.labels, k.entries.real) for k in (k1, k2))
+    product = markov_product(k1, k2, "x0")
+    m, v = _null_variance(product, "x0", real_mode)
+    assert m == product.entries.diagonal().real.max()
+    assert v.min() >= -1e-12
+    # Y_s conj(Y_x0) is Y_s, whose variance is its covariance entry
+    i0 = product.index("x0")
+    rest = [i for i in range(product.dim) if i != i0]
+    schur = schur_reduce(product, "x0").covariance.diagonal().real
+    np.testing.assert_allclose(m**2 * v[i0, rest], schur, rtol=0, atol=1e-12 * m**2)
+    np.testing.assert_allclose(m**2 * v[rest, i0], schur, rtol=0, atol=1e-12 * m**2)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from helpers import (
     BAD_TOLERANCES,
     count_solver_calls,
     draw,
+    isserlis_mc_tol,
     random_glued_pair,
     random_gram_kernel,
     random_unit_corner_hermitian,
@@ -492,12 +493,12 @@ class TestGoldenSamples:
     """sha256 of labels and sample bytes, pinned so the draws stay bitwise stable."""
 
     SINGLE = {
-        False: "f6fcc7c6128c6dfc790f96912c5b9b25d038000f8bae92e51b59cf03b5e95a6b",
-        True: "492a4522d17a95600a1ccc2a51378479a8012f4f8c84ac407d2afdca3f394627",
+        False: "2074c410c01f1bb442e1b53e3ce5162e67ae3612d96e5cd14508c3016679f631",
+        True: "0e940ffe3ddfb3c527fe37e359806090fa15a90a7136e3f3c29a9433f49b92a6",
     }
     GLUED = {
-        False: "7602f69ed0c00004922cd614243f0b497337f23b4845fed4241b9bbf0af12f64",
-        True: "6cae3a84c689d5feaadd5f907eb9f2b320cc3419f8c6a68a968fb163396ee664",
+        False: "f900f75745347d75907d0f0dd102fdf70200fe75880abe09e211c82c499e889b",
+        True: "dd31b92e769d2859928ab6f69382862acbe3b907f01d840869b4a3119423590b",
     }
 
     @pytest.mark.parametrize("real_mode", [False, True])
@@ -516,12 +517,12 @@ class TestBlockStream:
     across many band boundaries and tie ``verify_realization`` to it."""
 
     SINGLE = {
-        False: "1139b4d8ff9b57ddf6708f7a25fb132d2e78bba3f440e2f91c5abbafeb833556",
-        True: "cbeb225923443125188e3aca8729e93bc4dc7360071cc5cb855bc880e22969ab",
+        False: "e86e2b9253b7f158883b79fa6aa370ce5130b1ef53e5ea900312b9e0d1f54bea",
+        True: "b25d8fa3bfcc32bac7fe6a8e3edcb78c723d0afd30d1a33f082b37ce9221fbc0",
     }
     GLUED = {
-        False: "2ee24bdfaaf9b773b42c69e0d1255d4400a441360efcbdf1b52c381af9896750",
-        True: "99c60362d453da0bb0ae28f8cf74f2ae5e88483382fddec4cce7677e91a53e8d",
+        False: "660c432eb248089ef568af62ac703e703f6ffae4559a2f9f9d1ae6450de05b9b",
+        True: "1e2e3afe2dc733dac016d85968c2b035b7aa328b0654d6be179a8dd24b0d23b8",
     }
 
     @pytest.mark.parametrize("real_mode", [False, True])
@@ -541,13 +542,9 @@ class TestBlockStream:
         k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
         n = 32775  # 32 bands and a short one
         report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
-        glued = glued_pair(k1, k2)
-        _, samples = draw(glued, n, 31, real_mode)
-        empirical = moments(glued, n, 31, real_mode)
+        empirical = moments(glued_pair(k1, k2), n, 31, real_mode)
         assert report.empirical.entries.tobytes() == empirical.entries.tobytes()
-        a2 = np.abs(samples) ** 2
-        var = (a2.T @ a2) / n - np.abs(empirical.entries) ** 2
-        expected = 5.0 * math.sqrt(max(var.max(), 0.0) / n)
+        expected = isserlis_mc_tol(report.product, "x0", n, real_mode)
         assert report.mc_tol == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report.n_samples == n
 
@@ -565,7 +562,7 @@ class TestBlockStream:
         # the whole 2e5 x 63 complex batch alone is 192 MiB
         assert peak < 150 * 2**20
 
-    def test_verify_reuses_its_block_buffers(self):
+    def test_verify_reuses_its_band_buffers(self):
         rng = np.random.default_rng(404)
         k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
         k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)))
@@ -633,21 +630,20 @@ class TestBlockStream:
         assert peak < 20 * 2**20
 
     def test_moment_sums_do_not_depend_on_the_blas_thread_count(self):
-        # 99 glued labels: |X|**2 padded to 100 columns, not a multiple of
-        # 8, summed in a thread-dependent order
+        # 99 glued labels, 198 float columns unpadded: not a multiple of 8,
+        # which OpenBLAS sums in a thread-dependent order
         script = (
             "import hashlib\n"
             "import numpy as np\n"
             "from helpers import random_gram_kernel\n"
             "from kernelglue import GluedRealization, schur_reduce\n"
-            "from kernelglue.realization import _moment_sums, _sampler\n"
+            "from kernelglue.realization import _draw_bands, _moment_sums\n"
             "rng = np.random.default_rng(6)\n"
             "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(49)))\n"
             "      for p in 'cd']\n"
             "glued = GluedRealization(*(schur_reduce(k, 'x0') for k in ks))\n"
-            "bands, scratch = _sampler(glued, 5000, 1, False)\n"
-            "empirical, quartic = _moment_sums(bands, glued.labels, 5000, scratch)\n"
-            "print(hashlib.sha256(empirical.entries.tobytes() + quartic.tobytes()).hexdigest())\n"
+            "empirical = _moment_sums(_draw_bands(glued, 5000, 1, False), glued.labels, 5000)\n"
+            "print(hashlib.sha256(empirical.entries.tobytes()).hexdigest())\n"
         )
         tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
         digests = []
@@ -973,12 +969,46 @@ class TestVerifyRealization:
 
     @pytest.mark.parametrize(
         "corner, mc_tol, order",
-        # |X_a|**2 near 1.5e305 overflows the Gram sum; near 1e160 only
-        # the fourth-moment sum, which made the default mc_tol NaN
-        [(1.5e305, None, "second"), (1.5e305, 0.1, "second"), (1e160, None, "fourth")],
+        # |X_a|**2 near 1.5e305 overflows the Gram sum
+        [(1.5e305, None, "second"), (1.5e305, 0.1, "second")],
     )
     def test_moment_sum_overflow_names_the_pair(self, corner, mc_tol, order):
         k1 = make_kernel(["x0", "a"], [[1, 1], [1, corner]])
         _, k2 = cd_pair()
         with pytest.raises(NumericalFailureError, match=f"the {order}-moment sum at \\('a', 'a'\\)"):
             verify_realization(k1, k2, "x0", 10_000, seed=0, mc_tol=mc_tol)
+
+    def test_default_mc_tol_is_the_closed_form_at_a_large_corner(self):
+        # v_max is near 1e320 here, past float64: the closed form is taken
+        # over the largest diagonal entry squared
+        k1 = make_kernel(["x0", "a"], [[1, 1], [1, 1e160]])
+        _, k2 = cd_pair()
+        report = verify_realization(k1, k2, "x0", 10_000, seed=0)
+        assert math.isfinite(report.mc_tol)
+        assert report.mc_tol == pytest.approx(isserlis_mc_tol(report.product, "x0", 10_000),
+                                              rel=1e-12, abs=0.0)
+        assert report.passed
+
+
+class TestNullVariance:
+    """The variance behind the default ``mc_tol`` is taken in closed form
+    from the product; it agrees with the fourth-moment estimate of the
+    draws that it replaced."""
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_closed_form_matches_the_fourth_moment_estimate(self, seed, real_mode):
+        rng = np.random.default_rng(seed)
+        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(5)), not real_mode)
+        k2 = random_gram_kernel(rng, ("b0", "b1", "x0", "b2", "b3", "b4"), not real_mode)
+        n, second, quartic = 400_000, 0.0, 0.0
+        for band in sample_blocks(glued_pair(k1, k2), n, seed, real_mode=real_mode):
+            X = band.copy()
+            a2 = np.abs(X) ** 2
+            second = second + X.T @ X.conj()
+            quartic = quartic + a2.T @ a2
+        estimate = quartic / n - np.abs(second / n) ** 2
+        m, v = realization._null_variance(markov_product(k1, k2, "x0"), "x0", real_mode)
+        # the estimate's own sampling error: its worst entry was off by
+        # 0.86-1.42% of v_max at these seeds
+        assert np.abs(estimate - m**2 * v).max() <= 0.03 * m**2 * v.max()
