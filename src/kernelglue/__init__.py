@@ -46,7 +46,6 @@ from .realization import (
     GluedRealization,
     RealizationSpec,
     VerificationReport,
-    estimate_second_moments,
     psd_check_schur,
     sample_blocks,
     schur_reduce,
@@ -84,7 +83,6 @@ __all__ = [
     "RealizationSpec",
     "ValidationError",
     "VerificationReport",
-    "estimate_second_moments",
     "glue_tree",
     "make_kernel",
     "markov_product",

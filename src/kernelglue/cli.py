@@ -108,6 +108,11 @@ def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
 
     if cmd in ("realize", "sample"):
         kernel = load_kernel(config.inputs[0])
+        for label in kernel.labels:
+            # the sample header joins the labels by commas on one line
+            if cmd == "sample" and any(c in label for c in ",\n\r"):
+                raise InvalidParameterError(
+                    f"the sample header cannot carry label {label!r}: it holds ',' or a line break")
         # The basepoint defaults to the kernel's first label.
         spec = schur_reduce(
             kernel,

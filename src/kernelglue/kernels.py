@@ -212,6 +212,14 @@ def _psd_eigh(matrix: np.ndarray, tol: float, floor: float = 1.0, *, vectors: bo
     return w, v, scale, verdict
 
 
+def _check_overflow(a: np.ndarray, where: str, rows, cols) -> None:
+    """A matrix computed from finite entries is finite, or the first entry
+    that is not raises ``NumericalFailureError`` naming its label pair."""
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise NumericalFailureError(f"{where} ({rows[i]!r}, {cols[j]!r}) overflows float64")
+
+
 def _bordered_scale(alpha: np.ndarray, reduced: np.ndarray) -> float:
     """The largest diagonal entry ``C(s, s) + |alpha_s|^2`` of the kernel
     bordered by a unit basepoint row ``alpha`` around its Schur complement
@@ -320,7 +328,8 @@ def _glue_chain(
     The result is allocated once at its final size.  Labels come in
     placement order; each new kernel is copied bitwise onto its own
     labels (the glue point keeps its placed diagonal), and every cross
-    entry is ``placed(s, x0) * kernel(x0, t)`` or its conjugate.
+    entry is ``placed(s, x0) * kernel(x0, t)`` or its conjugate.  A cross
+    entry that overflows raises ``NumericalFailureError``.
     """
     _check_tolerance("basepoint_tol", basepoint_tol)
     n = first.dim + sum(k.dim - 1 for k, _ in steps)
@@ -342,12 +351,14 @@ def _glue_chain(
         i2 = _unit_index(k, x0, basepoint_tol)
         rest = [i for i in range(k.dim) if i != i2]
         m, end = len(labels), len(labels) + len(rest)
-        cross = np.outer(out[:m, ix0], k.entries[i2, rest])
-        out[:m, m:end] = cross
-        out[m:end, :m] = cross.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.outer(out[:m, ix0], k.entries[i2, rest])
         # Row and column x0 of the new block overwrite the cross entries
         # computed through the placed diagonal.
-        out[ix0, m:end] = k.entries[i2, rest]
+        cross[ix0] = k.entries[i2, rest]
+        _check_overflow(cross, "the glued entry at", labels, [k.labels[i] for i in rest])
+        out[:m, m:end] = cross
+        out[m:end, :m] = cross.conj().T
         out[m:end, ix0] = k.entries[rest, i2]
         out[m:end, m:end] = k.entries[np.ix_(rest, rest)]
         for i in rest:
@@ -394,8 +405,9 @@ def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:
     """Rescale a kernel so the diagonal entry at ``x0`` becomes exactly 1.
 
     Only legal when that entry is real and strictly positive (the
-    rescaling then preserves positive semidefiniteness).  Never applied
-    implicitly by any other operation.
+    rescaling then preserves positive semidefiniteness).  An entry that
+    overflows raises ``NumericalFailureError``.  Never applied implicitly
+    by any other operation.
     """
     _check_type(IndexedKernel, k=k)
     i0 = k.index(x0)
@@ -406,5 +418,7 @@ def normalize_at_basepoint(k: IndexedKernel, x0: str) -> IndexedKernel:
         )
     # Componentwise real division keeps conjugate symmetry exact and
     # makes the basepoint diagonal exactly 1.0.
-    scaled = k.entries.real / value.real + 1j * (k.entries.imag / value.real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = k.entries.real / value.real + 1j * (k.entries.imag / value.real)
+    _check_overflow(scaled, "the normalized entry at", k.labels, k.labels)
     return IndexedKernel(k.labels, _lock(scaled))

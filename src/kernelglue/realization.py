@@ -10,12 +10,15 @@ when that covariance is, decided once per spec, by one ``eigh`` at the
 spec's ``tol`` on the first read of ``factor`` (``NotPsdError`` if it
 fails), ``psd_check_schur`` or ``sample_blocks``.  Gluing two such
 realizations with independent randomness reproduces the Markov product,
-which ``verify_realization`` checks end to end from second moments
+whose Schur complement at the glue point is the direct sum of the two
+covariances: ``verify_realization`` takes its certificate from the two
+specs' decisions, and checks the product end to end from second moments
 alone.  ``sample_blocks`` draws n rows in bands of about ``_BAND_ROWS``
 rows, each band drawing its own normals from SFC64 and placed in one
 reused band buffer, so memory does not grow with n;
 ``verify_realization`` adds each band's Gram matrix while it is in
-cache, and takes its threshold's variance in closed form.  The band
+cache, in its one moment sum (``_moment_sums``), and takes its
+threshold's variance in closed form.  The band
 buffer's zero pad columns make the moment sums the same under any BLAS
 thread count (the eigensolver's factor need not be, past about 96
 coordinates).  Draws are circularly-symmetric complex Gaussians (real
@@ -34,11 +37,9 @@ import numpy as np
 
 from .errors import (
     BasepointMismatchError,
-    DimensionMismatchError,
     EmptyBatchError,
     InvalidParameterError,
     LabelCollisionError,
-    NonFiniteError,
     NotPsdError,
     NumericalFailureError,
 )
@@ -50,6 +51,7 @@ from .kernels import (
     _array,
     _band_rows,
     _bordered_scale,
+    _check_overflow,
     _check_tolerance,
     _check_type,
     _labels,
@@ -58,7 +60,6 @@ from .kernels import (
     _psd_eigh,
     _unit_index,
     markov_product,
-    psd_check_eigen,
 )
 
 # Fixed tags mixed with the user seed to derive the two independent
@@ -353,35 +354,13 @@ def _draw_bands(source, n, seed, real_mode: bool):
     return bands()
 
 
-def _padded_bands(blocks, labels):
-    """A caller's blocks of one column per label, band by band, each copied
-    into one buffer whose pad columns stay zero, as ``_moment_sums`` takes
-    them.  An entry that is not finite raises ``NonFiniteError`` naming
-    its row, counted over all blocks, and its label."""
-    d, start = len(labels), 0
-    buffer = np.zeros((0, _padded(d)), complex)
-    for X in blocks:
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != d:
-            raise DimensionMismatchError(f"block of shape {X.shape} for {d} labels")
-        for rows in _bands(len(X)):
-            k = rows.stop - rows.start
-            if len(buffer) < k:
-                buffer = np.zeros((min(len(X), _BAND_ROWS + 1), _padded(d)), complex)
-            buffer[:k, :d] = X[rows]
-            if not np.isfinite(buffer[:k]).all():
-                r, c = np.argwhere(~np.isfinite(buffer[:k]))[0]
-                raise NonFiniteError(f"row {start + rows.start + r} entry {labels[c]!r} "
-                                     f"is {complex(buffer[r, c])}, not finite")
-            yield buffer[:k]
-        start += len(X)
-
-
-def _moment_sums(bands, labels, n: int) -> IndexedKernel:
-    """The empirical kernel: the sum over all n rows of ``X.T @ X.conj()``,
-    added band by band in order, divided by n and mirrored.  A band is a
-    C-contiguous complex array of rows, one column per label and then zero
-    columns up to a multiple of ``_PAD_COLUMNS``.
+def _moment_sums(bands, labels) -> IndexedKernel:
+    """The empirical kernel: the sum over all rows of ``X.T @ X.conj()``,
+    added band by band in order, divided by the row count and mirrored, so
+    it is exactly Hermitian (and PSD, being an empirical Gram matrix), and
+    a basepoint column of ones gives a diagonal entry of exactly 1.  A
+    band is a C-contiguous complex array of rows, one column per label and
+    then zero columns up to a multiple of ``_PAD_COLUMNS``.
 
     The sum is taken as the real ``V.T @ V`` of ``V``, the band viewed as
     its ``[re, im]`` float columns, which numpy runs as a symmetric rank-k
@@ -402,34 +381,10 @@ def _moment_sums(bands, labels, n: int) -> IndexedKernel:
             V = X.view(np.float64)
             g = V.T @ V
             real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
-        if rows != n:
-            raise InvalidParameterError(f"the blocks hold {rows} rows, not n = {n}")
         re, im = real_gram[0 : 2 * d : 2, : 2 * d], real_gram[1 : 2 * d : 2, : 2 * d]
         gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
-    if not np.isfinite(gram).all():
-        i, j = np.argwhere(~np.isfinite(gram))[0]
-        raise NumericalFailureError(
-            f"the second-moment sum at ({labels[i]!r}, {labels[j]!r}) overflows float64"
-        )
-    return IndexedKernel(labels, _lock(_mirror(gram / n)))
-
-
-def estimate_second_moments(blocks, labels, n: int) -> IndexedKernel:
-    """Empirical kernel of n rows given in blocks, one column per label:
-    entry(s, t) = mean over rows of Y_s conj(Y_t).
-
-    Summed over the bands of each block, copied into a padded buffer, as
-    ``verify_realization`` sums, so the bands of ``sample_blocks`` give
-    its ``empirical`` to the same bits.  The upper triangle is mirrored
-    by conjugation, so the output is exactly Hermitian (and PSD, being an
-    empirical Gram matrix); a basepoint column of ones gives a diagonal
-    entry of exactly 1.  n is checked as the samplers check it, and must
-    be at least 2 (``EmptyBatchError``); a block entry that is not finite
-    raises ``NonFiniteError``.
-    """
-    _check_rows(n)
-    labels = tuple(labels)
-    return _moment_sums(_padded_bands(blocks, labels), labels, n)
+    _check_overflow(gram, "the second-moment sum at", labels, labels)
+    return IndexedKernel(labels, _lock(_mirror(gram / rows)))
 
 
 def _null_variance(product: IndexedKernel, x0: str, real_mode: bool):
@@ -478,8 +433,13 @@ def verify_realization(
 ) -> VerificationReport:
     """Full constructive check that gluing preserves positivity.
 
-    Forms the Markov product and its PSD certificate, samples the glued
-    realization band by band, sums second moments as it goes, and
+    Forms the Markov product and splits both kernels at x0.  The product's
+    Schur complement at x0 is the direct sum of the two covariances, so its
+    ``certificate`` is the spec certificate (``psd_check_schur``, each at
+    its own scale) with the smaller eigenvalue; a spec that fails raises
+    ``NotPsdError`` before the first draw, so a report's certificate has
+    passed, and ``passed`` is the Monte Carlo verdict.  Then samples the
+    glued realization band by band, sums second moments as it goes, and
     compares them entrywise to the exact product.  When ``mc_tol`` is
     None the pass threshold is ``5 * sqrt(v_max / n)``, with ``v_max`` the
     largest variance of one row's ``Y_s conj(Y_t)``, in closed form from
@@ -491,14 +451,15 @@ def verify_realization(
     _check_draw(n, seed, real_mode, (k1.entries, k2.entries))
     _check_rows(n)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
-    certificate = psd_check_eigen(product, tol)
     glued = GluedRealization(*(schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol)
                                for k in (k1, k2)))
-    empirical = _moment_sums(_draw_bands(glued, n, seed, real_mode), glued.labels, n)
+    certificate = min(map(psd_check_schur, (glued.spec1, glued.spec2)),
+                      key=lambda c: c.min_eigenvalue)
+    empirical = _moment_sums(_draw_bands(glued, n, seed, real_mode), glued.labels)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         m, v = _null_variance(product, x0, real_mode)
         mc_tol = 5.0 * m * math.sqrt(max(v.max(), 0.0) / n)
-    passed = bool(certificate.verdict and max_dev <= mc_tol)
+    passed = bool(max_dev <= mc_tol)
     return VerificationReport(product, certificate, empirical, max_dev, float(mc_tol), n,
                               int(seed), passed)

@@ -51,6 +51,16 @@ def draw(source, n, seed, real_mode=False):
     return labels, np.concatenate(blocks)
 
 
+def moments(source, n, seed, real_mode=False) -> IndexedKernel:
+    """The empirical kernel of n rows drawn from a spec or a glued pair, by
+    plain numpy: the sum of ``X.T @ X.conj()`` over the copied bands of
+    ``sample_blocks``, divided by n, then averaged with its conjugate
+    transpose so that it is exactly Hermitian."""
+    labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
+    bands = (band.copy() for band in sample_blocks(source, n, seed, real_mode=real_mode))
+    return make_kernel(labels, hermitize(sum(X.T @ X.conj() for X in bands) / n))
+
+
 def reference_blocks(source, n, seed, real_mode=False):
     """The bands of ``sample_blocks`` by the per-band formula, each a
     fresh array.  Bands are 1,024 rows, and the last one takes a 1-row

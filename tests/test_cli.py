@@ -21,7 +21,7 @@ from helpers import (
     random_gluing_tree,
     random_gram_kernel,
 )
-from kernelglue import make_kernel, markov_product
+from kernelglue import cli, make_kernel, markov_product
 from kernelglue.cli import RunConfig, _build_parser, main, run
 from kernelglue.fileio import dump_document, kernel_to_document, tree_to_document
 
@@ -373,6 +373,26 @@ class TestMain:
         assert done.stdout == ""
         assert done.stderr == f"NumericalFailure: {message}\n"
 
+    @pytest.mark.parametrize("command", ["glue", "glue-tree", "verify"])
+    def test_glue_overflow_is_one_stderr_line(self, workdir, command):
+        # finite kernels whose cross entry K(a, x0) K(x0, b) = 1e400 overflows;
+        # a fresh interpreter, so numpy warnings would reach its stderr
+        docs = [{"labels": ["x0", s], "entries": [[[1, 0], [1e200, 0]], [[1e200, 0], [1, 0]]]}
+                for s in "ab"]
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(workdir["dir"] / f"large{i}.json")
+            paths[-1].write_text(dump_document(doc))
+        tree = workdir["dir"] / "large-tree.json"
+        tree.write_text(dump_document({"nodes": docs, "edges": [[0, 1, "x0"]]}))
+        inputs = [str(tree)] if command == "glue-tree" else [str(p) for p in paths]
+        argv = [command, *inputs, "--glue-label", "x0", "--samples", "10"]
+        done = subprocess.run([sys.executable, "-m", "kernelglue.cli", *argv],
+                              capture_output=True, text=True, env=_cli_env(), timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "NumericalFailure: the glued entry at ('a', 'b') overflows float64\n"
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -616,6 +636,25 @@ class TestMain:
         assert captured.err.startswith("InvalidParameter: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["a,b", "c\nd", "e\rf"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_sample_rejects_labels_its_header_cannot_carry(
+        self, workdir, capsys, monkeypatch, label, to_file
+    ):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("samples were drawn")
+
+        monkeypatch.setattr(cli, "sample_blocks", no_draws)
+        path = workdir["dir"] / "labels.json"
+        path.write_text(dump_document(kernel_to_document(make_kernel(["x0", label], np.eye(2)))))
+        out = workdir["dir"] / "p.txt"
+        assert main(["sample", str(path)] + (["--output", str(out)] if to_file else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"InvalidParameter: the sample header cannot carry label "
+                                f"{label!r}: it holds ',' or a line break\n")
+        assert not out.exists()
+
     def test_sample_to_a_closed_pipe_exits_quietly(self, workdir):
         # 60 edge kernels glue to 61 labels, about 200 KB of JSON: more than a pipe holds
         tree = workdir["dir"] / "edges.json"
@@ -699,7 +738,7 @@ class TestGoldenOutputs:
         "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "7b0155aceec47d6df582059c727ffeb2913bb4e8e436f2ea4fc28e7d4fada6b4",
+        "verify": "ec39e47521184df6f8d76cb457cee703d543bc2ba1c99abe16f257ac2c7c6ba6",
         # text exports, 32 bands and a short one
         "sample": "0a8aa9060e91a25aa194a9342949627a8427d76768329585dda519f690b5f4d3",
         "sample-real": "933235375c85f39f82d3d412579ec091f058f806dbb81146a3572107812cae86",

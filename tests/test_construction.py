@@ -25,7 +25,6 @@ from kernelglue import (
     NumericalFailureError,
     PsdCertificate,
     RealizationSpec,
-    estimate_second_moments,
     glue_tree,
     make_kernel,
     normalize_at_basepoint,
@@ -87,10 +86,6 @@ class TestSchurSplit:
 
 
 class TestLabelsAndMessages:
-    def test_sample_batch_labels_are_distinct(self):
-        with pytest.raises(DuplicateLabelError, match="'x0'"):
-            estimate_second_moments([np.ones((2, 3))], ("x0", "a", "x0"), 2)
-
     def test_not_hermitian_names_labels(self):
         with pytest.raises(NotHermitianError) as info:
             make_kernel(["x0", "a", "b"], [[1, 0, 0.5], [0, 1, 0], [0.4, 0, 1]])

@@ -120,6 +120,17 @@ class TestMirrorUpper:
 
 
 class TestMarkovProduct:
+    def test_cross_entry_that_overflows_is_a_numerical_failure(self):
+        # K(a, x0) K(x0, b) = 1e400; numpy's warning stays inside, and the
+        # finite operands are not blamed
+        k1 = make_kernel(["x0", "a"], [[1, 1e200], [1e200, 1]])
+        k2 = make_kernel(["x0", "b"], [[1, 1e200], [1e200, 1]])
+        message = r"^the glued entry at \('a', 'b'\) overflows float64$"
+        with pytest.raises(NumericalFailureError, match=message):
+            markov_product(k1, k2, "x0")
+        with pytest.raises(NumericalFailureError, match=message):
+            glue_tree(GluingTree((k1, k2), ((0, 1, "x0"),)))
+
     def test_gluing_a_point_is_identity(self):
         k1 = make_kernel(["x0"], [[1.0]])
         k2 = make_kernel(["x0", "b"], [[1, 0.3 - 0.1j], [0.3 + 0.1j, 1]])
@@ -464,3 +475,11 @@ class TestNormalizeAtBasepoint:
         k = make_kernel(["x0", "a"], [[-1.0, 0], [0, 1.0]])
         with pytest.raises(BasepointNotUnitError):
             normalize_at_basepoint(k, "x0")
+
+    def test_entry_that_overflows_is_a_numerical_failure(self):
+        # 1e10 / 1e-300 is past float64; numpy's warning stays inside
+        k = make_kernel(["x0", "a"], [[1e-300, 1e10], [1e10, 1]])
+        with pytest.raises(NumericalFailureError,
+                           match=r"^the normalized entry at \('x0', 'a'\) overflows float64$"):
+            normalize_at_basepoint(k, "x0")
+

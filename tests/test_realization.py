@@ -20,6 +20,7 @@ from helpers import (
     count_solver_calls,
     draw,
     isserlis_mc_tol,
+    moments,
     random_glued_pair,
     random_gram_kernel,
     random_unit_corner_hermitian,
@@ -33,11 +34,9 @@ from kernelglue import (
     GluedRealization,
     InvalidParameterError,
     LabelCollisionError,
-    NonFiniteError,
     NotPsdError,
     NumericalFailureError,
     RealizationSpec,
-    estimate_second_moments,
     make_kernel,
     markov_product,
     mirror_upper,
@@ -66,11 +65,15 @@ def glued_pair(k1, k2):
     return GluedRealization(schur_reduce(k1, "x0"), schur_reduce(k2, "x0"))
 
 
-def moments(source, n, seed, real_mode=False):
-    """``estimate_second_moments`` of n rows drawn from a spec or a glued pair."""
-    labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
-    blocks = sample_blocks(source, n, seed, real_mode=real_mode)
-    return estimate_second_moments(blocks, labels, n)
+def assert_within_rounding(empirical, reference, n):
+    """Two sums of the same n rows' ``X_s conj(X_t)``, each within
+    ``gamma_n = n eps`` of the exact mean of ``|X_s| |X_t|`` per real
+    component (Higham 2002, ch. 3), so within ``4 n eps sqrt(E_ss E_tt)``
+    of each other, by Cauchy-Schwarz on that mean."""
+    d = empirical.entries.diagonal().real
+    bound = 4 * n * np.finfo(float).eps * np.sqrt(np.outer(d, d))
+    assert empirical.labels == reference.labels
+    assert np.all(np.abs(empirical.entries - reference.entries) <= bound)
 
 
 def near_boundary_kernel(rng, kind):
@@ -542,8 +545,7 @@ class TestBlockStream:
         k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
         n = 32775  # 32 bands and a short one
         report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
-        empirical = moments(glued_pair(k1, k2), n, 31, real_mode)
-        assert report.empirical.entries.tobytes() == empirical.entries.tobytes()
+        assert_within_rounding(report.empirical, moments(glued_pair(k1, k2), n, 31, real_mode), n)
         expected = isserlis_mc_tol(report.product, "x0", n, real_mode)
         assert report.mc_tol == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report.n_samples == n
@@ -642,7 +644,7 @@ class TestBlockStream:
             "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(49)))\n"
             "      for p in 'cd']\n"
             "glued = GluedRealization(*(schur_reduce(k, 'x0') for k in ks))\n"
-            "empirical = _moment_sums(_draw_bands(glued, 5000, 1, False), glued.labels, 5000)\n"
+            "empirical = _moment_sums(_draw_bands(glued, 5000, 1, False), glued.labels)\n"
             "print(hashlib.sha256(empirical.entries.tobytes()).hexdigest())\n"
         )
         tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
@@ -673,8 +675,7 @@ class TestBlockStream:
         k1, k2 = (big, small) if larger_first else (small, big)
         n = 32775
         report = verify_realization(k1, k2, "x0", n, seed=17, real_mode=real_mode)
-        empirical = moments(glued_pair(k1, k2), n, 17, real_mode)
-        assert report.empirical.entries.tobytes() == empirical.entries.tobytes()
+        assert_within_rounding(report.empirical, moments(glued_pair(k1, k2), n, 17, real_mode), n)
 
     def test_argument_errors_come_before_any_draw(self, monkeypatch):
         k1, k2 = cd_pair()
@@ -754,18 +755,10 @@ class TestCountCheck:
         k1, k2 = cd_pair()
         spec = schur_reduce(k1, "x0")
         glued = GluedRealization(spec, schur_reduce(k2, "x0"))
-        labels, samples = draw(spec, 16385, 0)
-
-        def first_rows():
-            # sliced only when read, so a bad n is never a slice bound
-            yield samples[:n]
-
         return {
             "sample_blocks": lambda: draw(spec, n, 0)[1],
             "sample_blocks of a glued pair": lambda: draw(glued, n, 0)[1],
             "verify_realization": lambda: verify_realization(k1, k2, "x0", n, 0).empirical.entries,
-            "estimate_second_moments":
-                lambda: estimate_second_moments(first_rows(), labels, n).entries,
         }
 
     @pytest.mark.parametrize(
@@ -821,56 +814,45 @@ class TestSeedCheck:
 
 
 class TestEstimateSecondMoments:
+    """The one moment sum, ``_moment_sums``, as ``verify_realization``
+    reports it in ``empirical``."""
+
     def test_deterministic_batch_gives_exact_kernel(self):
-        spec = RealizationSpec(("a", "b"), "x0", [0.5, 0.5j], np.zeros((2, 2)))
-        m = moments(spec, 10, seed=0)
-        assert m.entry("x0", "x0") == 1.0
-        assert m.entry("a", "x0") == 0.5
-        assert m.entry("x0", "b") == np.conj(0.5j)
-        assert abs(m.entry("a", "b") - 0.5 * np.conj(0.5j)) < 1e-15
+        # rank-one kernels with a unit basepoint have zero covariance
+        k1 = make_kernel(["x0", "a"], [[1, 0.5], [0.5, 0.25]])
+        k2 = make_kernel(["x0", "b"], [[1, 0.5j], [-0.5j, 0.25]])
+        report = verify_realization(k1, k2, "x0", 10, seed=0)
+        assert np.array_equal(report.empirical.entries, report.product.entries)
+        assert report.empirical.entry("a", "b") == 0.25j
+        assert report.max_abs_deviation == 0.0
 
     def test_output_is_hermitian_and_psd(self):
         rng = np.random.default_rng(11)
-        k = random_gram_kernel(rng, ("x0", "a", "b"))
-        m = moments(schur_reduce(k, "x0"), 1000, seed=12)
+        k1 = random_gram_kernel(rng, ("x0", "a", "b"))
+        k2 = random_gram_kernel(rng, ("c", "x0"))
+        m = verify_realization(k1, k2, "x0", 1000, seed=12).empirical
         assert np.array_equal(m.entries, m.entries.conj().T)
         assert psd_check_eigen(m).verdict
 
     def test_basepoint_moment_exact(self):
-        spec = schur_reduce(two_point_kernel(0.5), "x0")
+        k1, k2 = cd_pair()
         for n in (2, 3, 17, 1000):
-            assert moments(spec, n, seed=n).entry("x0", "x0") == 1.0
+            assert verify_realization(k1, k2, "x0", n, seed=n).empirical.entry("x0", "x0") == 1.0
 
     def test_needs_two_rows(self):
-        spec = schur_reduce(two_point_kernel(0.5), "x0")
+        k1, k2 = cd_pair()
         with pytest.raises(EmptyBatchError):
-            moments(spec, 1, seed=0)
-
-    def test_fortran_order_blocks_give_the_same_moments(self):
-        glued = glued_pair(*cd_pair())
-        labels, samples = draw(glued, 1000, seed=4)
-        expected = estimate_second_moments([samples], labels, 1000).entries
-        fortran = estimate_second_moments([np.asfortranarray(samples)], labels, 1000)
-        assert fortran.entries.tobytes() == expected.tobytes()
-
-    def test_non_finite_entry_names_its_row_and_label(self):
-        # counted over all blocks; a NaN is bad input, not an overflow
-        with pytest.raises(NonFiniteError, match=r"^row 0 entry 'a' is \(nan\+0j\), not finite$"):
-            estimate_second_moments([np.array([[1, np.nan], [1, 2]])], ("x0", "a"), 2)
-        bad = np.ones((_BAND_ROWS + 2, 2), complex)
-        bad[_BAND_ROWS + 1, 0] = complex(0, np.inf)
-        with pytest.raises(NonFiniteError, match=f"^row {_BAND_ROWS + 4} entry 'x0' is infj"):
-            estimate_second_moments([np.ones((3, 2)), bad], ("x0", "a"), _BAND_ROWS + 5)
+            verify_realization(k1, k2, "x0", 1, seed=0)
 
     def test_finite_entries_that_overflow_are_a_numerical_failure(self):
+        # two bands of padded rows; the sum counts their rows itself
+        bands = [np.zeros((k, 8), complex) for k in (2, 3)]
+        for band in bands:
+            band[:, :2] = [1, 2]
+        assert realization._moment_sums(bands, ("x0", "a")).entry("a", "a") == 4.0
+        bands[1][0, 1] = 1e200
         with pytest.raises(NumericalFailureError, match=r"second-moment sum at \('a', 'a'\)"):
-            estimate_second_moments([np.array([[1, 1e200], [1, 2]])], ("x0", "a"), 2)
-
-    def test_blocks_must_hold_n_rows(self):
-        labels, samples = draw(glued_pair(*cd_pair()), 100, seed=4)
-        for n in (99, 101):
-            with pytest.raises(InvalidParameterError, match=f"the blocks hold 100 rows, not n = {n}"):
-                estimate_second_moments([samples], labels, n)
+            realization._moment_sums(bands, ("x0", "a"))
 
 
 class TestVerifyRealization:
@@ -909,9 +891,9 @@ class TestVerifyRealization:
                 verify_realization(k1, k2, "x0", n=100, seed=0, mc_tol=bad)
 
     def test_three_eigendecompositions(self, monkeypatch):
-        # eigenvalues only for the product's passing certificate, then one
-        # eigh per operand's covariance, which both certifies the operand
-        # and factors it for sampling; a call of either solver is counted
+        # one eigh per operand's covariance, which certifies the operand,
+        # gives the product's certificate and factors it for sampling; the
+        # product itself is not decomposed; a call of either solver is counted
         calls = []
         for name in ("eigh", "eigvalsh"):
             def counting(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
@@ -921,7 +903,22 @@ class TestVerifyRealization:
             monkeypatch.setattr(np.linalg, name, counting)
         k1, k2 = cd_pair()
         verify_realization(k1, k2, "x0", n=1000, seed=0)
-        assert calls == [("eigvalsh", (3, 3)), ("eigh", (1, 1)), ("eigh", (1, 1))]
+        assert calls == [("eigh", (1, 1)), ("eigh", (1, 1))]
+
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_certificate_is_the_schur_certificate_of_the_product(self, seed):
+        # P's Schur complement at x0 is C1 (+) C2, so its certificate is
+        # the operand certificate with the smaller eigenvalue
+        rng = np.random.default_rng(seed)
+        k1, k2 = random_glued_pair(rng)
+        report = verify_realization(k1, k2, "x0", 100, seed=0, tol=1e-8)
+        operands = [psd_check_schur(schur_reduce(k, "x0", 1e-8)) for k in (k1, k2)]
+        cert = report.certificate
+        assert cert.min_eigenvalue == min(c.min_eigenvalue for c in operands)
+        assert (cert.verdict, cert.witness, cert.tolerance_used) == (True, None, 1e-8)
+        covariance = schur_reduce(report.product, "x0").covariance
+        assert cert.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(covariance)[0],
+                                                    rel=0.0, abs=1e-12)
 
     def test_arguments_are_checked_before_any_solve(self, monkeypatch):
         k1, k2 = cd_pair()
