@@ -13,16 +13,19 @@ realizations with independent randomness reproduces the Markov product,
 whose Schur complement at the glue point is the direct sum of the two
 covariances: ``verify_realization`` takes its certificate from the two
 specs' decisions, and checks the product end to end from second moments
-alone.  ``sample_blocks`` draws n rows in bands of about ``_BAND_ROWS``
-rows, each band drawing its own normals from SFC64 and placed in one
-reused band buffer, so memory does not grow with n;
-``verify_realization`` adds each band's Gram matrix while it is in
-cache, in its one moment sum (``_moment_sums``), and takes its
-threshold's variance in closed form.  The band
-buffer's zero pad columns make the moment sums the same under any BLAS
-thread count (the eigensolver's factor need not be, past about 96
-coordinates).  Draws are circularly-symmetric complex Gaussians (real
-and imaginary parts each of variance 1/2), or real ones in real mode.
+alone.  Both draw the normals of n rows in bands of about
+``_BAND_ROWS`` rows (``_draw_bands``), each band drawing its own normals
+from SFC64 into one reused band buffer, so memory does not grow with n.
+A row is affine in its band's normals, ``X = Z B``: ``sample_blocks``
+forms the rows spec by spec, and ``verify_realization`` never does.  It
+adds the Gram matrix of each band's normals while it is in cache, maps
+the sum once through B (``_band_map``) to the rows' second moments, in
+its one moment sum (``_moment_sums``), and takes its threshold's
+variance in closed form.  The zero pad columns of the band and of B
+make the moment sums the same under any BLAS thread count (the
+eigensolver's factor need not be, past about 96 coordinates).  Draws
+are circularly-symmetric complex Gaussians (real and imaginary parts
+each of variance 1/2), or real ones in real mode.
 The value types here check labels and arrays by the rule of ``kernels``.
 """
 
@@ -228,12 +231,13 @@ def schur_reduce(
     the Schur complement, formed here and nowhere else: the outer product
     is subtracted from a fresh copy of ``K(rest, rest)`` a band of rows at
     a time, which is then mirrored in place (``mirror_upper``).  An entry
-    that overflows raises ``NumericalFailureError``.
+    that overflows raises ``NumericalFailureError`` naming its label pair.
     """
     _check_type(IndexedKernel, k=k)
     _check_tolerance("basepoint_tol", basepoint_tol)
     i0 = _unit_index(k, s0, basepoint_tol)
     rest = [i for i in range(k.dim) if i != i0]
+    labels = k.labels[:i0] + k.labels[i0 + 1 :]
     alpha = k.entries[i0, rest]
     mean = alpha.conj()
     reduced = k.entries[np.ix_(rest, rest)]
@@ -242,10 +246,9 @@ def schur_reduce(
         for i in range(0, len(rest), step):
             band = reduced[i : i + step]
             band -= np.multiply(mean[i : i + step, None], alpha)
-            if not np.isfinite(band).all():
-                raise NumericalFailureError("the Schur complement overflows float64")
+            _check_overflow(band, "the Schur complement at", labels[i : i + step], labels)
     return RealizationSpec(
-        labels=k.labels[:i0] + k.labels[i0 + 1 :],
+        labels=labels,
         basepoint=s0,
         mean=_lock(mean),
         covariance=_lock(_mirror(reduced)),
@@ -304,22 +307,43 @@ def sample_blocks(
     glued pair by two sub-seeds, the seed mixed with two fixed tags.
     Identical (source, seed, n) give bitwise-identical rows.
     """
-    bands = _draw_bands(source, n, seed, real_mode)
-    d = len(source.labels if isinstance(source, GluedRealization) else source.full_labels)
-    return (band[:, :d] for band in bands)
+    specs, factors, bands = _draw_bands(source, n, seed, real_mode)
+    dims, i = [spec.dim for spec in specs], specs[0].basepoint_index
+    mean = _mean_row(specs)
+    out = np.empty((min(n, _BAND_ROWS + 1), len(mean)), complex)
+
+    def rows():
+        for Z in bands:
+            X, col = out[: len(Z)], 1
+            for d, factor in zip(dims, factors):
+                z = Z[:, col : col + d]
+                # numpy runs a strided float view without BLAS, in other bits
+                np.matmul(np.ascontiguousarray(z.real) if real_mode else z, factor,
+                          out=X[:, col : col + d])
+                col += d
+            X[:, :i] = X[:, 1 : i + 1]
+            X[:, i] = 0.0
+            X += mean
+            yield X
+
+    return rows()
 
 
 def _draw_bands(source, n, seed, real_mode: bool):
-    """Check the arguments of ``sample_blocks``, read every spec's factor
-    once, pre-scaled for its mode, and allocate two buffers; then iterate
-    over the bands with their zero pad columns, each drawn when asked for
-    into the band buffer.  Every spec's centered draws ``z @ factor`` go
-    into its columns after the first, then the first spec's columns before
-    its basepoint move one place left and the (padded) means, 1.0 at the
-    basepoint, are added.  Per band and spec, z is drawn into the flat
-    ``draws`` buffer by one call, 2kd floats viewed as k x d complex
-    normals (``factor`` is ``L.T`` pre-scaled by sqrt(0.5)), or k x d real
-    normals in real mode (``factor`` is ``L.real.T``)."""
+    """Check the arguments of ``sample_blocks`` and read every spec's
+    factor once, pre-scaled for its mode; return the specs, those factors
+    and an iterator over the bands of normals, each drawn when asked for
+    into one reused buffer.
+
+    A band of k rows is ``Z = [1 | z1 | z2 | 0...]``, k x ``_padded(1 +
+    sum of dims)`` complex: a column of ones, each spec's normals in turn,
+    and zero pad columns.  A band's rows are affine in its normals, ``X =
+    Z B`` with B the ``_band_map`` of the specs and factors.  Per band and
+    spec, z is drawn into the flat ``draws`` buffer by one call, 2kd
+    floats viewed as k x d complex normals (``factor`` is ``L.T``
+    pre-scaled by sqrt(0.5)), or k x d real normals in real mode, put in
+    the real part (``factor`` is ``L.real.T``), and copied into its
+    columns."""
     if not isinstance(source, (RealizationSpec, GluedRealization)):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
     specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
@@ -329,62 +353,83 @@ def _draw_bands(source, n, seed, real_mode: bool):
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
     rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
     dims = [spec.dim for spec in specs]
-    rows_max, width, i = min(n, _BAND_ROWS + 1), _padded(1 + sum(dims)), specs[0].basepoint_index
+    rows_max = min(n, _BAND_ROWS + 1)
     draws = np.empty(rows_max * max(dims) * (1 if real_mode else 2))
-    band = np.zeros((rows_max, width), complex)
-    mean = np.zeros(width, complex)
-    mean[: 1 + sum(dims)] = np.concatenate([np.insert(specs[0].mean, i, 1.0)]
-                                           + [s.mean for s in specs[1:]])
+    band = np.zeros((rows_max, _padded(1 + sum(dims))), complex)
+    band[:, 0] = 1.0
 
     def bands():
         for rows in _bands(n):
             k = rows.stop - rows.start
-            X, col = band[:k], 1
-            for d, rng, factor in zip(dims, rngs, factors):
+            Z, col = band[:k], 1
+            for d, rng in zip(dims, rngs):
                 z = draws[: k * d * (1 if real_mode else 2)]
                 rng.standard_normal(out=z)
-                np.matmul(z.view(float if real_mode else complex).reshape(k, d), factor,
-                          out=X[:, col : col + d])
+                Z[:, col : col + d] = z.view(float if real_mode else complex).reshape(k, d)
                 col += d
-            X[:, :i] = X[:, 1 : i + 1]
-            X[:, i] = 0.0
-            X += mean
-            yield X
+            yield Z
 
-    return bands()
+    return specs, factors, bands()
 
 
-def _moment_sums(bands, labels) -> IndexedKernel:
-    """The empirical kernel: the sum over all rows of ``X.T @ X.conj()``,
-    added band by band in order, divided by the row count and mirrored, so
-    it is exactly Hermitian (and PSD, being an empirical Gram matrix), and
-    a basepoint column of ones gives a diagonal entry of exactly 1.  A
-    band is a C-contiguous complex array of rows, one column per label and
-    then zero columns up to a multiple of ``_PAD_COLUMNS``.
+def _mean_row(specs) -> np.ndarray:
+    """The means in the sampled label order, 1.0 at the basepoint."""
+    first = np.insert(specs[0].mean, specs[0].basepoint_index, 1.0)
+    return np.concatenate([first] + [spec.mean for spec in specs[1:]])
 
-    The sum is taken as the real ``V.T @ V`` of ``V``, the band viewed as
-    its ``[re, im]`` float columns, which numpy runs as a symmetric rank-k
-    update (half the flops of the complex product and no conjugate copy);
-    its four interleaved quarters give the complex sum after the last
-    band.  OpenBLAS orders the sums of such an update by thread count for
-    some widths, and not for a multiple of 8 columns: the pad makes every
-    sum the same under any BLAS thread count, and its rows and columns
-    are dropped at the end.  The sums run with numpy's overflow warnings
-    off and are checked once at the end: a sum that is not finite raises
+
+def _band_map(specs, factors) -> np.ndarray:
+    """The square B, as wide as a band, with ``Z B`` a band's rows, then
+    zero pad columns, for its normals Z (``_draw_bands``): row 0 holds the
+    means, 1.0 at the basepoint, and the rows of spec j's normals hold its
+    pre-scaled factor in its label columns."""
+    mean = _mean_row(specs)
+    B = np.zeros((_padded(len(mean)),) * 2, complex)
+    B[0, : len(mean)] = mean
+    cols = np.delete(np.arange(len(mean)), specs[0].basepoint_index)
+    row = 1
+    for factor in factors:
+        B[row : row + len(factor), cols[row - 1 : row - 1 + len(factor)]] = factor
+        row += len(factor)
+    return B
+
+
+def _moment_sums(bands, B, labels) -> IndexedKernel:
+    """The empirical kernel of the rows ``Z B`` of bands of normals Z: the
+    sum over all rows of ``X.T @ X.conj()``, divided by the row count and
+    mirrored, so it is exactly Hermitian (and PSD, being an empirical Gram
+    matrix), and a basepoint column of ones gives a diagonal entry of
+    exactly 1.  A band is a C-contiguous complex array of rows, as wide as
+    the square B, a multiple of ``_PAD_COLUMNS``; the rows' first
+    ``len(labels)`` columns are the labels'.
+
+    The rows are affine in the normals, so their sum is ``B.T @ G @
+    B.conj()`` for G the sum of ``Z.T @ Z.conj()``, mapped once after the
+    last band.  G is added band by band in order as the real ``V.T @ V``
+    of ``V``, the band viewed as its ``[re, im]`` float columns, which
+    numpy runs as a symmetric rank-k update (half the flops of the complex
+    product and no conjugate copy); its four interleaved quarters give the
+    complex G.  OpenBLAS orders the sums of such an update, and of a
+    product, by thread count for some widths, and not for a multiple of 8
+    columns: the padded band and the padded map make every sum the same
+    under any BLAS thread count, and the pad's rows and columns are
+    dropped at the end.  The sums run with numpy's overflow warnings off
+    and are checked once at the end: an entry that is not finite raises
     ``NumericalFailureError`` naming its label pair.
     """
     real_gram = None
     rows, d = 0, len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        for X in bands:
-            rows += len(X)
-            V = X.view(np.float64)
+        for Z in bands:
+            rows += len(Z)
+            V = Z.view(np.float64)
             g = V.T @ V
             real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
-        re, im = real_gram[0 : 2 * d : 2, : 2 * d], real_gram[1 : 2 * d : 2, : 2 * d]
+        re, im = real_gram[0::2], real_gram[1::2]
         gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
-    _check_overflow(gram, "the second-moment sum at", labels, labels)
-    return IndexedKernel(labels, _lock(_mirror(gram / rows)))
+        sums = (B.T @ gram @ B.conj())[:d, :d]
+    _check_overflow(sums, "the second-moment sum at", labels, labels)
+    return IndexedKernel(labels, _lock(_mirror(sums / rows)))
 
 
 def _null_variance(product: IndexedKernel, x0: str, real_mode: bool):
@@ -438,9 +483,10 @@ def verify_realization(
     ``certificate`` is the spec certificate (``psd_check_schur``, each at
     its own scale) with the smaller eigenvalue; a spec that fails raises
     ``NotPsdError`` before the first draw, so a report's certificate has
-    passed, and ``passed`` is the Monte Carlo verdict.  Then samples the
-    glued realization band by band, sums second moments as it goes, and
-    compares them entrywise to the exact product.  When ``mc_tol`` is
+    passed, and ``passed`` is the Monte Carlo verdict.  Then draws the
+    glued realization's normals band by band, sums their Gram matrix as
+    it goes, maps the sum to the rows' second moments, and compares them
+    entrywise to the exact product.  When ``mc_tol`` is
     None the pass threshold is ``5 * sqrt(v_max / n)``, with ``v_max`` the
     largest variance of one row's ``Y_s conj(Y_t)``, in closed form from
     the product.  Every argument is checked before the first eigensolver call.
@@ -455,7 +501,8 @@ def verify_realization(
                                for k in (k1, k2)))
     certificate = min(map(psd_check_schur, (glued.spec1, glued.spec2)),
                       key=lambda c: c.min_eigenvalue)
-    empirical = _moment_sums(_draw_bands(glued, n, seed, real_mode), glued.labels)
+    specs, factors, bands = _draw_bands(glued, n, seed, real_mode)
+    empirical = _moment_sums(bands, _band_map(specs, factors), glued.labels)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         m, v = _null_variance(product, x0, real_mode)

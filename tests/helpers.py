@@ -61,18 +61,21 @@ def moments(source, n, seed, real_mode=False) -> IndexedKernel:
     return make_kernel(labels, hermitize(sum(X.T @ X.conj() for X in bands) / n))
 
 
-def reference_blocks(source, n, seed, real_mode=False):
+def reference_blocks(source, n, seed, real_mode=False, magnitudes=False):
     """The bands of ``sample_blocks`` by the per-band formula, each a
     fresh array.  Bands are 1,024 rows, and the last one takes a 1-row
     tail.  Per band of k rows and per spec, 2kd normals are drawn and
     viewed as a k x d complex z, which is multiplied by ``L.T`` scaled by
     sqrt(0.5) (in real mode k x d real normals are multiplied by
     ``L.real.T``); the mean is added, and the first spec's columns go
-    around the basepoint column of ones."""
+    around the basepoint column of ones.  With ``magnitudes`` every
+    operand is replaced by its absolute value, so each entry bounds the
+    absolute value of every term that makes the sampled entry."""
     glued = isinstance(source, GluedRealization)
     specs = (source.spec1, source.spec2) if glued else (source,)
     seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
     rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
+    size = np.abs if magnitudes else (lambda a: a)
     i, start = specs[0].basepoint_index, 0
     while start < n:
         k = n - start if n - start <= 1025 else 1024
@@ -80,14 +83,36 @@ def reference_blocks(source, n, seed, real_mode=False):
         for spec, rng in zip(specs, rngs):
             L, d = spec.factor, spec.dim
             if real_mode:
-                parts.append(spec.mean.real + rng.standard_normal((k, d)) @ L.real.T)
+                z = rng.standard_normal((k, d))
+                parts.append(size(spec.mean.real) + size(z) @ size(L.real.T))
                 continue
             z = rng.standard_normal(2 * k * d).view(complex).reshape(k, d)
-            parts.append(spec.mean + z @ (L.T * math.sqrt(0.5)))
+            parts.append(size(spec.mean) + size(z) @ size(L.T * math.sqrt(0.5)))
         first = parts[0]
         parts[0:1] = [first[:, :i], np.ones((k, 1)), first[:, i:]]
         yield np.hstack(parts).astype(complex)
         start += k
+
+
+def assert_moments_within_rounding(empirical, source, n, seed, real_mode=False):
+    """``empirical`` is the moment kernel ``moments(source, n, seed,
+    real_mode)`` within rounding.  Both are sums of the same n rows'
+    ``X_s conj(X_t)``, rounded differently: each entry of a row is an
+    affine map of at most d + 1 terms, d the label count, and a sum runs
+    over the n rows and, after a map of the summed normals, over at most
+    d + 8 terms twice.  Each side is then within about ``sqrt(2) (n + d +
+    8) eps`` (Higham 2002, ch. 3) of the exact sum of the rows' products,
+    relative to ``S_st``, the sum over the rows of ``a_s a_t``, where a is
+    a row of ``reference_blocks`` with ``magnitudes``, which bounds the
+    terms of ``X``.  So the two agree within ``4 (n + d + 8) eps S_st /
+    n``."""
+    reference = moments(source, n, seed, real_mode)
+    s = sum(a.real.T @ a.real for a in reference_blocks(source, n, seed, real_mode, True))
+    d = len(reference.labels)
+    bound = 4 * (n + d + 8) * np.finfo(float).eps * s / n
+    assert empirical.labels == reference.labels
+    excess = np.abs(empirical.entries - reference.entries) - bound
+    assert np.all(excess <= 0), excess.max()
 
 
 def isserlis_mc_tol(product, x0, n, real_mode=False):

@@ -353,7 +353,7 @@ class TestMain:
             # |X_a|**2 sums past float64 in the Monte Carlo moments
             ("verify", 1.5e305, "the second-moment sum at ('a', 'a') overflows float64"),
             # 1e300 - 1e200 * 1e200 in the Schur complement
-            ("realize", 1e300, "the Schur complement overflows float64"),
+            ("realize", 1e300, "the Schur complement at ('a', 'a') overflows float64"),
         ],
     )
     def test_overflow_is_one_stderr_line(self, workdir, command, corner, message):
@@ -685,14 +685,19 @@ class TestMain:
         # the whole 2e5 x 8 batch and its 59 MB of text took the peak to 177 MB
         assert maxrss_kib < 100 * 1024
 
-    @pytest.mark.parametrize("n", [16385, 17409])
-    def test_verify_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, n):
-        # 63 glued labels are 126 float columns, a width at which OpenBLAS
-        # orders the sums of V.T @ V by thread count
+    @pytest.mark.parametrize(
+        "d, n",
+        [pytest.param(31, 16385, id="16385"), pytest.param(31, 17409, id="17409"),
+         pytest.param(70, 5000, id="141-labels")],
+    )
+    def test_verify_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, d, n):
+        # 63 and 141 glued labels are 126 and 282 float columns, widths at
+        # which OpenBLAS orders the sums of V.T @ V, and of the map of
+        # their sum, by thread count
         rng = np.random.default_rng(63)
         paths = []
         for prefix in "ab":
-            kernel = random_gram_kernel(rng, ("x0",) + tuple(f"{prefix}{i}" for i in range(31)))
+            kernel = random_gram_kernel(rng, ("x0",) + tuple(f"{prefix}{i}" for i in range(d)))
             paths.append(tmp_path / f"{prefix}.json")
             paths[-1].write_text(dump_document(kernel_to_document(kernel)))
         argv = ["verify", *map(str, paths), "--glue-label", "x0", "--samples", str(n),
@@ -738,7 +743,7 @@ class TestGoldenOutputs:
         "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "ec39e47521184df6f8d76cb457cee703d543bc2ba1c99abe16f257ac2c7c6ba6",
+        "verify": "ba86190207699bbade8ebcfacfa0d8307b1e16197dcf33ff3aecfeef977d66f9",
         # text exports, 32 bands and a short one
         "sample": "0a8aa9060e91a25aa194a9342949627a8427d76768329585dda519f690b5f4d3",
         "sample-real": "933235375c85f39f82d3d412579ec091f058f806dbb81146a3572107812cae86",

@@ -237,9 +237,11 @@ class TestOverflowingEigenvalues:
             spec.factor
 
     def test_schur_complement_overflow(self):
-        # a finite kernel whose covariance 1e300 - 1e200 * 1e200 overflows
-        k = make_kernel(["x0", "a"], [[1, 1e200], [1e200, 1e300]])
-        with pytest.raises(NumericalFailureError, match="the Schur complement overflows"):
+        # a finite kernel whose covariance 1e300 - 1e200 * 1e200 overflows at
+        # (b, b), the second coordinate: the basepoint is not one
+        k = make_kernel(["a", "x0", "b"], [[1, 0.5, 0], [0.5, 1, 1e200], [0, 1e200, 1e300]])
+        message = r"^the Schur complement at \('b', 'b'\) overflows float64$"
+        with pytest.raises(NumericalFailureError, match=message):
             schur_reduce(k, "x0")
 
     def test_bordered_scale_overflow(self):

@@ -3,7 +3,9 @@
 Gluing preserves positive semidefiniteness and is associative, the
 closed-form variance behind ``verify``'s default threshold is nonnegative
 and at the glue point the Schur complement's diagonal, a glued
-realization carries the product's labels in the product's order, a kernel
+realization carries the product's labels in the product's order, the
+moments ``verify`` maps from its normals are those of the rows that
+``sample_blocks`` places, a kernel
 survives its JSON document bit for bit, and a tree glues to the same
 kernel from any root and to the closed form of Haagerup's kernel on a
 tree of edge kernels.  Away from the threshold, where rounding cannot
@@ -18,11 +20,17 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import edge_kernel_tree, haagerup_oracle, random_gram_kernel, reroot
+from helpers import (
+    assert_moments_within_rounding,
+    edge_kernel_tree,
+    haagerup_oracle,
+    random_gram_kernel,
+    reroot,
+)
 from kernelglue import (
     DEFAULT_PSD_TOL,
     GluedRealization,
@@ -33,6 +41,7 @@ from kernelglue import (
     mirror_upper,
     psd_check_eigen,
     schur_reduce,
+    verify_realization,
 )
 from kernelglue.fileio import dump_document, kernel_from_document, kernel_to_document
 from kernelglue.realization import _null_variance
@@ -115,6 +124,30 @@ def test_glued_realization_labels_are_the_product_labels(k1, k2):
     for a, spec1 in specs[0]:
         for b, spec2 in specs[1]:
             assert GluedRealization(spec1, spec2).labels == markov_product(a, b, "x0").labels
+
+
+_POINT = make_kernel(["x0"], [[1.0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_psd_kernels("a"), unit_psd_kernels("b"), st.booleans(), st.integers(2, 2100),
+       st.integers(0, 2**64 - 1))
+# a 1-label kernel, whose spec has no coordinate, on either side
+@example(_POINT, random_gram_kernel(np.random.default_rng(1), ("b0", "x0", "b1")), False, 1026, 0)
+@example(random_gram_kernel(np.random.default_rng(2), ("a0", "a1", "x0", "a2")), _POINT, True, 2,
+         2**64 - 1)
+def test_verify_moments_are_those_of_the_sampled_rows(k1, k2, real_mode, n, seed):
+    # with "x0" first, in the middle and last in each kernel: a misplaced
+    # column of the map from normals to rows moves an entry by O(1)
+    if real_mode:
+        k1, k2 = (make_kernel(k.labels, k.entries.real) for k in (k1, k2))
+    ends = [[ks[i] for i in sorted({0, len(ks) // 2, len(ks) - 1})]
+            for ks in map(_x0_at_every_position, (k1, k2))]
+    for a in ends[0]:
+        for b in ends[1]:
+            report = verify_realization(a, b, "x0", n, seed, real_mode=real_mode)
+            glued = GluedRealization(schur_reduce(a, "x0"), schur_reduce(b, "x0"))
+            assert_moments_within_rounding(report.empirical, glued, n, seed, real_mode)
 
 
 _values = st.one_of(

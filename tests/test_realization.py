@@ -17,6 +17,7 @@ import pytest
 
 from helpers import (
     BAD_TOLERANCES,
+    assert_moments_within_rounding,
     count_solver_calls,
     draw,
     isserlis_mc_tol,
@@ -63,17 +64,6 @@ def cd_pair():
 
 def glued_pair(k1, k2):
     return GluedRealization(schur_reduce(k1, "x0"), schur_reduce(k2, "x0"))
-
-
-def assert_within_rounding(empirical, reference, n):
-    """Two sums of the same n rows' ``X_s conj(X_t)``, each within
-    ``gamma_n = n eps`` of the exact mean of ``|X_s| |X_t|`` per real
-    component (Higham 2002, ch. 3), so within ``4 n eps sqrt(E_ss E_tt)``
-    of each other, by Cauchy-Schwarz on that mean."""
-    d = empirical.entries.diagonal().real
-    bound = 4 * n * np.finfo(float).eps * np.sqrt(np.outer(d, d))
-    assert empirical.labels == reference.labels
-    assert np.all(np.abs(empirical.entries - reference.entries) <= bound)
 
 
 def near_boundary_kernel(rng, kind):
@@ -545,7 +535,7 @@ class TestBlockStream:
         k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
         n = 32775  # 32 bands and a short one
         report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
-        assert_within_rounding(report.empirical, moments(glued_pair(k1, k2), n, 31, real_mode), n)
+        assert_moments_within_rounding(report.empirical, glued_pair(k1, k2), n, 31, real_mode)
         expected = isserlis_mc_tol(report.product, "x0", n, real_mode)
         assert report.mc_tol == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report.n_samples == n
@@ -632,31 +622,36 @@ class TestBlockStream:
         assert peak < 20 * 2**20
 
     def test_moment_sums_do_not_depend_on_the_blas_thread_count(self):
-        # 99 glued labels, 198 float columns unpadded: not a multiple of 8,
-        # which OpenBLAS sums in a thread-dependent order
+        # 99 and 141 glued labels, 198 and 282 float columns unpadded: not
+        # a multiple of 8, which OpenBLAS sums in a thread-dependent order,
+        # in the Gram sum and in the map of it alike; 70 coordinates per
+        # spec are below the 97 at which the eigensolver's bits change
         script = (
-            "import hashlib\n"
+            "import hashlib, sys\n"
             "import numpy as np\n"
             "from helpers import random_gram_kernel\n"
             "from kernelglue import GluedRealization, schur_reduce\n"
-            "from kernelglue.realization import _draw_bands, _moment_sums\n"
+            "from kernelglue.realization import _band_map, _draw_bands, _moment_sums\n"
+            "d = int(sys.argv[1])\n"
             "rng = np.random.default_rng(6)\n"
-            "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(49)))\n"
+            "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(d)))\n"
             "      for p in 'cd']\n"
             "glued = GluedRealization(*(schur_reduce(k, 'x0') for k in ks))\n"
-            "empirical = _moment_sums(_draw_bands(glued, 5000, 1, False), glued.labels)\n"
+            "specs, factors, bands = _draw_bands(glued, 5000, 1, False)\n"
+            "empirical = _moment_sums(bands, _band_map(specs, factors), glued.labels)\n"
             "print(hashlib.sha256(empirical.entries.tobytes()).hexdigest())\n"
         )
         tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}",
-                       OPENBLAS_NUM_THREADS=threads)
-            done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                  text=True, env=env, timeout=300)
-            assert (done.returncode, done.stderr) == (0, "")
-            digests.append(done.stdout)
-        assert digests[0] == digests[1]
+        for d in ("49", "70"):
+            digests = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}",
+                           OPENBLAS_NUM_THREADS=threads)
+                done = subprocess.run([sys.executable, "-c", script, d], capture_output=True,
+                                      text=True, env=env, timeout=300)
+                assert (done.returncode, done.stderr) == (0, "")
+                digests.append(done.stdout)
+            assert digests[0] == digests[1], d
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("n", [1, 1024, 1025, 1026, 2049, 16385, 33795])
@@ -675,7 +670,7 @@ class TestBlockStream:
         k1, k2 = (big, small) if larger_first else (small, big)
         n = 32775
         report = verify_realization(k1, k2, "x0", n, seed=17, real_mode=real_mode)
-        assert_within_rounding(report.empirical, moments(glued_pair(k1, k2), n, 17, real_mode), n)
+        assert_moments_within_rounding(report.empirical, glued_pair(k1, k2), n, 17, real_mode)
 
     def test_argument_errors_come_before_any_draw(self, monkeypatch):
         k1, k2 = cd_pair()
@@ -845,14 +840,17 @@ class TestEstimateSecondMoments:
             verify_realization(k1, k2, "x0", 1, seed=0)
 
     def test_finite_entries_that_overflow_are_a_numerical_failure(self):
-        # two bands of padded rows; the sum counts their rows itself
+        # two bands of padded normals [1 | 0...], mapped to the rows [1, 2];
+        # the sum counts their rows itself
         bands = [np.zeros((k, 8), complex) for k in (2, 3)]
         for band in bands:
-            band[:, :2] = [1, 2]
-        assert realization._moment_sums(bands, ("x0", "a")).entry("a", "a") == 4.0
-        bands[1][0, 1] = 1e200
+            band[:, 0] = 1.0
+        B = np.eye(8, dtype=complex)
+        B[0, :2] = [1, 2]
+        assert realization._moment_sums(bands, B, ("x0", "a")).entry("a", "a") == 4.0
+        B[0, 1] = 1e200
         with pytest.raises(NumericalFailureError, match=r"second-moment sum at \('a', 'a'\)"):
-            realization._moment_sums(bands, ("x0", "a"))
+            realization._moment_sums(bands, B, ("x0", "a"))
 
 
 class TestVerifyRealization:
@@ -890,7 +888,7 @@ class TestVerifyRealization:
             with pytest.raises(InvalidParameterError, match="mc_tol"):
                 verify_realization(k1, k2, "x0", n=100, seed=0, mc_tol=bad)
 
-    def test_three_eigendecompositions(self, monkeypatch):
+    def test_two_eigendecompositions(self, monkeypatch):
         # one eigh per operand's covariance, which certifies the operand,
         # gives the product's certificate and factors it for sampling; the
         # product itself is not decomposed; a call of either solver is counted
