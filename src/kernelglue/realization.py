@@ -15,15 +15,16 @@ covariances: ``verify_realization`` takes its certificate from the two
 specs' decisions, and checks the product end to end from second moments
 alone.  Both draw the normals of n rows in bands of about
 ``_BAND_ROWS`` rows (``_draw_bands``), each band drawing its own normals
-from SFC64 into one reused band buffer, so memory does not grow with n.
-A row is affine in its band's normals, ``X = Z B``: ``sample_blocks``
-forms the rows spec by spec, and ``verify_realization`` never does.  It
-adds the Gram matrix of each band's normals while it is in cache, maps
-the sum once through B (``_band_map``) to the rows' second moments, in
-its one moment sum (``_moment_sums``), and takes its threshold's
-variance in closed form.  The zero pad columns of the band and of B
-make the moment sums the same under any BLAS thread count (the
-eigensolver's factor need not be, past about 96 coordinates).  Draws
+from SFC64 straight into one reused buffer, one column per row, so
+memory does not grow with n.  A band's rows are ``V.T @ M`` for its
+normals V, with M the one real map of the specs (``_band_map``):
+``sample_blocks`` forms them so, and ``verify_realization`` never does.
+It adds the Gram matrix ``V @ V.T`` of each band while it is in cache,
+maps the sum once through M to the rows' second moments, in its one
+moment sum (``_moment_sums``), and takes its threshold's variance in
+closed form.  The zero pad rows of the band and the zero pad columns of
+M make the moment sums the same under any BLAS thread count (the
+eigensolver's factor need not be, at any size).  Draws
 are circularly-symmetric complex Gaussians (real and imaginary parts
 each of variance 1/2), or real ones in real mode.
 The value types here check labels and arrays by the rule of ``kernels``.
@@ -74,9 +75,10 @@ _STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
 # (seed, n).
 _BAND_ROWS = 1 << 10
 
-# A band buffer is a multiple of this many complex columns wide, its pad
-# zero.  OpenBLAS orders the sums of a Gram update by thread count at some
-# widths, not at a multiple of 8 float columns.
+# A band is a multiple of this many float rows high, and the map a multiple
+# of this many float columns wide, their pad zero.  OpenBLAS orders the sums
+# of a Gram update and of a product by thread count at some widths, not at a
+# multiple of 8.
 _PAD_COLUMNS = 8
 
 
@@ -201,11 +203,7 @@ class GluedRealization:
 
     def __post_init__(self):
         spec1, spec2 = self.spec1, self.spec2
-        for spec in (spec1, spec2):
-            if not isinstance(spec, RealizationSpec):
-                raise InvalidParameterError(
-                    f"cannot glue an object of type {type(spec).__name__}, not a RealizationSpec"
-                )
+        _check_type(RealizationSpec, spec1=spec1, spec2=spec2)
         if spec1.basepoint != spec2.basepoint:
             raise BasepointMismatchError(
                 f"basepoints differ: {spec1.basepoint!r} vs {spec2.basepoint!r}"
@@ -282,7 +280,7 @@ def _bands(m: int):
 
 
 def _padded(d: int) -> int:
-    """d columns rounded up to a multiple of ``_PAD_COLUMNS``."""
+    """d rows or columns rounded up to a multiple of ``_PAD_COLUMNS``."""
     return -(-d // _PAD_COLUMNS) * _PAD_COLUMNS
 
 
@@ -300,30 +298,22 @@ def sample_blocks(
 
     A row is mean + L z for each spec around the constant basepoint
     column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
-    order.  z is standard circularly-symmetric complex normal, drawn per
-    band as interleaved real and imaginary parts, or standard real normal
-    in real mode (real specs only).  Each spec draws from its own SFC64
+    order.  z is standard circularly-symmetric complex normal, its real
+    and imaginary parts drawn per band, or standard real normal in real
+    mode (real specs only).  Each spec draws from its own SFC64
     generator, seeded through ``SeedSequence`` by the seed, or for a
     glued pair by two sub-seeds, the seed mixed with two fixed tags.
     Identical (source, seed, n) give bitwise-identical rows.
     """
-    specs, factors, bands = _draw_bands(source, n, seed, real_mode)
-    dims, i = [spec.dim for spec in specs], specs[0].basepoint_index
-    mean = _mean_row(specs)
-    out = np.empty((min(n, _BAND_ROWS + 1), len(mean)), complex)
+    M, bands = _draw_bands(source, n, seed, real_mode)
+    labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
+    out = np.empty((min(n, _BAND_ROWS + 1), len(labels)), complex)
+    M = M[:, : 2 * len(labels)]
 
     def rows():
-        for Z in bands:
-            X, col = out[: len(Z)], 1
-            for d, factor in zip(dims, factors):
-                z = Z[:, col : col + d]
-                # numpy runs a strided float view without BLAS, in other bits
-                np.matmul(np.ascontiguousarray(z.real) if real_mode else z, factor,
-                          out=X[:, col : col + d])
-                col += d
-            X[:, :i] = X[:, 1 : i + 1]
-            X[:, i] = 0.0
-            X += mean
+        for V in bands:
+            X = out[: V.shape[1]]
+            np.matmul(V.T, M, out=X.view(np.float64))
             yield X
 
     return rows()
@@ -331,85 +321,78 @@ def sample_blocks(
 
 def _draw_bands(source, n, seed, real_mode: bool):
     """Check the arguments of ``sample_blocks`` and read every spec's
-    factor once, pre-scaled for its mode; return the specs, those factors
-    and an iterator over the bands of normals, each drawn when asked for
-    into one reused buffer.
+    factor once; return the ``_band_map`` M of the specs and an iterator
+    over the bands of normals, each drawn when asked for into one reused
+    flat buffer.
 
-    A band of k rows is ``Z = [1 | z1 | z2 | 0...]``, k x ``_padded(1 +
-    sum of dims)`` complex: a column of ones, each spec's normals in turn,
-    and zero pad columns.  A band's rows are affine in its normals, ``X =
-    Z B`` with B the ``_band_map`` of the specs and factors.  Per band and
-    spec, z is drawn into the flat ``draws`` buffer by one call, 2kd
-    floats viewed as k x d complex normals (``factor`` is ``L.T``
-    pre-scaled by sqrt(0.5)), or k x d real normals in real mode, put in
-    the real part (``factor`` is ``L.real.T``), and copied into its
-    columns."""
+    A band of k rows is V, h x k float64 and C-contiguous, with h = 1 +
+    r * (sum of dims) rounded up to a multiple of ``_PAD_COLUMNS``, r = 2,
+    or 1 in real mode: a row of ones, then each spec's d rows of the real
+    parts of its normals and, unless in real mode, its d rows of their
+    imaginary parts, then zero pad rows.  Per band and spec, the r * k * d
+    normals are drawn straight into the spec's rows by one call.  A
+    band's rows are ``V.T @ M`` viewed as complex."""
     if not isinstance(source, (RealizationSpec, GluedRealization)):
         raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
     specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
     _check_draw(n, seed, real_mode, [a for spec in specs for a in (spec.mean, spec.covariance)])
-    factors = [spec.factor.real.T if real_mode else spec.factor.T * math.sqrt(0.5)
-               for spec in specs]
+    M = _band_map(specs, real_mode)
     seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
     rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
-    dims = [spec.dim for spec in specs]
-    rows_max = min(n, _BAND_ROWS + 1)
-    draws = np.empty(rows_max * max(dims) * (1 if real_mode else 2))
-    band = np.zeros((rows_max, _padded(1 + sum(dims))), complex)
-    band[:, 0] = 1.0
+    heights = [spec.dim * (1 if real_mode else 2) for spec in specs]
+    buffer = np.empty(len(M) * min(n, _BAND_ROWS + 1))
 
     def bands():
         for rows in _bands(n):
-            k = rows.stop - rows.start
-            Z, col = band[:k], 1
-            for d, rng in zip(dims, rngs):
-                z = draws[: k * d * (1 if real_mode else 2)]
-                rng.standard_normal(out=z)
-                Z[:, col : col + d] = z.view(float if real_mode else complex).reshape(k, d)
-                col += d
-            yield Z
+            V = buffer[: len(M) * (rows.stop - rows.start)].reshape(len(M), -1)
+            V[0], row = 1.0, 1
+            for height, rng in zip(heights, rngs):
+                rng.standard_normal(out=V[row : row + height])
+                row += height
+            V[row:] = 0.0
+            yield V
 
-    return specs, factors, bands()
-
-
-def _mean_row(specs) -> np.ndarray:
-    """The means in the sampled label order, 1.0 at the basepoint."""
-    first = np.insert(specs[0].mean, specs[0].basepoint_index, 1.0)
-    return np.concatenate([first] + [spec.mean for spec in specs[1:]])
+    return M, bands()
 
 
-def _band_map(specs, factors) -> np.ndarray:
-    """The square B, as wide as a band, with ``Z B`` a band's rows, then
-    zero pad columns, for its normals Z (``_draw_bands``): row 0 holds the
-    means, 1.0 at the basepoint, and the rows of spec j's normals hold its
-    pre-scaled factor in its label columns."""
-    mean = _mean_row(specs)
-    B = np.zeros((_padded(len(mean)),) * 2, complex)
-    B[0, : len(mean)] = mean
-    cols = np.delete(np.arange(len(mean)), specs[0].basepoint_index)
-    row = 1
-    for factor in factors:
-        B[row : row + len(factor), cols[row - 1 : row - 1 + len(factor)]] = factor
-        row += len(factor)
-    return B
+def _band_map(specs, real_mode: bool) -> np.ndarray:
+    """M, as high as a band V (``_draw_bands``), with ``V.T @ M`` the
+    band's rows as interleaved ``[re, im]`` float columns, then zero pad
+    columns up to a multiple of ``_PAD_COLUMNS``.  Row 0 holds the means,
+    1.0 at the basepoint.  A spec's rows hold the real form of its factor
+    F, ``L.T`` pre-scaled by sqrt(0.5) (``L.real.T`` in real mode): on the
+    rows of the real parts ``(Re F, Im F)``, on those of the imaginary
+    parts ``(-Im F, Re F)``, in its labels' columns."""
+    r, i = 1 if real_mode else 2, specs[0].basepoint_index
+    coords = sum(spec.dim for spec in specs)
+    cols = 2 * np.delete(np.arange(1 + coords), i)
+    M = np.zeros((_padded(1 + r * coords), _padded(2 + 2 * coords)))
+    M[0, 2 * i], row = 1.0, 1
+    for spec in specs:
+        d, c, cols = spec.dim, cols[: spec.dim], cols[spec.dim :]
+        F = spec.factor.real.T if real_mode else spec.factor.T * math.sqrt(0.5)
+        M[0, c], M[0, c + 1] = spec.mean.real, spec.mean.imag
+        M[row : row + d, c], M[row : row + d, c + 1] = F.real, F.imag
+        if not real_mode:
+            M[row + d : row + 2 * d, c], M[row + d : row + 2 * d, c + 1] = -F.imag, F.real
+        row += r * d
+    return M
 
 
-def _moment_sums(bands, B, labels) -> IndexedKernel:
-    """The empirical kernel of the rows ``Z B`` of bands of normals Z: the
-    sum over all rows of ``X.T @ X.conj()``, divided by the row count and
-    mirrored, so it is exactly Hermitian (and PSD, being an empirical Gram
-    matrix), and a basepoint column of ones gives a diagonal entry of
-    exactly 1.  A band is a C-contiguous complex array of rows, as wide as
-    the square B, a multiple of ``_PAD_COLUMNS``; the rows' first
-    ``len(labels)`` columns are the labels'.
+def _moment_sums(bands, M, labels) -> IndexedKernel:
+    """The empirical kernel of the rows ``V.T @ M`` of bands of normals V:
+    the sum over all rows of ``X.T @ X.conj()``, divided by the row count
+    and mirrored, so it is exactly Hermitian (and PSD, being an empirical
+    Gram matrix), and a basepoint column of ones gives a diagonal entry of
+    exactly 1.  A band is a C-contiguous float array, one column per row,
+    as high as M, a multiple of ``_PAD_COLUMNS``; the rows' first
+    ``len(labels)`` complex columns are the labels'.
 
-    The rows are affine in the normals, so their sum is ``B.T @ G @
-    B.conj()`` for G the sum of ``Z.T @ Z.conj()``, mapped once after the
-    last band.  G is added band by band in order as the real ``V.T @ V``
-    of ``V``, the band viewed as its ``[re, im]`` float columns, which
-    numpy runs as a symmetric rank-k update (half the flops of the complex
-    product and no conjugate copy); its four interleaved quarters give the
-    complex G.  OpenBLAS orders the sums of such an update, and of a
+    The rows are linear in the normals, so their real Gram sum is ``M.T @
+    G @ M`` for G the sum of ``V @ V.T``, mapped once after the last band.
+    G is added band by band in order, which numpy runs as a symmetric
+    rank-k update; the four interleaved quarters of the map give the
+    complex sums.  OpenBLAS orders the sums of such an update, and of a
     product, by thread count for some widths, and not for a multiple of 8
     columns: the padded band and the padded map make every sum the same
     under any BLAS thread count, and the pad's rows and columns are
@@ -417,17 +400,16 @@ def _moment_sums(bands, B, labels) -> IndexedKernel:
     and are checked once at the end: an entry that is not finite raises
     ``NumericalFailureError`` naming its label pair.
     """
-    real_gram = None
+    gram = None
     rows, d = 0, len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        for Z in bands:
-            rows += len(Z)
-            V = Z.view(np.float64)
-            g = V.T @ V
-            real_gram = g if real_gram is None else np.add(real_gram, g, out=real_gram)
-        re, im = real_gram[0::2], real_gram[1::2]
-        gram = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
-        sums = (B.T @ gram @ B.conj())[:d, :d]
+        for V in bands:
+            rows += V.shape[1]
+            g = V @ V.T
+            gram = g if gram is None else np.add(gram, g, out=gram)
+        S = M.T @ gram @ M
+        re, im = S[0::2], S[1::2]
+        sums = ((re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2]))[:d, :d]
     _check_overflow(sums, "the second-moment sum at", labels, labels)
     return IndexedKernel(labels, _lock(_mirror(sums / rows)))
 
@@ -501,8 +483,8 @@ def verify_realization(
                                for k in (k1, k2)))
     certificate = min(map(psd_check_schur, (glued.spec1, glued.spec2)),
                       key=lambda c: c.min_eigenvalue)
-    specs, factors, bands = _draw_bands(glued, n, seed, real_mode)
-    empirical = _moment_sums(bands, _band_map(specs, factors), glued.labels)
+    M, bands = _draw_bands(glued, n, seed, real_mode)
+    empirical = _moment_sums(bands, M, glued.labels)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         m, v = _null_variance(product, x0, real_mode)

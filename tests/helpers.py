@@ -61,55 +61,108 @@ def moments(source, n, seed, real_mode=False) -> IndexedKernel:
     return make_kernel(labels, hermitize(sum(X.T @ X.conj() for X in bands) / n))
 
 
-def reference_blocks(source, n, seed, real_mode=False, magnitudes=False):
-    """The bands of ``sample_blocks`` by the per-band formula, each a
-    fresh array.  Bands are 1,024 rows, and the last one takes a 1-row
-    tail.  Per band of k rows and per spec, 2kd normals are drawn and
-    viewed as a k x d complex z, which is multiplied by ``L.T`` scaled by
-    sqrt(0.5) (in real mode k x d real normals are multiplied by
-    ``L.real.T``); the mean is added, and the first spec's columns go
-    around the basepoint column of ones.  With ``magnitudes`` every
-    operand is replaced by its absolute value, so each entry bounds the
-    absolute value of every term that makes the sampled entry."""
+def _reference_normals(source, n, seed, real_mode):
+    """Per band of k rows, the normals of each spec as an r d x k array,
+    r = 2 (the d rows of real parts, then the d rows of imaginary parts)
+    or 1 in real mode, read in row order from r k d floats of its
+    stream.  Bands are 1,024 rows, and the last one takes a 1-row tail."""
     glued = isinstance(source, GluedRealization)
     specs = (source.spec1, source.spec2) if glued else (source,)
     seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
     rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
-    size = np.abs if magnitudes else (lambda a: a)
-    i, start = specs[0].basepoint_index, 0
+    r, start = 1 if real_mode else 2, 0
     while start < n:
         k = n - start if n - start <= 1025 else 1024
-        parts = []
-        for spec, rng in zip(specs, rngs):
-            L, d = spec.factor, spec.dim
-            if real_mode:
-                z = rng.standard_normal((k, d))
-                parts.append(size(spec.mean.real) + size(z) @ size(L.real.T))
-                continue
-            z = rng.standard_normal(2 * k * d).view(complex).reshape(k, d)
-            parts.append(size(spec.mean) + size(z) @ size(L.T * math.sqrt(0.5)))
-        first = parts[0]
-        parts[0:1] = [first[:, :i], np.ones((k, 1)), first[:, i:]]
-        yield np.hstack(parts).astype(complex)
+        yield [rng.standard_normal(r * spec.dim * k).reshape(r * spec.dim, k)
+               for spec, rng in zip(specs, rngs)]
         start += k
+
+
+def _label_columns(specs):
+    """Each spec's label columns in the sampled label order: the first
+    spec's coordinates go around the basepoint column, the second's follow."""
+    i = specs[0].basepoint_index
+    first = [a if a < i else a + 1 for a in range(specs[0].dim)]
+    return [first] + [[specs[0].dim + 1 + a for a in range(spec.dim)] for spec in specs[1:]]
+
+
+def reference_blocks(source, n, seed, real_mode=False, magnitudes=False):
+    """The bands of ``sample_blocks`` by the per-band formula, each a
+    fresh array: ``V.T @ M`` viewed as complex, with V a row of ones, each
+    spec's normals (``_reference_normals``) and zero rows up to a multiple
+    of 8, and M the real form of the affine map, filled label by label:
+    row 0 holds the means, 1.0 at the basepoint, and entry (b, a) of a
+    spec's factor F, ``L.T`` scaled by sqrt(0.5) (``L.real.T`` in real
+    mode), puts ``(Re F, Im F)`` in the row of the real part of normal b
+    and ``(-Im F, Re F)`` in that of its imaginary part, in the
+    ``[re, im]`` columns of label a.  With ``magnitudes`` V and M are
+    replaced by their absolute values and each label's two columns are
+    added, so each entry is a real bound of the absolute values of all the
+    terms that make the sampled entry."""
+    specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
+    r = 1 if real_mode else 2
+    height = -(-(1 + r * sum(spec.dim for spec in specs)) // 8) * 8
+    width = 1 + sum(spec.dim for spec in specs)
+    M = np.zeros((height, 2 * width))
+    M[0, 2 * specs[0].basepoint_index] = 1.0
+    row = 1
+    for spec, columns in zip(specs, _label_columns(specs)):
+        F = spec.factor.real.T if real_mode else spec.factor.T * math.sqrt(0.5)
+        d = spec.dim
+        for a, col in enumerate(columns):
+            M[0, 2 * col], M[0, 2 * col + 1] = spec.mean[a].real, spec.mean[a].imag
+            for b in range(d):
+                M[row + b, 2 * col], M[row + b, 2 * col + 1] = F[b, a].real, F[b, a].imag
+                if not real_mode:
+                    M[row + d + b, 2 * col] = -F[b, a].imag
+                    M[row + d + b, 2 * col + 1] = F[b, a].real
+        row += r * d
+    for normals in _reference_normals(source, n, seed, real_mode):
+        k = normals[0].shape[1]
+        V = np.vstack([np.ones((1, k))] + normals + [np.zeros((height - row, k))])
+        if magnitudes:
+            a = np.abs(V).T @ np.abs(M)
+            yield a[:, 0::2] + a[:, 1::2]
+        else:
+            yield (V.T @ M).view(complex)
+
+
+def affine_blocks(source, n, seed, real_mode=False):
+    """The bands of ``sample_blocks`` by the affine formula ``mean + z @ F``
+    in complex arithmetic, z the k x d complex normals ``re + 1j im`` of a
+    spec (real ones in real mode) and F as in ``reference_blocks``, with
+    the basepoint column of ones around the first spec's columns."""
+    specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
+    columns = _label_columns(specs)
+    width = 1 + sum(spec.dim for spec in specs)
+    for normals in _reference_normals(source, n, seed, real_mode):
+        X = np.zeros((normals[0].shape[1], width), complex)
+        X[:, specs[0].basepoint_index] = 1.0
+        for spec, z, cols in zip(specs, normals, columns):
+            if real_mode:
+                X[:, cols] = spec.mean.real + z.T @ spec.factor.real.T
+            else:
+                z = z[: spec.dim] + 1j * z[spec.dim :]
+                X[:, cols] = spec.mean + z.T @ (spec.factor.T * math.sqrt(0.5))
+        yield X
 
 
 def assert_moments_within_rounding(empirical, source, n, seed, real_mode=False):
     """``empirical`` is the moment kernel ``moments(source, n, seed,
     real_mode)`` within rounding.  Both are sums of the same n rows'
-    ``X_s conj(X_t)``, rounded differently: each entry of a row is an
-    affine map of at most d + 1 terms, d the label count, and a sum runs
-    over the n rows and, after a map of the summed normals, over at most
-    d + 8 terms twice.  Each side is then within about ``sqrt(2) (n + d +
-    8) eps`` (Higham 2002, ch. 3) of the exact sum of the rows' products,
-    relative to ``S_st``, the sum over the rows of ``a_s a_t``, where a is
-    a row of ``reference_blocks`` with ``magnitudes``, which bounds the
-    terms of ``X``.  So the two agree within ``4 (n + d + 8) eps S_st /
-    n``."""
+    ``X_s conj(X_t)``, rounded differently: the real and imaginary part of
+    each entry of a row is a sum of at most 2d + 1 terms, d the label
+    count, and a sum runs over the n rows and, after a map of the summed
+    normals, over at most 2d + 8 terms twice.  Each side is then within
+    about ``sqrt(2) (n + 4d + 16) eps`` (Higham 2002, ch. 3) of the exact
+    sum of the rows' products, relative to ``S_st``, the sum over the
+    rows of ``a_s a_t``, where a is a row of ``reference_blocks`` with
+    ``magnitudes``, which bounds the terms of ``X``.  So the two agree
+    within ``4 (n + 4d + 16) eps S_st / n``."""
     reference = moments(source, n, seed, real_mode)
-    s = sum(a.real.T @ a.real for a in reference_blocks(source, n, seed, real_mode, True))
+    s = sum(a.T @ a for a in reference_blocks(source, n, seed, real_mode, True))
     d = len(reference.labels)
-    bound = 4 * (n + d + 8) * np.finfo(float).eps * s / n
+    bound = 4 * (n + 4 * d + 16) * np.finfo(float).eps * s / n
     assert empirical.labels == reference.labels
     excess = np.abs(empirical.entries - reference.entries) - bound
     assert np.all(excess <= 0), excess.max()

@@ -183,8 +183,10 @@ class TestGluedRealization:
     def test_parts_must_be_specs(self):
         spec, _ = self.specs()
         for parts in ((spec, "x"), (None, spec), (spec, make_kernel(["x0"], [[1.0]]))):
-            bad = next(type(p).__name__ for p in parts if p is not spec)
-            with pytest.raises(InvalidParameterError, match=f"cannot glue an object of type {bad}"):
+            name, bad = next((f"spec{i}", type(p).__name__)
+                             for i, p in enumerate(parts, 1) if p is not spec)
+            with pytest.raises(InvalidParameterError,
+                               match=f"{name} must be of type RealizationSpec, not {bad}"):
                 GluedRealization(*parts)
 
     def test_labels_are_derived(self):

@@ -5,7 +5,8 @@ closed-form variance behind ``verify``'s default threshold is nonnegative
 and at the glue point the Schur complement's diagonal, a glued
 realization carries the product's labels in the product's order, the
 moments ``verify`` maps from its normals are those of the rows that
-``sample_blocks`` places, a kernel
+``sample_blocks`` places, real-mode rows have no -0.0 and a basepoint
+column of exactly 1, a kernel
 survives its JSON document bit for bit, and a tree glues to the same
 kernel from any root and to the closed form of Haagerup's kernel on a
 tree of edge kernels.  Away from the threshold, where rounding cannot
@@ -40,6 +41,7 @@ from kernelglue import (
     markov_product,
     mirror_upper,
     psd_check_eigen,
+    sample_blocks,
     schur_reduce,
     verify_realization,
 )
@@ -148,6 +150,26 @@ def test_verify_moments_are_those_of_the_sampled_rows(k1, k2, real_mode, n, seed
             report = verify_realization(a, b, "x0", n, seed, real_mode=real_mode)
             glued = GluedRealization(schur_reduce(a, "x0"), schur_reduce(b, "x0"))
             assert_moments_within_rounding(report.empirical, glued, n, seed, real_mode)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_psd_kernels("a"), unit_psd_kernels("b"), st.integers(1, 1030),
+       st.integers(0, 2**64 - 1))
+# a 1-label kernel on either side, and a 1-row batch, which numpy runs as gemv
+@example(_POINT, random_gram_kernel(np.random.default_rng(3), ("b0", "x0", "b1"), False), 1, 0)
+@example(random_gram_kernel(np.random.default_rng(4), ("a0", "x0"), False), _POINT, 1026, 7)
+def test_real_mode_rows_have_no_signed_zero_and_a_unit_basepoint(k1, k2, n, seed):
+    # a row is V.T @ M, whose imaginary columns are sums of products with
+    # zeros, some of them -0.0
+    k1, k2 = (make_kernel(k.labels, k.entries.real) for k in (k1, k2))
+    for a in _x0_at_every_position(k1):
+        for b in _x0_at_every_position(k2):
+            spec = schur_reduce(a, "x0")
+            for source in (spec, GluedRealization(spec, schur_reduce(b, "x0"))):
+                for X in sample_blocks(source, n, seed, real_mode=True):
+                    assert not np.any(np.signbit(X.imag))
+                    basepoint = X[:, spec.basepoint_index]
+                    assert basepoint.tobytes() == np.ones(len(X), complex).tobytes()
 
 
 _values = st.one_of(

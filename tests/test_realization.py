@@ -17,6 +17,7 @@ import pytest
 
 from helpers import (
     BAD_TOLERANCES,
+    affine_blocks,
     assert_moments_within_rounding,
     count_solver_calls,
     draw,
@@ -486,12 +487,12 @@ class TestGoldenSamples:
     """sha256 of labels and sample bytes, pinned so the draws stay bitwise stable."""
 
     SINGLE = {
-        False: "2074c410c01f1bb442e1b53e3ce5162e67ae3612d96e5cd14508c3016679f631",
-        True: "0e940ffe3ddfb3c527fe37e359806090fa15a90a7136e3f3c29a9433f49b92a6",
+        False: "859c20e88eccb5baff6ce28b8b700f2e720afc52c61d7637a937eb88eaa7f9d5",
+        True: "d5053b03c8119bd427369fca23d84845b7278eca5ae559e4ad34dcc6d8045070",
     }
     GLUED = {
-        False: "f900f75745347d75907d0f0dd102fdf70200fe75880abe09e211c82c499e889b",
-        True: "dd31b92e769d2859928ab6f69382862acbe3b907f01d840869b4a3119423590b",
+        False: "84b3dbc30b6fb84e879d6309ff914eb44948b1685574059f97ac0effc4474161",
+        True: "0adcea4cac2eb2dfeaca15a8539c199886672668b196f061cbad0f30aadfdb62",
     }
 
     @pytest.mark.parametrize("real_mode", [False, True])
@@ -510,12 +511,12 @@ class TestBlockStream:
     across many band boundaries and tie ``verify_realization`` to it."""
 
     SINGLE = {
-        False: "e86e2b9253b7f158883b79fa6aa370ce5130b1ef53e5ea900312b9e0d1f54bea",
-        True: "b25d8fa3bfcc32bac7fe6a8e3edcb78c723d0afd30d1a33f082b37ce9221fbc0",
+        False: "922ec1c16e80f19f5090a5272946e0c92b7c53dc9098598e0f3aa17ec4b1cdf7",
+        True: "85710a0a6d41d761310b5a800b5c456b61ff8ebb3031b8801fd67fa0c8cb6381",
     }
     GLUED = {
-        False: "660c432eb248089ef568af62ac703e703f6ffae4559a2f9f9d1ae6450de05b9b",
-        True: "1e2e3afe2dc733dac016d85968c2b035b7aa328b0654d6be179a8dd24b0d23b8",
+        False: "cd028d61a1935379bb1bc72cc9506c11edd45ba9ab4d7c89b6b1922394463df1",
+        True: "28c5ca548eb3437523c0f6956a1599bff3b4962f2f37fade48b85f0f260c035a",
     }
 
     @pytest.mark.parametrize("real_mode", [False, True])
@@ -565,10 +566,10 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert report.passed
-        # the 1,025 x 64 complex band buffer is 1 MiB and the draw buffer
-        # 0.5 MiB; a 2**14-row block's zr held besides took the peak to
-        # 10.3 MiB, the 2**14 x 63 complex block that the sums read to
-        # 24.7 MiB, a draw buffer of its own to 40 MiB and fresh
+        # the band buffer, 128 float rows of 1,025, is 1 MiB, and a draw
+        # scratch besides took 0.5 MiB more; a 2**14-row block's zr took
+        # the peak to 10.3 MiB, the 2**14 x 63 complex block that the sums
+        # read to 24.7 MiB, a draw buffer of its own to 40 MiB and fresh
         # temporaries in every block to 55 MiB
         assert peak < 15 * 2**20
 
@@ -584,7 +585,8 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert report.passed
-        # a band and its draws peak at 2.2 MiB; the draws of a 2**14-row
+        # a band and its Gram sum peak at 1.9 MiB (1.1 MiB in real mode),
+        # and 2.1 MiB with a draw scratch besides; the draws of a 2**14-row
         # block, held while its bands were placed, took the peak to
         # 10.3 MiB (and 13.7 MiB in real mode, products too)
         assert peak < 4 * 2**20
@@ -622,36 +624,40 @@ class TestBlockStream:
         assert peak < 20 * 2**20
 
     def test_moment_sums_do_not_depend_on_the_blas_thread_count(self):
-        # 99 and 141 glued labels, 198 and 282 float columns unpadded: not
-        # a multiple of 8, which OpenBLAS sums in a thread-dependent order,
-        # in the Gram sum and in the map of it alike; 70 coordinates per
-        # spec are below the 97 at which the eigensolver's bits change
+        # 99 and 141 glued labels are bands of 197 and 281 float rows
+        # complex, 99 and 141 real, and maps of 198 and 282 float columns
+        # unpadded: not a multiple of 8, which OpenBLAS sums in a
+        # thread-dependent order, in the Gram sum and in the map of it
+        # alike.  LAPACK's bits are pinned at no size; eigh gave these
+        # kernels the same factor under one and two threads
         script = (
             "import hashlib, sys\n"
             "import numpy as np\n"
             "from helpers import random_gram_kernel\n"
-            "from kernelglue import GluedRealization, schur_reduce\n"
-            "from kernelglue.realization import _band_map, _draw_bands, _moment_sums\n"
-            "d = int(sys.argv[1])\n"
+            "from kernelglue import GluedRealization, make_kernel, schur_reduce\n"
+            "from kernelglue.realization import _draw_bands, _moment_sums\n"
+            "d, real_mode = int(sys.argv[1]), sys.argv[2] == 'real'\n"
             "rng = np.random.default_rng(6)\n"
             "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(d)))\n"
             "      for p in 'cd']\n"
+            "if real_mode:\n"
+            "    ks = [make_kernel(k.labels, k.entries.real) for k in ks]\n"
             "glued = GluedRealization(*(schur_reduce(k, 'x0') for k in ks))\n"
-            "specs, factors, bands = _draw_bands(glued, 5000, 1, False)\n"
-            "empirical = _moment_sums(bands, _band_map(specs, factors), glued.labels)\n"
+            "M, bands = _draw_bands(glued, 5000, 1, real_mode)\n"
+            "empirical = _moment_sums(bands, M, glued.labels)\n"
             "print(hashlib.sha256(empirical.entries.tobytes()).hexdigest())\n"
         )
         tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
-        for d in ("49", "70"):
+        for case in itertools.product(("49", "70"), ("complex", "real")):
             digests = []
             for threads in ("1", "2"):
                 env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{tests}",
                            OPENBLAS_NUM_THREADS=threads)
-                done = subprocess.run([sys.executable, "-c", script, d], capture_output=True,
+                done = subprocess.run([sys.executable, "-c", script, *case], capture_output=True,
                                       text=True, env=env, timeout=300)
                 assert (done.returncode, done.stderr) == (0, "")
                 digests.append(done.stdout)
-            assert digests[0] == digests[1], d
+            assert digests[0] == digests[1], case
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("n", [1, 1024, 1025, 1026, 2049, 16385, 33795])
@@ -664,6 +670,8 @@ class TestBlockStream:
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("larger_first", [True, False])
     def test_scratch_is_shared_by_specs_of_unequal_size(self, real_mode, larger_first):
+        # the two specs draw in turn into one band buffer, the larger first
+        # or second
         rng = np.random.default_rng(2028)
         big = random_gram_kernel(rng, ("a0", "a1", "x0", "a2", "a3"), not real_mode)
         small = random_gram_kernel(rng, ("x0", "b0"), not real_mode)
@@ -690,15 +698,15 @@ class TestBlockStream:
 
 class TestReferenceSampler:
     """The banded sampler yields the bands of the per-band formula on
-    fresh arrays, bit for bit, with the basepoint first, in the middle and
+    fresh arrays, bit for bit, and those of the affine formula ``mean +
+    z @ F`` within rounding, with the basepoint first, in the middle and
     last, at band edges and past 16,384 rows, in both modes; a glued pair
     adds the middle spec to a second one."""
 
     SIZES = (1, 2, 1025, 1026, 16385, 17409)
 
-    @pytest.mark.parametrize("real_mode", [False, True])
-    @pytest.mark.parametrize("d", [1, 2, 31, 32, 40])
-    def test_blocks_equal_the_whole_block_formula(self, d, real_mode):
+    @staticmethod
+    def sources(d, real_mode):
         rng = np.random.default_rng(d)
         sources = []
         for i in sorted({0, d // 2, d}):
@@ -709,13 +717,34 @@ class TestReferenceSampler:
             sources.append(spec)
         other = random_gram_kernel(rng, ("x0",) + tuple(f"b{j}" for j in range(d)), not real_mode)
         sources.append(GluedRealization(sources[len(sources) // 2], schur_reduce(other, "x0")))
-        for source in sources:
+        return sources
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 31, 32, 40])
+    def test_blocks_equal_the_whole_block_formula(self, d, real_mode):
+        for source in self.sources(d, real_mode):
             for n in self.SIZES:
                 got = sample_blocks(source, n, seed=n, real_mode=real_mode)
                 want = reference_blocks(source, n, n, real_mode)
                 for band, expected in zip(got, want, strict=True):
                     assert band.tobytes() == expected.tobytes(), (source, n)
 
+    @pytest.mark.parametrize("real_mode", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 31, 40])
+    def test_bands_are_the_affine_formula_within_rounding(self, d, real_mode):
+        # each part of an entry is a sum of at most 2d' + 1 terms, d' the
+        # label count, bounded by the entry of the magnitude bands
+        eps = np.finfo(float).eps
+        for source in self.sources(d, real_mode):
+            width = len(source.labels if isinstance(source, GluedRealization)
+                        else source.full_labels)
+            for n in (1, 1026):
+                got = sample_blocks(source, n, seed=n, real_mode=real_mode)
+                want = affine_blocks(source, n, n, real_mode)
+                size = reference_blocks(source, n, n, real_mode, magnitudes=True)
+                for band, expected, a in zip(got, want, size, strict=True):
+                    excess = np.abs(band - expected) - 4 * (2 * width + 2) * eps * a
+                    assert np.all(excess <= 0), (source, n, excess.max())
 
 
 class TestCircularDraws:
@@ -808,7 +837,7 @@ class TestSeedCheck:
             assert np.array_equal(draw(), same()), name
 
 
-class TestEstimateSecondMoments:
+class TestMomentSums:
     """The one moment sum, ``_moment_sums``, as ``verify_realization``
     reports it in ``empirical``."""
 
@@ -840,17 +869,17 @@ class TestEstimateSecondMoments:
             verify_realization(k1, k2, "x0", 1, seed=0)
 
     def test_finite_entries_that_overflow_are_a_numerical_failure(self):
-        # two bands of padded normals [1 | 0...], mapped to the rows [1, 2];
-        # the sum counts their rows itself
-        bands = [np.zeros((k, 8), complex) for k in (2, 3)]
+        # two bands of padded normals [1, 0...] in columns, mapped to the
+        # rows [1, 2] as [re, im] columns; the sum counts their rows itself
+        bands = [np.zeros((8, k)) for k in (2, 3)]
         for band in bands:
-            band[:, 0] = 1.0
-        B = np.eye(8, dtype=complex)
-        B[0, :2] = [1, 2]
-        assert realization._moment_sums(bands, B, ("x0", "a")).entry("a", "a") == 4.0
-        B[0, 1] = 1e200
+            band[0] = 1.0
+        M = np.eye(8)
+        M[0, :4] = [1, 0, 2, 0]
+        assert realization._moment_sums(bands, M, ("x0", "a")).entry("a", "a") == 4.0
+        M[0, 2] = 1e200
         with pytest.raises(NumericalFailureError, match=r"second-moment sum at \('a', 'a'\)"):
-            realization._moment_sums(bands, B, ("x0", "a"))
+            realization._moment_sums(bands, M, ("x0", "a"))
 
 
 class TestVerifyRealization:
