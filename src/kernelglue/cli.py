@@ -218,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "check": "PSD certificate of one kernel file",
         "realize": "mean/covariance realization of one kernel at a basepoint",
         "sample": "draw realization samples as a tabular export",
-        "verify": "sample the glued process and compare moments to the product",
+        "verify": "compare n glued samples' moments, drawn from their exact law, to the product",
         "glue-tree": "glue a tree of kernels into one kernel",
     }
     for name in COMMANDS:

@@ -13,20 +13,18 @@ realizations with independent randomness reproduces the Markov product,
 whose Schur complement at the glue point is the direct sum of the two
 covariances: ``verify_realization`` takes its certificate from the two
 specs' decisions, and checks the product end to end from second moments
-alone.  Both draw the normals of n rows in bands of about
-``_BAND_ROWS`` rows (``_draw_bands``), each band drawing its own normals
-from SFC64 straight into one reused buffer, one column per row, so
-memory does not grow with n.  A band's rows are ``V.T @ M`` for its
-normals V, with M the one real map of the specs (``_band_map``):
-``sample_blocks`` forms them so, and ``verify_realization`` never does.
-It adds the Gram matrix ``V @ V.T`` of each band while it is in cache,
-maps the sum once through M to the rows' second moments, in its one
-moment sum (``_moment_sums``), and takes its threshold's variance in
-closed form.  The zero pad rows of the band and the zero pad columns of
-M make the moment sums the same under any BLAS thread count (the
-eigensolver's factor need not be, at any size).  Draws
-are circularly-symmetric complex Gaussians (real and imaginary parts
-each of variance 1/2), or real ones in real mode.
+alone.  A row is ``v.T @ M``, v its column of normals [1; z; 0 pad]
+and M the specs' one real map (``_band_map``).  ``sample_blocks`` draws
+n columns in bands of ``_BAND_ROWS`` (``_draw_bands``) into one reused
+buffer, so memory does not grow with n.  ``verify_realization`` draws
+no row, and not ``sample_blocks``'s normals: it draws the Gram sum G of
+n columns from its exact law (``_gram_law``), at a cost that does not
+depend on n, maps it to the second moments ``M.T @ G @ M / n``
+(``_moment_sums``) and takes its threshold's variance in closed form.
+The zero pad of G and M pins the moment sums under any BLAS thread
+count (the eigensolver's factor need not be, at any size).  Draws are
+circularly-symmetric complex Gaussians (real and imaginary parts each
+of variance 1/2), or real ones in real mode.
 The value types here check labels and arrays by the rule of ``kernels``.
 """
 
@@ -66,19 +64,18 @@ from .kernels import (
     markov_product,
 )
 
-# Fixed tags mixed with the user seed to derive the two independent
-# sub-streams of a glued realization.
+# Fixed tags mixed with the seed to derive a sampled glued pair's two streams.
 _STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
 
-# Rows per band, drawn, placed and summed while in cache.  Each band draws
-# its own normals, so this fixes the stream, and a run is reproducible per
-# (seed, n).
+# Rows per band of ``sample_blocks``, drawn and placed while in cache.
+# Each band draws its own normals, so this fixes the stream, and a run is
+# reproducible per (seed, n).
 _BAND_ROWS = 1 << 10
 
-# A band is a multiple of this many float rows high, and the map a multiple
-# of this many float columns wide, their pad zero.  OpenBLAS orders the sums
-# of a Gram update and of a product by thread count at some widths, not at a
-# multiple of 8.
+# A band and a Gram sum are a multiple of this many float rows high, and the
+# map a multiple of this many float columns wide, their pad zero.  OpenBLAS
+# orders the sums of a Gram product and of a product by thread count at some
+# widths, not at a multiple of 8.
 _PAD_COLUMNS = 8
 
 
@@ -99,10 +96,12 @@ def _check_count(n) -> None:
 
 
 def _check_rows(n) -> None:
-    """A moment estimate's row count: a sample count of at least 2."""
+    """A moment estimate's row count: 2 to 2**53, where ``_gram_law``'s floats are exact."""
     _check_count(n)
     if n < 2:
         raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
+    if n > 2**53:
+        raise InvalidParameterError(f"sample count must be at most 2**53, got {n}")
 
 
 def _check_draw(n, seed, real_mode, arrays) -> None:
@@ -298,12 +297,11 @@ def sample_blocks(
 
     A row is mean + L z for each spec around the constant basepoint
     column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
-    order.  z is standard circularly-symmetric complex normal, its real
-    and imaginary parts drawn per band, or standard real normal in real
-    mode (real specs only).  Each spec draws from its own SFC64
-    generator, seeded through ``SeedSequence`` by the seed, or for a
-    glued pair by two sub-seeds, the seed mixed with two fixed tags.
-    Identical (source, seed, n) give bitwise-identical rows.
+    order.  z is standard circularly-symmetric complex normal, or standard
+    real normal in real mode (real specs only).  Each spec draws from its
+    own SFC64 generator, seeded through ``SeedSequence`` by the seed, or
+    for a glued pair by the seed mixed with two fixed tags.  Identical
+    (source, seed, n) give bitwise-identical rows.
     """
     M, bands = _draw_bands(source, n, seed, real_mode)
     labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
@@ -379,39 +377,41 @@ def _band_map(specs, real_mode: bool) -> np.ndarray:
     return M
 
 
-def _moment_sums(bands, M, labels) -> IndexedKernel:
-    """The empirical kernel of the rows ``V.T @ M`` of bands of normals V:
-    the sum over all rows of ``X.T @ X.conj()``, divided by the row count
-    and mirrored, so it is exactly Hermitian (and PSD, being an empirical
-    Gram matrix), and a basepoint column of ones gives a diagonal entry of
-    exactly 1.  A band is a C-contiguous float array, one column per row,
-    as high as M, a multiple of ``_PAD_COLUMNS``; the rows' first
-    ``len(labels)`` complex columns are the labels'.
+def _gram_law(h: int, q: int, n: int, rng) -> np.ndarray:
+    """The h x h Gram sum of n columns ``[1; z; 0 pad]``, z q standard
+    normals, by its law: ``G[0, 0] = n``, s, the sum of the z, in row and
+    column 0, and the z block ``A A.T + s s.T / n``, with A Bartlett's
+    triangle, ``A[i, i] = sqrt(chi2(n - 1 - i))`` and normals below.
+    ``rng`` draws s / sqrt(n), the chi2 from i = 0, then A's normals row by
+    row; below q + 1 columns, where the degrees run out, the columns' z
+    row by row.  A in h x h zeros pins its product under any BLAS thread count."""
+    if n - 1 < q:
+        V = np.vstack([np.ones((1, n)), rng.standard_normal((q, n)), np.zeros((h - 1 - q, n))])
+        return V @ V.T
+    s = math.sqrt(n) * rng.standard_normal(q)
+    A = np.zeros((h, h))
+    a = A[1 : 1 + q, 1 : 1 + q]
+    np.fill_diagonal(a, np.sqrt(rng.chisquare(n - 1 - np.arange(q, dtype=float))))
+    a[np.tril_indices(q, -1)] = rng.standard_normal(q * (q - 1) // 2)
+    G = A @ A.T
+    G[1 : 1 + q, 1 : 1 + q] += np.outer(s, s) / n
+    G[0, 0], G[0, 1 : 1 + q], G[1 : 1 + q, 0] = n, s, s
+    return G
 
-    The rows are linear in the normals, so their real Gram sum is ``M.T @
-    G @ M`` for G the sum of ``V @ V.T``, mapped once after the last band.
-    G is added band by band in order, which numpy runs as a symmetric
-    rank-k update; the four interleaved quarters of the map give the
-    complex sums.  OpenBLAS orders the sums of such an update, and of a
-    product, by thread count for some widths, and not for a multiple of 8
-    columns: the padded band and the padded map make every sum the same
-    under any BLAS thread count, and the pad's rows and columns are
-    dropped at the end.  The sums run with numpy's overflow warnings off
-    and are checked once at the end: an entry that is not finite raises
-    ``NumericalFailureError`` naming its label pair.
-    """
-    gram = None
-    rows, d = 0, len(labels)
+
+def _moment_sums(gram, M, n, labels) -> IndexedKernel:
+    """The empirical kernel of n rows ``v.T @ M``, their columns v of Gram
+    sum ``gram``: the quarters of ``M.T @ gram @ M`` give the sum of ``X.T
+    @ X.conj()``, divided by n and mirrored, so exactly Hermitian, 1 at the
+    basepoint, the pad dropped.  An entry that is not finite raises
+    ``NumericalFailureError`` naming its label pair."""
+    d = len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        for V in bands:
-            rows += V.shape[1]
-            g = V @ V.T
-            gram = g if gram is None else np.add(gram, g, out=gram)
         S = M.T @ gram @ M
         re, im = S[0::2], S[1::2]
         sums = ((re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2]))[:d, :d]
     _check_overflow(sums, "the second-moment sum at", labels, labels)
-    return IndexedKernel(labels, _lock(_mirror(sums / rows)))
+    return IndexedKernel(labels, _lock(_mirror(sums / n)))
 
 
 def _null_variance(product: IndexedKernel, x0: str, real_mode: bool):
@@ -465,13 +465,13 @@ def verify_realization(
     ``certificate`` is the spec certificate (``psd_check_schur``, each at
     its own scale) with the smaller eigenvalue; a spec that fails raises
     ``NotPsdError`` before the first draw, so a report's certificate has
-    passed, and ``passed`` is the Monte Carlo verdict.  Then draws the
-    glued realization's normals band by band, sums their Gram matrix as
-    it goes, maps the sum to the rows' second moments, and compares them
-    entrywise to the exact product.  When ``mc_tol`` is
-    None the pass threshold is ``5 * sqrt(v_max / n)``, with ``v_max`` the
-    largest variance of one row's ``Y_s conj(Y_t)``, in closed form from
-    the product.  Every argument is checked before the first eigensolver call.
+    passed, and ``passed`` is the Monte Carlo verdict.  Then draws n rows'
+    Gram sum from its exact law by ``Generator(SFC64(seed))`` (``_gram_law``),
+    maps it to their second moments and compares them entrywise to the
+    product.  When ``mc_tol`` is None the pass threshold is ``5 *
+    sqrt(v_max / n)``, with ``v_max`` the largest variance of one row's
+    ``Y_s conj(Y_t)``, in closed form from the product.  Every argument is
+    checked before the first eigensolver call.
     """
     _check_type(IndexedKernel, k1=k1, k2=k2)
     if mc_tol is not None:
@@ -479,16 +479,16 @@ def verify_realization(
     _check_draw(n, seed, real_mode, (k1.entries, k2.entries))
     _check_rows(n)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
-    glued = GluedRealization(*(schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol)
-                               for k in (k1, k2)))
-    certificate = min(map(psd_check_schur, (glued.spec1, glued.spec2)),
-                      key=lambda c: c.min_eigenvalue)
-    M, bands = _draw_bands(glued, n, seed, real_mode)
-    empirical = _moment_sums(bands, M, glued.labels)
+    specs = [schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol) for k in (k1, k2)]
+    glued = GluedRealization(*specs)
+    certificate = min(map(psd_check_schur, specs), key=lambda c: c.min_eigenvalue)
+    M = _band_map(specs, real_mode)
+    q = (1 if real_mode else 2) * sum(spec.dim for spec in specs)
+    gram = _gram_law(len(M), q, n, np.random.Generator(np.random.SFC64(seed)))
+    empirical = _moment_sums(gram, M, n, glued.labels)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         m, v = _null_variance(product, x0, real_mode)
         mc_tol = 5.0 * m * math.sqrt(max(v.max(), 0.0) / n)
-    passed = bool(max_dev <= mc_tol)
     return VerificationReport(product, certificate, empirical, max_dev, float(mc_tol), n,
-                              int(seed), passed)
+                              int(seed), bool(max_dev <= mc_tol))

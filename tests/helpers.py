@@ -147,22 +147,75 @@ def affine_blocks(source, n, seed, real_mode=False):
         yield X
 
 
-def assert_moments_within_rounding(empirical, source, n, seed, real_mode=False):
-    """``empirical`` is the moment kernel ``moments(source, n, seed,
-    real_mode)`` within rounding.  Both are sums of the same n rows'
-    ``X_s conj(X_t)``, rounded differently: the real and imaginary part of
-    each entry of a row is a sum of at most 2d + 1 terms, d the label
-    count, and a sum runs over the n rows and, after a map of the summed
-    normals, over at most 2d + 8 terms twice.  Each side is then within
-    about ``sqrt(2) (n + 4d + 16) eps`` (Higham 2002, ch. 3) of the exact
-    sum of the rows' products, relative to ``S_st``, the sum over the
-    rows of ``a_s a_t``, where a is a row of ``reference_blocks`` with
-    ``magnitudes``, which bounds the terms of ``X``.  So the two agree
-    within ``4 (n + 4d + 16) eps S_st / n``."""
-    reference = moments(source, n, seed, real_mode)
-    s = sum(a.T @ a for a in reference_blocks(source, n, seed, real_mode, True))
-    d = len(reference.labels)
-    bound = 4 * (n + 4 * d + 16) * np.finfo(float).eps * s / n
+def reference_gram(q, n, seed, magnitudes=False):
+    """The (1 + q) x (1 + q) Gram sum of n columns ``[1; z]``, z q standard
+    normals, by the law that ``verify_realization`` draws from
+    ``Generator(SFC64(seed))``: ``G[0, 0] = n``, then s, the sum of the z,
+    ``sqrt(n)`` times q normals, in row and column 0, and the z block ``A
+    A.T + s s.T / n``, A lower triangular with ``A[i, i] = sqrt(chi2(n - 1
+    - i))``, drawn for i = 0, 1, ..., and then the normals below the
+    diagonal, filled row by row.  Below q + 1 columns it is ``V @ V.T`` for
+    the band V of the columns, its q x n normals drawn row by row.  With
+    ``magnitudes`` each product is of absolute values, a bound of the
+    absolute values of the terms that make each entry."""
+    rng = np.random.Generator(np.random.SFC64(seed))
+    mag = np.abs if magnitudes else (lambda a: a)
+    if n - 1 < q:
+        V = mag(np.concatenate([np.ones((1, n)), rng.standard_normal((q, n))]))
+        return V @ V.T
+    s = math.sqrt(n) * rng.standard_normal(q)
+    A = np.diag(np.sqrt(rng.chisquare([n - 1 - i for i in range(q)])))
+    below = iter(rng.standard_normal(q * (q - 1) // 2))
+    for i in range(q):
+        for j in range(i):
+            A[i, j] = next(below)
+    G = np.empty((1 + q, 1 + q))
+    G[0, 0], G[0, 1:], G[1:, 0] = n, mag(s), mag(s)
+    G[1:, 1:] = mag(A) @ mag(A).T + np.outer(mag(s), mag(s)) / n
+    return G
+
+
+def law_moments(source, n, seed, real_mode=False, magnitudes=False):
+    """The empirical kernel ``C.T @ G @ conj(C) / n`` of n rows ``x = v.T @
+    C`` of a glued pair, in complex arithmetic, with G the Gram sum of
+    their columns v (``reference_gram``) and C the complex map of the
+    affine formula ``mean + z @ F`` of ``affine_blocks``: row 0 holds the
+    means, 1 at the basepoint, and a spec's rows, F for the real parts of
+    its normals and ``1j F`` for their imaginary parts (F alone in real
+    mode), in its labels' columns.  With ``magnitudes``, the same sum of
+    the absolute values of its terms."""
+    specs = (source.spec1, source.spec2)
+    r = 1 if real_mode else 2
+    q = r * sum(spec.dim for spec in specs)
+    C = np.zeros((1 + q, 1 + sum(spec.dim for spec in specs)), complex)
+    C[0, specs[0].basepoint_index], row = 1.0, 1
+    for spec, cols in zip(specs, _label_columns(specs)):
+        F = spec.factor.real.T if real_mode else spec.factor.T * math.sqrt(0.5)
+        C[0, cols] = spec.mean
+        C[row : row + spec.dim, cols] = F
+        if not real_mode:
+            C[row + spec.dim : row + 2 * spec.dim, cols] = 1j * F
+        row += r * spec.dim
+    G = reference_gram(q, n, seed, magnitudes)
+    if magnitudes:
+        return np.abs(C).T @ G @ np.abs(C) / n
+    return make_kernel(source.labels, hermitize(C.T @ G @ C.conj() / n))
+
+
+def assert_law_moments_within_rounding(empirical, source, n, seed, real_mode=False):
+    """``empirical`` is ``law_moments(source, n, seed, real_mode)`` within
+    rounding.  Both form the Gram sum G of the same draws and map it by
+    the same factors, rounded differently: an entry of G sums at most q + 1
+    products, q the normals per column, and the map sums at most h <= q + 8
+    terms twice, in real form (whose term magnitudes are at most twice
+    those of the complex map) or in complex form (which costs a factor
+    sqrt(2)).  So each side is within about ``2 sqrt(2) (3q + 20) eps`` of
+    the exact map of the law's exact G (Higham 2002, ch. 3), relative to
+    the map of the magnitudes (``law_moments`` with ``magnitudes``), and
+    the two agree within ``8 (3q + 24) eps`` of it."""
+    reference = law_moments(source, n, seed, real_mode)
+    q = (1 if real_mode else 2) * (source.spec1.dim + source.spec2.dim)
+    bound = 8 * (3 * q + 24) * np.finfo(float).eps * law_moments(source, n, seed, real_mode, True)
     assert empirical.labels == reference.labels
     excess = np.abs(empirical.entries - reference.entries) - bound
     assert np.all(excess <= 0), excess.max()

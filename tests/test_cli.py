@@ -465,6 +465,16 @@ class TestMain:
         expected = f"InvalidParameter: seed must fit in 64 unsigned bits, got {int(seed, 0)}\n"
         assert capsys.readouterr().err == expected
 
+    def test_verify_rejects_a_count_past_2_to_the_53(self, workdir, capsys):
+        # the chi-square degrees of freedom of verify's law, n - 1 - i, are
+        # exact as floats up to 2**53; at 2**70 the draw overflowed
+        n = 2**53 + 1
+        argv = ["verify", workdir["k1"], workdir["k2"], "--glue-label", "x0", "--samples", str(n)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"InvalidParameter: sample count must be at most 2**53, got {n}\n"
+
     @pytest.mark.parametrize("command, files", [("sample", 1), ("verify", 2)])
     def test_bad_sample_count_is_rejected_before_any_file(self, workdir, capsys, command, files):
         absent = [str(workdir["dir"] / "absent.json")] * files
@@ -688,16 +698,18 @@ class TestMain:
     @pytest.mark.parametrize(
         "d, n, real_mode",
         [pytest.param(31, 16385, False, id="16385"), pytest.param(31, 17409, False, id="17409"),
+         pytest.param(31, 10**12, False, id="1e12"),
          pytest.param(70, 5000, False, id="141-labels"),
          pytest.param(70, 5000, True, id="141-labels-real")],
     )
     def test_verify_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, d, n,
                                                                   real_mode):
         # 63 and 141 glued labels are 126 and 282 float columns of rows,
-        # widths at which OpenBLAS orders the sums of V @ V.T, and of the
-        # map of their sum, by thread count; a real band is 141 rows high,
-        # a complex one 281.  LAPACK's bits are pinned at no size; eigh
-        # gave these kernels the same factor under one and two threads
+        # widths at which OpenBLAS orders the sums of a product, the law's
+        # triangle times its transpose and the map of the Gram sum, by
+        # thread count; the law draws 124 and 280 normals a column complex,
+        # 140 real.  LAPACK's bits are pinned at no size; eigh gave these
+        # kernels the same factor under one and two threads
         rng = np.random.default_rng(63)
         paths = []
         for prefix in "ab":
@@ -749,7 +761,7 @@ class TestGoldenOutputs:
         "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "fab48941723dc0eaef67e979b78e1d58e12eae868ab1c150c295d7381db6fcdf",
+        "verify": "08b4f7476e09b6a13a653f767bcf11c33734a0e08861ee22c0a08a0b4939d970",
         # text exports, 32 bands and a short one
         "sample": "83610fe8530b54baa32fdf457e956252f29668798610b9e29bddf8be19ce6979",
         "sample-real": "39c1b5a63bc47f86a91a06e016a31292f85fe4147b19d2a6995d161efb0cdd49",

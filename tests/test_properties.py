@@ -4,8 +4,8 @@ Gluing preserves positive semidefiniteness and is associative, the
 closed-form variance behind ``verify``'s default threshold is nonnegative
 and at the glue point the Schur complement's diagonal, a glued
 realization carries the product's labels in the product's order, the
-moments ``verify`` maps from its normals are those of the rows that
-``sample_blocks`` places, real-mode rows have no -0.0 and a basepoint
+moments ``verify`` maps from the Gram sum it draws are those of the
+reference law's draws, real-mode rows have no -0.0 and a basepoint
 column of exactly 1, a kernel
 survives its JSON document bit for bit, and a tree glues to the same
 kernel from any root and to the closed form of Haagerup's kernel on a
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (
-    assert_moments_within_rounding,
+    assert_law_moments_within_rounding,
     edge_kernel_tree,
     haagerup_oracle,
     random_gram_kernel,
@@ -132,13 +132,15 @@ _POINT = make_kernel(["x0"], [[1.0]])
 
 
 @settings(max_examples=40, deadline=None)
-@given(unit_psd_kernels("a"), unit_psd_kernels("b"), st.booleans(), st.integers(2, 2100),
-       st.integers(0, 2**64 - 1))
-# a 1-label kernel, whose spec has no coordinate, on either side
-@example(_POINT, random_gram_kernel(np.random.default_rng(1), ("b0", "x0", "b1")), False, 1026, 0)
+@given(unit_psd_kernels("a"), unit_psd_kernels("b"), st.booleans(),
+       st.one_of(st.integers(2, 40), st.integers(2, 2**53)), st.integers(0, 2**64 - 1))
+# a 1-label kernel, whose spec has no coordinate, on either side; n at q
+# and q + 1, the last direct draw of the columns and the first of the law
+@example(_POINT, random_gram_kernel(np.random.default_rng(1), ("b0", "x0", "b1")), False, 4, 0)
+@example(_POINT, random_gram_kernel(np.random.default_rng(1), ("b0", "x0", "b1")), False, 5, 0)
 @example(random_gram_kernel(np.random.default_rng(2), ("a0", "a1", "x0", "a2")), _POINT, True, 2,
          2**64 - 1)
-def test_verify_moments_are_those_of_the_sampled_rows(k1, k2, real_mode, n, seed):
+def test_verify_moments_are_the_map_of_the_drawn_gram_sum(k1, k2, real_mode, n, seed):
     # with "x0" first, in the middle and last in each kernel: a misplaced
     # column of the map from normals to rows moves an entry by O(1)
     if real_mode:
@@ -149,7 +151,7 @@ def test_verify_moments_are_those_of_the_sampled_rows(k1, k2, real_mode, n, seed
         for b in ends[1]:
             report = verify_realization(a, b, "x0", n, seed, real_mode=real_mode)
             glued = GluedRealization(schur_reduce(a, "x0"), schur_reduce(b, "x0"))
-            assert_moments_within_rounding(report.empirical, glued, n, seed, real_mode)
+            assert_law_moments_within_rounding(report.empirical, glued, n, seed, real_mode)
 
 
 @settings(max_examples=40, deadline=None)

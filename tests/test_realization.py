@@ -18,7 +18,7 @@ import pytest
 from helpers import (
     BAD_TOLERANCES,
     affine_blocks,
-    assert_moments_within_rounding,
+    assert_law_moments_within_rounding,
     count_solver_calls,
     draw,
     isserlis_mc_tol,
@@ -27,6 +27,7 @@ from helpers import (
     random_gram_kernel,
     random_unit_corner_hermitian,
     reference_blocks,
+    reference_gram,
 )
 from kernelglue import (
     DEFAULT_PSD_TOL,
@@ -508,7 +509,8 @@ class TestGoldenSamples:
 
 class TestBlockStream:
     """Sampling runs in bands of ``_BAND_ROWS`` rows; these pin the stream
-    across many band boundaries and tie ``verify_realization`` to it."""
+    across many band boundaries, and bound the memory of sampling and of
+    ``verify_realization``, which draws no band."""
 
     SINGLE = {
         False: "922ec1c16e80f19f5090a5272946e0c92b7c53dc9098598e0f3aa17ec4b1cdf7",
@@ -529,18 +531,6 @@ class TestBlockStream:
         glued = GluedRealization(*golden_specs(real_mode))
         assert batch_digest(glued, 16389, real_mode) == self.GLUED[real_mode]
 
-    @pytest.mark.parametrize("real_mode", [False, True])
-    def test_verify_streams_the_sampled_batch(self, real_mode):
-        rng = np.random.default_rng(2027)
-        k1 = random_gram_kernel(rng, ("a0", "x0", "a1"), not real_mode)
-        k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
-        n = 32775  # 32 bands and a short one
-        report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
-        assert_moments_within_rounding(report.empirical, glued_pair(k1, k2), n, 31, real_mode)
-        expected = isserlis_mc_tol(report.product, "x0", n, real_mode)
-        assert report.mc_tol == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert report.n_samples == n
-
     def test_verify_memory_does_not_hold_the_batch(self):
         rng = np.random.default_rng(404)
         k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
@@ -555,23 +545,27 @@ class TestBlockStream:
         # the whole 2e5 x 63 complex batch alone is 192 MiB
         assert peak < 150 * 2**20
 
-    def test_verify_reuses_its_band_buffers(self):
+    def test_verify_memory_does_not_grow_with_n(self):
         rng = np.random.default_rng(404)
         k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
         k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)))
-        tracemalloc.start()
-        try:
-            report = verify_realization(k1, k2, "x0", 200_000, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        # the band buffer, 128 float rows of 1,025, is 1 MiB, and a draw
-        # scratch besides took 0.5 MiB more; a 2**14-row block's zr took
-        # the peak to 10.3 MiB, the 2**14 x 63 complex block that the sums
-        # read to 24.7 MiB, a draw buffer of its own to 40 MiB and fresh
-        # temporaries in every block to 55 MiB
-        assert peak < 15 * 2**20
+        peaks = []
+        for n in (200_000, 10**12):
+            tracemalloc.start()
+            try:
+                report = verify_realization(k1, k2, "x0", n, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.passed
+        # the Gram sum is drawn from its law, 128 x 128 floats whatever n
+        # is; the reused band buffer of the band draws, 128 float rows of
+        # 1,025, was 1 MiB, a 2**14-row block's zr took the peak to
+        # 10.3 MiB, the 2**14 x 63 complex block that the sums read to
+        # 24.7 MiB and fresh temporaries in every block to 55 MiB; the
+        # two peaks differed by 134 bytes
+        assert abs(peaks[1] - peaks[0]) < 2**12, peaks
+        assert max(peaks) < 15 * 2**20
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_verify_holds_no_block(self, real_mode):
@@ -585,10 +579,11 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert report.passed
-        # a band and its Gram sum peak at 1.9 MiB (1.1 MiB in real mode),
-        # and 2.1 MiB with a draw scratch besides; the draws of a 2**14-row
-        # block, held while its bands were placed, took the peak to
-        # 10.3 MiB (and 13.7 MiB in real mode, products too)
+        # the law's triangle, its Gram sum and the map are 128 x 128 floats
+        # (64 x 64 in real mode); a band of normals and its Gram sum peaked
+        # at 1.9 MiB (1.1 MiB in real mode), and the draws of a 2**14-row
+        # block, held while its bands were placed, at 10.3 MiB (and
+        # 13.7 MiB in real mode, products too)
         assert peak < 4 * 2**20
 
     def test_first_band_memory_does_not_grow_with_n(self):
@@ -624,18 +619,20 @@ class TestBlockStream:
         assert peak < 20 * 2**20
 
     def test_moment_sums_do_not_depend_on_the_blas_thread_count(self):
-        # 99 and 141 glued labels are bands of 197 and 281 float rows
-        # complex, 99 and 141 real, and maps of 198 and 282 float columns
-        # unpadded: not a multiple of 8, which OpenBLAS sums in a
-        # thread-dependent order, in the Gram sum and in the map of it
-        # alike.  LAPACK's bits are pinned at no size; eigh gave these
-        # kernels the same factor under one and two threads
+        # 99 and 141 glued labels are triangles of 196 and 280 normals
+        # complex, 98 and 140 real, and maps of 198 and 282 float columns,
+        # unpadded mostly not a multiple of 8, which OpenBLAS sums in a
+        # thread-dependent order, in the law's triangle product and in the
+        # map of the Gram sum alike.  The counts take the law on both sides
+        # of its direct draw, below q + 1 columns.  LAPACK's bits are pinned
+        # at no size; eigh gave these kernels the same factor under one and
+        # two threads
         script = (
             "import hashlib, sys\n"
             "import numpy as np\n"
             "from helpers import random_gram_kernel\n"
             "from kernelglue import GluedRealization, make_kernel, schur_reduce\n"
-            "from kernelglue.realization import _draw_bands, _moment_sums\n"
+            "from kernelglue.realization import _band_map, _gram_law, _moment_sums\n"
             "d, real_mode = int(sys.argv[1]), sys.argv[2] == 'real'\n"
             "rng = np.random.default_rng(6)\n"
             "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(d)))\n"
@@ -643,9 +640,12 @@ class TestBlockStream:
             "if real_mode:\n"
             "    ks = [make_kernel(k.labels, k.entries.real) for k in ks]\n"
             "glued = GluedRealization(*(schur_reduce(k, 'x0') for k in ks))\n"
-            "M, bands = _draw_bands(glued, 5000, 1, real_mode)\n"
-            "empirical = _moment_sums(bands, M, glued.labels)\n"
-            "print(hashlib.sha256(empirical.entries.tobytes()).hexdigest())\n"
+            "M = _band_map((glued.spec1, glued.spec2), real_mode)\n"
+            "q = (1 if real_mode else 2) * 2 * d\n"
+            "for n in (q, 5000, 10**12):\n"
+            "    G = _gram_law(len(M), q, n, np.random.Generator(np.random.SFC64(1)))\n"
+            "    empirical = _moment_sums(G, M, n, glued.labels)\n"
+            "    print(hashlib.sha256(G.tobytes() + empirical.entries.tobytes()).hexdigest())\n"
         )
         tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
         for case in itertools.product(("49", "70"), ("complex", "real")):
@@ -671,14 +671,15 @@ class TestBlockStream:
     @pytest.mark.parametrize("larger_first", [True, False])
     def test_scratch_is_shared_by_specs_of_unequal_size(self, real_mode, larger_first):
         # the two specs draw in turn into one band buffer, the larger first
-        # or second
+        # or second, and each band is the per-band formula's
         rng = np.random.default_rng(2028)
         big = random_gram_kernel(rng, ("a0", "a1", "x0", "a2", "a3"), not real_mode)
         small = random_gram_kernel(rng, ("x0", "b0"), not real_mode)
         k1, k2 = (big, small) if larger_first else (small, big)
-        n = 32775
-        report = verify_realization(k1, k2, "x0", n, seed=17, real_mode=real_mode)
-        assert_moments_within_rounding(report.empirical, glued_pair(k1, k2), n, 17, real_mode)
+        glued, n = glued_pair(k1, k2), 32775
+        got = sample_blocks(glued, n, seed=17, real_mode=real_mode)
+        for band, expected in zip(got, reference_blocks(glued, n, 17, real_mode), strict=True):
+            assert band.tobytes() == expected.tobytes()
 
     def test_argument_errors_come_before_any_draw(self, monkeypatch):
         k1, k2 = cd_pair()
@@ -688,10 +689,13 @@ class TestBlockStream:
             raise AssertionError("samples were drawn")
 
         monkeypatch.setattr(realization, "_draw_bands", no_draws)
+        monkeypatch.setattr(realization, "_gram_law", no_draws)
         with pytest.raises(InvalidParameterError):
             verify_realization(k1, k2, "x0", 0, seed=0)
         with pytest.raises(EmptyBatchError):
             verify_realization(k1, k2, "x0", 1, seed=0)
+        with pytest.raises(InvalidParameterError, match="at most 2"):
+            verify_realization(k1, k2, "x0", 2**53 + 1, seed=0)
         with pytest.raises(InvalidParameterError, match="real mode"):
             verify_realization(k1, complex_k, "x0", 100, seed=0, real_mode=True)
 
@@ -808,6 +812,18 @@ class TestCountCheck:
         for (name, draw), same in zip(self.draws(n).items(), self.draws(np.int64(n)).values()):
             assert np.array_equal(draw(), same()), name
 
+    @pytest.mark.parametrize("n", [2**53 + 1, np.uint64(2**63), 2**70])
+    def test_verify_rejects_a_count_past_2_to_the_53(self, monkeypatch, n):
+        # past 2**53 the law's degrees of freedom n - 1 - i are not exact
+        # as floats, and at 2**70 the chi-square draw overflowed
+        k1, k2 = cd_pair()
+        calls = count_solver_calls(monkeypatch)
+        message = re.escape(f"sample count must be at most 2**53, got {n}")
+        with pytest.raises(InvalidParameterError, match=message):
+            verify_realization(k1, k2, "x0", n, 0)
+        assert calls == []
+        assert verify_realization(k1, k2, "x0", 2**53, 0).passed
+
 
 class TestSeedCheck:
     """Every sampling entry point takes the CLI's seeds, unsigned 64-bit
@@ -869,17 +885,110 @@ class TestMomentSums:
             verify_realization(k1, k2, "x0", 1, seed=0)
 
     def test_finite_entries_that_overflow_are_a_numerical_failure(self):
-        # two bands of padded normals [1, 0...] in columns, mapped to the
-        # rows [1, 2] as [re, im] columns; the sum counts their rows itself
-        bands = [np.zeros((8, k)) for k in (2, 3)]
-        for band in bands:
-            band[0] = 1.0
+        # the Gram sum of five padded columns [1, 0...], mapped to the rows
+        # [1, 2] as [re, im] columns
+        gram = np.zeros((8, 8))
+        gram[0, 0] = 5.0
         M = np.eye(8)
         M[0, :4] = [1, 0, 2, 0]
-        assert realization._moment_sums(bands, M, ("x0", "a")).entry("a", "a") == 4.0
+        assert realization._moment_sums(gram, M, 5, ("x0", "a")).entry("a", "a") == 4.0
         M[0, 2] = 1e200
         with pytest.raises(NumericalFailureError, match=r"second-moment sum at \('a', 'a'\)"):
-            realization._moment_sums(bands, M, ("x0", "a"))
+            realization._moment_sums(gram, M, 5, ("x0", "a"))
+
+
+class TestGramLaw:
+    """``verify_realization`` draws the Gram sum of its rows' normals from
+    its exact law (``_gram_law``), not from sampled rows: draw for draw the
+    law of ``tests/helpers.reference_gram``, with the deviations of the
+    band path, a mean that the map takes to the product, and a direct draw
+    of the columns below q + 1 of them."""
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_verify_maps_the_drawn_gram_sum(self, real_mode):
+        # q is 8 normals a column complex, 4 real: n = q draws the columns
+        rng = np.random.default_rng(2027)
+        k1 = random_gram_kernel(rng, ("a0", "x0", "a1"), not real_mode)
+        k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
+        q = 4 if real_mode else 8
+        for n in (2, q, q + 1, q + 2, 32775, 10**12, 2**53):
+            report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
+            assert_law_moments_within_rounding(report.empirical, glued_pair(k1, k2), n, 31,
+                                               real_mode)
+            expected = isserlis_mc_tol(report.product, "x0", n, real_mode)
+            assert report.mc_tol == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert report.n_samples == n
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    def test_deviations_are_those_of_the_band_path(self, real_mode):
+        # two 6-label kernels, n = 2,000: a 400-seed probe put the 10, 50
+        # and 90% quantiles of max_abs_deviation from the law within 3.2%
+        # of those from the bands of sampled rows, about the quantiles' own
+        # sampling error at 300 seeds
+        rng = np.random.default_rng(2030)
+        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(5)), not real_mode)
+        k2 = random_gram_kernel(rng, ("b0", "b1", "x0", "b2", "b3", "b4"), not real_mode)
+        glued, product, n = glued_pair(k1, k2), markov_product(k1, k2, "x0"), 2000
+        law, bands = [], []
+        for seed in range(300):
+            report = verify_realization(k1, k2, "x0", n, seed, real_mode=real_mode)
+            law.append(report.max_abs_deviation)
+            sums = sum(X.T @ X.conj() for X in reference_blocks(glued, n, seed, real_mode))
+            bands.append(np.abs(sums / n - product.entries).max())
+        quantiles = [np.quantile(x, [0.1, 0.5, 0.9]) for x in (law, bands)]
+        assert np.all(np.abs(quantiles[0] / quantiles[1] - 1) < 0.1), quantiles
+
+    @pytest.mark.parametrize("real_mode", [False, True])
+    @pytest.mark.parametrize("d", [1, 6, 32, 71])
+    def test_the_mean_gram_sum_maps_to_the_product(self, d, real_mode):
+        # the law's mean is n I', I' the identity on the 1 + q rows of a
+        # column and zero on its pad, so M.T I' M is the product up to
+        # rounding: eigh reproduces each covariance within a small multiple
+        # of d eps its scale, and the map sums at most h terms, each at
+        # most sqrt(P_ss P_tt).  The worst of ten seeds was h eps m / 2, h
+        # the map's height and m the product's largest diagonal entry
+        eps = np.finfo(float).eps
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            ks = [random_gram_kernel(rng, ("x0",) + tuple(f"{p}{i}" for i in range(d)),
+                                     not real_mode) for p in "ab"]
+            specs = [schur_reduce(k, "x0") for k in ks]
+            M = realization._band_map(specs, real_mode)
+            q = (1 if real_mode else 2) * 2 * d
+            mean = np.diag((np.arange(len(M)) <= q).astype(float))
+            got = realization._moment_sums(mean, M, 1, GluedRealization(*specs).labels)
+            product = markov_product(*ks, "x0")
+            m = product.entries.diagonal().real.max()
+            assert np.abs(got.entries - product.entries).max() <= 4 * len(M) * eps * m
+
+    @pytest.mark.parametrize("q", [4, 9])
+    def test_law_at_the_bartlett_boundary(self, q):
+        # below q + 1 columns the chi-square degrees n - 1 - i run out and
+        # the columns are drawn: at n = q the Gram sum has rank n, from
+        # q + 1 on full rank q + 1.  On both sides it is the reference
+        # law's, with the mean n I' and the variances of a sum of n
+        # products of normals, 2n on the z block's diagonal, n off it and
+        # in row 0; 4,000 seeds put a mean within 5 standard errors and a
+        # variance within 20%, 7 standard errors
+        h, N, eps = realization._padded(1 + q), 4000, np.finfo(float).eps
+        for n in (q, q + 1, q + 2):
+            draws = np.array([realization._gram_law(h, q, n, np.random.Generator(
+                np.random.SFC64(seed))) for seed in range(N)])
+            G = draws[0]
+            assert np.array_equal(G, G.T) and G[0, 0] == n
+            assert not np.any(G[1 + q :]) and not np.any(G[:, 1 + q :])
+            reference = reference_gram(q, n, 0)
+            bound = 4 * (q + 1) * eps * reference_gram(q, n, 0, magnitudes=True)
+            assert np.all(np.abs(G[: 1 + q, : 1 + q] - reference) <= bound)
+            w = np.linalg.eigvalsh(G[: 1 + q, : 1 + q])
+            assert np.sum(w > 1e-9 * n) == min(n, q + 1)
+            block = draws[:, : 1 + q, : 1 + q]
+            variance = np.full((1 + q, 1 + q), float(n)) + n * np.eye(1 + q)
+            variance[0, 0] = 0.0
+            assert np.all(block[:, 0, 0] == n)
+            assert np.all(np.abs(block.mean(0) - n * np.eye(1 + q)) <= 5 * np.sqrt(variance / N))
+            spread = block.var(0)[variance > 0] / variance[variance > 0]
+            assert np.all(np.abs(spread - 1) < 0.2), spread
 
 
 class TestVerifyRealization:
