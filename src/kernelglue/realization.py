@@ -15,16 +15,16 @@ covariances: ``verify_realization`` takes its certificate from the two
 specs' decisions, and checks the product end to end from second moments
 alone.  A row is ``v.T @ M``, v its column of normals [1; z; 0 pad]
 and M the specs' one real map (``_band_map``).  ``sample_blocks`` draws
-n columns in bands of ``_BAND_ROWS`` (``_draw_bands``) into one reused
-buffer, so memory does not grow with n.  ``verify_realization`` draws
-no row, and not ``sample_blocks``'s normals: it draws the Gram sum G of
-n columns from its exact law (``_gram_law``), at a cost that does not
-depend on n, maps it to the second moments ``M.T @ G @ M / n``
-(``_moment_sums``) and takes its threshold's variance in closed form.
-The zero pad of G and M pins the moment sums under any BLAS thread
-count (the eigensolver's factor need not be, at any size).  Draws are
-circularly-symmetric complex Gaussians (real and imaginary parts each
-of variance 1/2), or real ones in real mode.
+n columns in bands of ``_BAND_ROWS`` into one reused buffer, so memory
+does not grow with n.  ``verify_realization`` draws no row, and not
+``sample_blocks``'s normals: it draws the LQ factor of its n columns,
+over sqrt(n), from its exact law (``_gram_factor``), one band of h
+columns whatever n is, and takes the second moments from its rows
+``R.T @ M`` (``_moment_sums``), its threshold's variance in closed form.
+The zero pad of the factor and of M pins the moments under any BLAS
+thread count (the eigensolver's factor need not be, at any size).
+Draws are circularly-symmetric complex Gaussians (real and imaginary
+parts each of variance 1/2), or real ones in real mode.
 The value types here check labels and arrays by the rule of ``kernels``.
 """
 
@@ -72,10 +72,10 @@ _STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
 # reproducible per (seed, n).
 _BAND_ROWS = 1 << 10
 
-# A band and a Gram sum are a multiple of this many float rows high, and the
-# map a multiple of this many float columns wide, their pad zero.  OpenBLAS
-# orders the sums of a Gram product and of a product by thread count at some
-# widths, not at a multiple of 8.
+# A band and the law's factor are a multiple of this many float rows high,
+# and the map a multiple of this many float columns wide, their pad zero.
+# OpenBLAS orders the sums of a product by thread count at some widths, not
+# at a multiple of 8.
 _PAD_COLUMNS = 8
 
 
@@ -96,7 +96,7 @@ def _check_count(n) -> None:
 
 
 def _check_rows(n) -> None:
-    """A moment estimate's row count: 2 to 2**53, where ``_gram_law``'s floats are exact."""
+    """A moment estimate's row count: 2 to 2**53, where ``_gram_factor``'s degrees are exact."""
     _check_count(n)
     if n < 2:
         raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
@@ -290,8 +290,8 @@ def sample_blocks(
     *,
     real_mode: bool = False,
 ):
-    """Check the arguments and each spec's ``factor``, then iterate over
-    n draws of a spec or a glued pair in bands of at most
+    """Check the arguments and read each spec's ``factor``, then iterate
+    over n draws of a spec or a glued pair in bands of at most
     ``_BAND_ROWS + 1`` rows, each a view of one reused buffer that the
     next band overwrites.
 
@@ -302,14 +302,37 @@ def sample_blocks(
     own SFC64 generator, seeded through ``SeedSequence`` by the seed, or
     for a glued pair by the seed mixed with two fixed tags.  Identical
     (source, seed, n) give bitwise-identical rows.
+
+    A band of k rows is V, h x k float64 and C-contiguous, with h = 1 +
+    r * (sum of dims) rounded up to a multiple of ``_PAD_COLUMNS``, r = 2,
+    or 1 in real mode: a row of ones, then each spec's d rows of the real
+    parts of its normals and, unless in real mode, its d rows of their
+    imaginary parts, then zero pad rows.  Per band and spec, the r * k * d
+    normals are drawn straight into the spec's rows by one call, into one
+    reused flat buffer.  A band's rows are ``V.T @ M`` (``_band_map``)
+    viewed as complex.
     """
-    M, bands = _draw_bands(source, n, seed, real_mode)
-    labels = source.labels if isinstance(source, GluedRealization) else source.full_labels
+    if not isinstance(source, (RealizationSpec, GluedRealization)):
+        raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
+    glued = isinstance(source, GluedRealization)
+    specs = (source.spec1, source.spec2) if glued else (source,)
+    _check_draw(n, seed, real_mode, [a for spec in specs for a in (spec.mean, spec.covariance)])
+    labels = source.labels if glued else source.full_labels
+    M = _band_map(specs, real_mode)[:, : 2 * len(labels)]
+    seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
+    rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
+    heights = [spec.dim * (1 if real_mode else 2) for spec in specs]
+    buffer = np.empty(len(M) * min(n, _BAND_ROWS + 1))
     out = np.empty((min(n, _BAND_ROWS + 1), len(labels)), complex)
-    M = M[:, : 2 * len(labels)]
 
     def rows():
-        for V in bands:
+        for band in _bands(n):
+            V = buffer[: len(M) * (band.stop - band.start)].reshape(len(M), -1)
+            V[0], row = 1.0, 1
+            for height, rng in zip(heights, rngs):
+                rng.standard_normal(out=V[row : row + height])
+                row += height
+            V[row:] = 0.0
             X = out[: V.shape[1]]
             np.matmul(V.T, M, out=X.view(np.float64))
             yield X
@@ -317,44 +340,8 @@ def sample_blocks(
     return rows()
 
 
-def _draw_bands(source, n, seed, real_mode: bool):
-    """Check the arguments of ``sample_blocks`` and read every spec's
-    factor once; return the ``_band_map`` M of the specs and an iterator
-    over the bands of normals, each drawn when asked for into one reused
-    flat buffer.
-
-    A band of k rows is V, h x k float64 and C-contiguous, with h = 1 +
-    r * (sum of dims) rounded up to a multiple of ``_PAD_COLUMNS``, r = 2,
-    or 1 in real mode: a row of ones, then each spec's d rows of the real
-    parts of its normals and, unless in real mode, its d rows of their
-    imaginary parts, then zero pad rows.  Per band and spec, the r * k * d
-    normals are drawn straight into the spec's rows by one call.  A
-    band's rows are ``V.T @ M`` viewed as complex."""
-    if not isinstance(source, (RealizationSpec, GluedRealization)):
-        raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
-    specs = (source.spec1, source.spec2) if isinstance(source, GluedRealization) else (source,)
-    _check_draw(n, seed, real_mode, [a for spec in specs for a in (spec.mean, spec.covariance)])
-    M = _band_map(specs, real_mode)
-    seeds = [seed] if len(specs) == 1 else [_subseed(seed, tag) for tag in _STREAM_TAGS]
-    rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
-    heights = [spec.dim * (1 if real_mode else 2) for spec in specs]
-    buffer = np.empty(len(M) * min(n, _BAND_ROWS + 1))
-
-    def bands():
-        for rows in _bands(n):
-            V = buffer[: len(M) * (rows.stop - rows.start)].reshape(len(M), -1)
-            V[0], row = 1.0, 1
-            for height, rng in zip(heights, rngs):
-                rng.standard_normal(out=V[row : row + height])
-                row += height
-            V[row:] = 0.0
-            yield V
-
-    return M, bands()
-
-
 def _band_map(specs, real_mode: bool) -> np.ndarray:
-    """M, as high as a band V (``_draw_bands``), with ``V.T @ M`` the
+    """M, as high as a band V (``sample_blocks``), with ``V.T @ M`` the
     band's rows as interleaved ``[re, im]`` float columns, then zero pad
     columns up to a multiple of ``_PAD_COLUMNS``.  Row 0 holds the means,
     1.0 at the basepoint.  A spec's rows hold the real form of its factor
@@ -377,41 +364,40 @@ def _band_map(specs, real_mode: bool) -> np.ndarray:
     return M
 
 
-def _gram_law(h: int, q: int, n: int, rng) -> np.ndarray:
-    """The h x h Gram sum of n columns ``[1; z; 0 pad]``, z q standard
-    normals, by its law: ``G[0, 0] = n``, s, the sum of the z, in row and
-    column 0, and the z block ``A A.T + s s.T / n``, with A Bartlett's
-    triangle, ``A[i, i] = sqrt(chi2(n - 1 - i))`` and normals below.
-    ``rng`` draws s / sqrt(n), the chi2 from i = 0, then A's normals row by
-    row; below q + 1 columns, where the degrees run out, the columns' z
-    row by row.  A in h x h zeros pins its product under any BLAS thread count."""
-    if n - 1 < q:
-        V = np.vstack([np.ones((1, n)), rng.standard_normal((q, n)), np.zeros((h - 1 - q, n))])
-        return V @ V.T
-    s = math.sqrt(n) * rng.standard_normal(q)
-    A = np.zeros((h, h))
-    a = A[1 : 1 + q, 1 : 1 + q]
-    np.fill_diagonal(a, np.sqrt(rng.chisquare(n - 1 - np.arange(q, dtype=float))))
-    a[np.tril_indices(q, -1)] = rng.standard_normal(q * (q - 1) // 2)
-    G = A @ A.T
-    G[1 : 1 + q, 1 : 1 + q] += np.outer(s, s) / n
-    G[0, 0], G[0, 1 : 1 + q], G[1 : 1 + q, 0] = n, s, s
-    return G
+def _gram_factor(q: int, n: int, rng) -> np.ndarray:
+    """The factor R of the law of n columns ``[1; z; 0 pad]``, z q
+    standard normals: h x h, h the height of their band (``_band_map``),
+    with ``R @ R.T`` their Gram sum over n.  R is the columns'
+    lower-trapezoidal LQ factor over sqrt(n), of k = min(1 + q, n)
+    columns (Bartlett's triangle; the Gram sum is singular Wishart when
+    n < 1 + q): ``R[0, 0] = 1`` and the rest of row 0 zero, so the rows'
+    basepoint moment is exactly 1; ``R[j, j] = sqrt(chi2(n - j) / n)`` for
+    0 < j < k; normals over sqrt(n) everywhere below the diagonal of the
+    first k columns.  ``rng`` draws the chi2 from j = 1, then the normals
+    row by row.  The zero pad pins R's products under any BLAS thread
+    count."""
+    k, h = min(1 + q, n), _padded(1 + q)
+    R = np.zeros((h, h))
+    R[0, 0] = 1.0
+    np.fill_diagonal(R[1:k, 1:k], np.sqrt(rng.chisquare(n - np.arange(1.0, k)) / n))
+    below = np.tri(q, k, dtype=bool)
+    R[1 : 1 + q, :k][below] = rng.standard_normal(np.count_nonzero(below)) / math.sqrt(n)
+    return R
 
 
-def _moment_sums(gram, M, n, labels) -> IndexedKernel:
-    """The empirical kernel of n rows ``v.T @ M``, their columns v of Gram
-    sum ``gram``: the quarters of ``M.T @ gram @ M`` give the sum of ``X.T
-    @ X.conj()``, divided by n and mirrored, so exactly Hermitian, 1 at the
-    basepoint, the pad dropped.  An entry that is not finite raises
-    ``NumericalFailureError`` naming its label pair."""
+def _moment_sums(rows, labels) -> IndexedKernel:
+    """The empirical kernel whose float rows, ``[re, im]`` columns and a
+    zero pad, are ``rows``: the quarters of ``rows.T @ rows`` give the sum
+    of ``X.T @ X.conj()``, mirrored, so exactly Hermitian, the pad
+    dropped.  An entry that is not finite raises ``NumericalFailureError``
+    naming its label pair."""
     d = len(labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = M.T @ gram @ M
+        S = (rows.T @ rows)[: 2 * d, : 2 * d]
         re, im = S[0::2], S[1::2]
-        sums = ((re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2]))[:d, :d]
+        sums = (re[:, 0::2] + im[:, 1::2]) + 1j * (im[:, 0::2] - re[:, 1::2])
     _check_overflow(sums, "the second-moment sum at", labels, labels)
-    return IndexedKernel(labels, _lock(_mirror(sums / n)))
+    return IndexedKernel(labels, _lock(_mirror(sums)))
 
 
 def _null_variance(product: IndexedKernel, x0: str, real_mode: bool):
@@ -465,13 +451,15 @@ def verify_realization(
     ``certificate`` is the spec certificate (``psd_check_schur``, each at
     its own scale) with the smaller eigenvalue; a spec that fails raises
     ``NotPsdError`` before the first draw, so a report's certificate has
-    passed, and ``passed`` is the Monte Carlo verdict.  Then draws n rows'
-    Gram sum from its exact law by ``Generator(SFC64(seed))`` (``_gram_law``),
-    maps it to their second moments and compares them entrywise to the
+    passed, and ``passed`` is the Monte Carlo verdict.  Then draws the
+    LQ factor R of n rows' normals, over sqrt(n), from its exact law by
+    ``Generator(SFC64(seed))`` (``_gram_factor``), takes their second
+    moments from the rows ``R.T @ M`` and compares them entrywise to the
     product.  When ``mc_tol`` is None the pass threshold is ``5 *
     sqrt(v_max / n)``, with ``v_max`` the largest variance of one row's
-    ``Y_s conj(Y_t)``, in closed form from the product.  Every argument is
-    checked before the first eigensolver call.
+    ``Y_s conj(Y_t)``, in closed form from the product; a threshold that
+    overflows raises ``NumericalFailureError`` before the draw.  Every
+    argument is checked before the first eigensolver call.
     """
     _check_type(IndexedKernel, k1=k1, k2=k2)
     if mc_tol is not None:
@@ -480,15 +468,17 @@ def verify_realization(
     _check_rows(n)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
     specs = [schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol) for k in (k1, k2)]
-    glued = GluedRealization(*specs)
     certificate = min(map(psd_check_schur, specs), key=lambda c: c.min_eigenvalue)
-    M = _band_map(specs, real_mode)
-    q = (1 if real_mode else 2) * sum(spec.dim for spec in specs)
-    gram = _gram_law(len(M), q, n, np.random.Generator(np.random.SFC64(seed)))
-    empirical = _moment_sums(gram, M, n, glued.labels)
-    max_dev = float(np.abs(empirical.entries - product.entries).max())
     if mc_tol is None:
         m, v = _null_variance(product, x0, real_mode)
-        mc_tol = 5.0 * m * math.sqrt(max(v.max(), 0.0) / n)
+        mc_tol = m * (5.0 * math.sqrt(max(v.max(), 0.0) / n))
+        if not math.isfinite(mc_tol):
+            raise NumericalFailureError(f"the default mc_tol, {m:g} * 5 sqrt(v_max / n) at n = {n}, "
+                                        "overflows float64")
+    q = (1 if real_mode else 2) * sum(spec.dim for spec in specs)
+    rng = np.random.Generator(np.random.SFC64(seed))
+    rows = _gram_factor(q, n, rng).T @ _band_map(specs, real_mode)
+    empirical = _moment_sums(rows, product.labels)
+    max_dev = float(np.abs(empirical.entries - product.entries).max())
     return VerificationReport(product, certificate, empirical, max_dev, float(mc_tol), n,
                               int(seed), bool(max_dev <= mc_tol))

@@ -147,43 +147,36 @@ def affine_blocks(source, n, seed, real_mode=False):
         yield X
 
 
-def reference_gram(q, n, seed, magnitudes=False):
-    """The (1 + q) x (1 + q) Gram sum of n columns ``[1; z]``, z q standard
-    normals, by the law that ``verify_realization`` draws from
-    ``Generator(SFC64(seed))``: ``G[0, 0] = n``, then s, the sum of the z,
-    ``sqrt(n)`` times q normals, in row and column 0, and the z block ``A
-    A.T + s s.T / n``, A lower triangular with ``A[i, i] = sqrt(chi2(n - 1
-    - i))``, drawn for i = 0, 1, ..., and then the normals below the
-    diagonal, filled row by row.  Below q + 1 columns it is ``V @ V.T`` for
-    the band V of the columns, its q x n normals drawn row by row.  With
-    ``magnitudes`` each product is of absolute values, a bound of the
-    absolute values of the terms that make each entry."""
+def reference_triangle(q, n, seed):
+    """The (1 + q) x (1 + q) factor R, ``R @ R.T`` the Gram sum of n columns
+    ``[1; z]`` over n, z q standard normals, by the law that
+    ``verify_realization`` draws from ``Generator(SFC64(seed))``: their
+    LQ factor over sqrt(n), of k = min(1 + q, n) columns.  ``R[0, 0] =
+    1``; for j = 1, 2, ... below k, ``R[j, j] = sqrt(chi2(n - j) / n)``,
+    the chi2 drawn first; then the normals over sqrt(n) below the
+    diagonal of the first k columns, filled row by row."""
     rng = np.random.Generator(np.random.SFC64(seed))
-    mag = np.abs if magnitudes else (lambda a: a)
-    if n - 1 < q:
-        V = mag(np.concatenate([np.ones((1, n)), rng.standard_normal((q, n))]))
-        return V @ V.T
-    s = math.sqrt(n) * rng.standard_normal(q)
-    A = np.diag(np.sqrt(rng.chisquare([n - 1 - i for i in range(q)])))
-    below = iter(rng.standard_normal(q * (q - 1) // 2))
-    for i in range(q):
-        for j in range(i):
-            A[i, j] = next(below)
-    G = np.empty((1 + q, 1 + q))
-    G[0, 0], G[0, 1:], G[1:, 0] = n, mag(s), mag(s)
-    G[1:, 1:] = mag(A) @ mag(A).T + np.outer(mag(s), mag(s)) / n
-    return G
+    k = min(1 + q, n)
+    R = np.zeros((1 + q, 1 + q))
+    R[0, 0] = 1.0
+    for j, chi2 in enumerate(rng.chisquare([n - j for j in range(1, k)]), 1):
+        R[j, j] = math.sqrt(chi2 / n)
+    below = iter(rng.standard_normal(sum(min(j, k) for j in range(1, 1 + q))))
+    for j in range(1, 1 + q):
+        for c in range(min(j, k)):
+            R[j, c] = next(below) / math.sqrt(n)
+    return R
 
 
 def law_moments(source, n, seed, real_mode=False, magnitudes=False):
-    """The empirical kernel ``C.T @ G @ conj(C) / n`` of n rows ``x = v.T @
-    C`` of a glued pair, in complex arithmetic, with G the Gram sum of
-    their columns v (``reference_gram``) and C the complex map of the
-    affine formula ``mean + z @ F`` of ``affine_blocks``: row 0 holds the
-    means, 1 at the basepoint, and a spec's rows, F for the real parts of
-    its normals and ``1j F`` for their imaginary parts (F alone in real
-    mode), in its labels' columns.  With ``magnitudes``, the same sum of
-    the absolute values of its terms."""
+    """The empirical kernel ``Y.T @ conj(Y)`` of the complex rows ``Y =
+    R.T @ C`` of a glued pair, with R the factor of the law
+    (``reference_triangle``) and C the complex map of the affine formula
+    ``mean + z @ F`` of ``affine_blocks``: row 0 holds the means, 1 at the
+    basepoint, and a spec's rows, F for the real parts of its normals and
+    ``1j F`` for their imaginary parts (F alone in real mode), in its
+    labels' columns.  With ``magnitudes``, the same sum of the absolute
+    values of its terms."""
     specs = (source.spec1, source.spec2)
     r = 1 if real_mode else 2
     q = r * sum(spec.dim for spec in specs)
@@ -196,23 +189,26 @@ def law_moments(source, n, seed, real_mode=False, magnitudes=False):
         if not real_mode:
             C[row + spec.dim : row + 2 * spec.dim, cols] = 1j * F
         row += r * spec.dim
-    G = reference_gram(q, n, seed, magnitudes)
+    R = reference_triangle(q, n, seed)
     if magnitudes:
-        return np.abs(C).T @ G @ np.abs(C) / n
-    return make_kernel(source.labels, hermitize(C.T @ G @ C.conj() / n))
+        Y = np.abs(R).T @ np.abs(C)
+        return Y.T @ Y
+    Y = R.T @ C
+    return make_kernel(source.labels, hermitize(Y.T @ Y.conj()))
 
 
 def assert_law_moments_within_rounding(empirical, source, n, seed, real_mode=False):
     """``empirical`` is ``law_moments(source, n, seed, real_mode)`` within
-    rounding.  Both form the Gram sum G of the same draws and map it by
-    the same factors, rounded differently: an entry of G sums at most q + 1
-    products, q the normals per column, and the map sums at most h <= q + 8
-    terms twice, in real form (whose term magnitudes are at most twice
-    those of the complex map) or in complex form (which costs a factor
-    sqrt(2)).  So each side is within about ``2 sqrt(2) (3q + 20) eps`` of
-    the exact map of the law's exact G (Higham 2002, ch. 3), relative to
-    the map of the magnitudes (``law_moments`` with ``magnitudes``), and
-    the two agree within ``8 (3q + 24) eps`` of it."""
+    rounding.  Both map the same factor R of the law and take the moments
+    of its rows, rounded differently: an entry of the rows sums at most
+    q + 1 products, q the normals per column, and an entry of their
+    moments at most h <= q + 8, in real form (whose term magnitudes are at
+    most twice those of the complex map) or in complex form (which costs
+    a factor sqrt(2)).  So each side is within about ``2 sqrt(2) (2q +
+    12) eps`` of the exact moments of R's rows (Higham 2002, ch. 3),
+    relative to the moments of the magnitudes (``law_moments`` with
+    ``magnitudes``), and the two agree within ``8 (3q + 24) eps`` of them
+    with room to spare."""
     reference = law_moments(source, n, seed, real_mode)
     q = (1 if real_mode else 2) * (source.spec1.dim + source.spec2.dim)
     bound = 8 * (3 * q + 24) * np.finfo(float).eps * law_moments(source, n, seed, real_mode, True)
@@ -244,7 +240,7 @@ def isserlis_mc_tol(product, x0, n, real_mode=False):
             v += 2 * mu[s][0] * mu[t][0] * cst + cst**2
         v_max = v if v_max is None else max(v_max, v)
     m = max(row[s][0] for s, row in enumerate(fr))
-    return 5.0 * float(m) * math.sqrt(max(float(v_max / m**2), 0.0) / n)
+    return float(m) * (5.0 * math.sqrt(max(float(v_max / m**2), 0.0) / n))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -350,8 +350,9 @@ class TestMain:
     @pytest.mark.parametrize(
         "command, corner, message",
         [
-            # |X_a|**2 sums past float64 in the Monte Carlo moments
-            ("verify", 1.5e305, "the second-moment sum at ('a', 'a') overflows float64"),
+            # 5 sqrt(v_max / n) times 6e307 at n = 2, past float64
+            ("verify", 6e307, "the default mc_tol, 6e+307 * 5 sqrt(v_max / n) at n = 2, overflows"
+                              " float64"),
             # 1e300 - 1e200 * 1e200 in the Schur complement
             ("realize", 1e300, "the Schur complement at ('a', 'a') overflows float64"),
         ],
@@ -363,7 +364,8 @@ class TestMain:
         path = workdir["dir"] / "large.json"
         path.write_text(dump_document(doc))
         inputs = [str(path), workdir["k2"]] if command == "verify" else [str(path)]
-        argv = [command, *inputs, "--glue-label", "x0", "--samples", "10000"]
+        samples = "2" if command == "verify" else "10000"
+        argv = [command, *inputs, "--glue-label", "x0", "--samples", samples]
         env = dict(os.environ, PYTHONPATH=str(Path(kernelglue.__file__).parents[1]))
         done = subprocess.run(
             [sys.executable, "-m", "kernelglue.cli", *argv],
@@ -372,6 +374,20 @@ class TestMain:
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr == f"NumericalFailure: {message}\n"
+
+    @pytest.mark.parametrize("corner, n", [(1e300, 10**12), (1.5e305, 10_000)])
+    def test_large_corners_verify(self, workdir, capsys, corner, n):
+        # the moments are taken from rows over sqrt(n), so how far they
+        # reach does not depend on n: summed before dividing by n, these
+        # overflowed and exited 1
+        doc = {"labels": ["x0", "a"], "entries": [[[1, 0], [1, 0]], [[1, 0], [corner, 0]]]}
+        path = workdir["dir"] / "large.json"
+        path.write_text(dump_document(doc))
+        argv = ["verify", str(path), workdir["k2"], "--glue-label", "x0", "--samples", str(n)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["passed"] is True
 
     @pytest.mark.parametrize("command", ["glue", "glue-tree", "verify"])
     def test_glue_overflow_is_one_stderr_line(self, workdir, command):
@@ -697,7 +713,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "d, n, real_mode",
-        [pytest.param(31, 16385, False, id="16385"), pytest.param(31, 17409, False, id="17409"),
+        [pytest.param(31, 5, False, id="5"), pytest.param(31, 125, False, id="125"),
+         pytest.param(31, 16385, False, id="16385"), pytest.param(31, 17409, False, id="17409"),
          pytest.param(31, 10**12, False, id="1e12"),
          pytest.param(70, 5000, False, id="141-labels"),
          pytest.param(70, 5000, True, id="141-labels-real")],
@@ -705,11 +722,12 @@ class TestMain:
     def test_verify_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, d, n,
                                                                   real_mode):
         # 63 and 141 glued labels are 126 and 282 float columns of rows,
-        # widths at which OpenBLAS orders the sums of a product, the law's
-        # triangle times its transpose and the map of the Gram sum, by
-        # thread count; the law draws 124 and 280 normals a column complex,
-        # 140 real.  LAPACK's bits are pinned at no size; eigh gave these
-        # kernels the same factor under one and two threads
+        # widths at which OpenBLAS orders the sums of a product, the rows
+        # of the law's factor and their moments, by thread count; the law
+        # draws 124 and 280 normals a column complex, 140 real, and its
+        # factor has n columns below the full width q + 1 = 125.  LAPACK's
+        # bits are pinned at no size; eigh gave these kernels the same
+        # factor under one and two threads
         rng = np.random.default_rng(63)
         paths = []
         for prefix in "ab":
@@ -761,7 +779,7 @@ class TestGoldenOutputs:
         "check-psd": "2dac6f523011290ebc23f9360f5a3c47eab46fe60d26f486d2f57053a020cc99",
         "check-indefinite": "a49382b026dc53678378ac6e1c417a341c39e7d788842d49d9394d2f8bffedf5",
         "realize": "2b066d64a0e067d3bf3c66b0470fc63141b52f1dbe45c13086dffb26924c2d0e",
-        "verify": "08b4f7476e09b6a13a653f767bcf11c33734a0e08861ee22c0a08a0b4939d970",
+        "verify": "423c75c1ec4b04989f406c3ba1bf32089afe92cab4eb45bf6b812fd75203dac2",
         # text exports, 32 bands and a short one
         "sample": "83610fe8530b54baa32fdf457e956252f29668798610b9e29bddf8be19ce6979",
         "sample-real": "39c1b5a63bc47f86a91a06e016a31292f85fe4147b19d2a6995d161efb0cdd49",

@@ -27,7 +27,7 @@ from helpers import (
     random_gram_kernel,
     random_unit_corner_hermitian,
     reference_blocks,
-    reference_gram,
+    reference_triangle,
 )
 from kernelglue import (
     DEFAULT_PSD_TOL,
@@ -531,20 +531,6 @@ class TestBlockStream:
         glued = GluedRealization(*golden_specs(real_mode))
         assert batch_digest(glued, 16389, real_mode) == self.GLUED[real_mode]
 
-    def test_verify_memory_does_not_hold_the_batch(self):
-        rng = np.random.default_rng(404)
-        k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
-        k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)))
-        tracemalloc.start()
-        try:
-            report = verify_realization(k1, k2, "x0", 200_000, seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.passed
-        # the whole 2e5 x 63 complex batch alone is 192 MiB
-        assert peak < 150 * 2**20
-
     def test_verify_memory_does_not_grow_with_n(self):
         rng = np.random.default_rng(404)
         k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)))
@@ -558,9 +544,9 @@ class TestBlockStream:
             finally:
                 tracemalloc.stop()
             assert report.passed
-        # the Gram sum is drawn from its law, 128 x 128 floats whatever n
-        # is; the reused band buffer of the band draws, 128 float rows of
-        # 1,025, was 1 MiB, a 2**14-row block's zr took the peak to
+        # the law's factor is drawn, 128 x 128 floats whatever n is; the
+        # reused band buffer of the band draws, 128 float rows of 1,025,
+        # was 1 MiB, a 2**14-row block's zr took the peak to
         # 10.3 MiB, the 2**14 x 63 complex block that the sums read to
         # 24.7 MiB and fresh temporaries in every block to 55 MiB; the
         # two peaks differed by 134 bytes
@@ -579,7 +565,7 @@ class TestBlockStream:
         finally:
             tracemalloc.stop()
         assert report.passed
-        # the law's triangle, its Gram sum and the map are 128 x 128 floats
+        # the law's factor, its rows and their moments are 128 x 128 floats
         # (64 x 64 in real mode); a band of normals and its Gram sum peaked
         # at 1.9 MiB (1.1 MiB in real mode), and the draws of a 2**14-row
         # block, held while its bands were placed, at 10.3 MiB (and
@@ -609,30 +595,29 @@ class TestBlockStream:
                             "x0")
         tracemalloc.start()
         try:
-            size = sum(map(len, sample_text(spec.full_labels, 3, sample_blocks(spec, 50_000, 3))))
+            size = sum(map(len, sample_text(spec.full_labels, 3, sample_blocks(spec, 25_000, 3))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size > 50_000 * 32 * 40
+        assert size > 25_000 * 32 * 40
         # the text of a 2**14-row block and its floats as Python objects
         # took the peak to 79.5 MiB
         assert peak < 20 * 2**20
 
     def test_moment_sums_do_not_depend_on_the_blas_thread_count(self):
-        # 99 and 141 glued labels are triangles of 196 and 280 normals
-        # complex, 98 and 140 real, and maps of 198 and 282 float columns,
-        # unpadded mostly not a multiple of 8, which OpenBLAS sums in a
-        # thread-dependent order, in the law's triangle product and in the
-        # map of the Gram sum alike.  The counts take the law on both sides
-        # of its direct draw, below q + 1 columns.  LAPACK's bits are pinned
-        # at no size; eigh gave these kernels the same factor under one and
-        # two threads
+        # 99 and 141 glued labels are factors of 196 and 280 normals a
+        # column complex, 98 and 140 real, and maps of 198 and 282 float
+        # columns, unpadded mostly not a multiple of 8, which OpenBLAS sums
+        # in a thread-dependent order, in the factor's rows and in their
+        # moments alike.  The counts take the law on both sides of k = 1 +
+        # q, its full width.  LAPACK's bits are pinned at no size; eigh
+        # gave these kernels the same factor under one and two threads
         script = (
             "import hashlib, sys\n"
             "import numpy as np\n"
             "from helpers import random_gram_kernel\n"
             "from kernelglue import GluedRealization, make_kernel, schur_reduce\n"
-            "from kernelglue.realization import _band_map, _gram_law, _moment_sums\n"
+            "from kernelglue.realization import _band_map, _gram_factor, _moment_sums\n"
             "d, real_mode = int(sys.argv[1]), sys.argv[2] == 'real'\n"
             "rng = np.random.default_rng(6)\n"
             "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(d)))\n"
@@ -643,9 +628,9 @@ class TestBlockStream:
             "M = _band_map((glued.spec1, glued.spec2), real_mode)\n"
             "q = (1 if real_mode else 2) * 2 * d\n"
             "for n in (q, 5000, 10**12):\n"
-            "    G = _gram_law(len(M), q, n, np.random.Generator(np.random.SFC64(1)))\n"
-            "    empirical = _moment_sums(G, M, n, glued.labels)\n"
-            "    print(hashlib.sha256(G.tobytes() + empirical.entries.tobytes()).hexdigest())\n"
+            "    rows = _gram_factor(q, n, np.random.Generator(np.random.SFC64(1))).T @ M\n"
+            "    empirical = _moment_sums(rows, glued.labels)\n"
+            "    print(hashlib.sha256(rows.tobytes() + empirical.entries.tobytes()).hexdigest())\n"
         )
         tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
         for case in itertools.product(("49", "70"), ("complex", "real")):
@@ -688,8 +673,7 @@ class TestBlockStream:
         def no_draws(*args, **kwargs):
             raise AssertionError("samples were drawn")
 
-        monkeypatch.setattr(realization, "_draw_bands", no_draws)
-        monkeypatch.setattr(realization, "_gram_law", no_draws)
+        monkeypatch.setattr(realization, "_gram_factor", no_draws)
         with pytest.raises(InvalidParameterError):
             verify_realization(k1, k2, "x0", 0, seed=0)
         with pytest.raises(EmptyBatchError):
@@ -725,7 +709,7 @@ class TestReferenceSampler:
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 31, 32, 40])
-    def test_blocks_equal_the_whole_block_formula(self, d, real_mode):
+    def test_bands_equal_the_per_band_formula(self, d, real_mode):
         for source in self.sources(d, real_mode):
             for n in self.SIZES:
                 got = sample_blocks(source, n, seed=n, real_mode=real_mode)
@@ -814,7 +798,7 @@ class TestCountCheck:
 
     @pytest.mark.parametrize("n", [2**53 + 1, np.uint64(2**63), 2**70])
     def test_verify_rejects_a_count_past_2_to_the_53(self, monkeypatch, n):
-        # past 2**53 the law's degrees of freedom n - 1 - i are not exact
+        # past 2**53 the law's degrees of freedom n - j are not exact
         # as floats, and at 2**70 the chi-square draw overflowed
         k1, k2 = cd_pair()
         calls = count_solver_calls(monkeypatch)
@@ -885,28 +869,27 @@ class TestMomentSums:
             verify_realization(k1, k2, "x0", 1, seed=0)
 
     def test_finite_entries_that_overflow_are_a_numerical_failure(self):
-        # the Gram sum of five padded columns [1, 0...], mapped to the rows
-        # [1, 2] as [re, im] columns
-        gram = np.zeros((8, 8))
-        gram[0, 0] = 5.0
-        M = np.eye(8)
-        M[0, :4] = [1, 0, 2, 0]
-        assert realization._moment_sums(gram, M, 5, ("x0", "a")).entry("a", "a") == 4.0
-        M[0, 2] = 1e200
+        # one float row [1, 0, 2, 0] and zero pad, the row [1, 2] as
+        # [re, im] columns
+        rows = np.zeros((8, 8))
+        rows[0, :4] = [1, 0, 2, 0]
+        assert realization._moment_sums(rows, ("x0", "a")).entry("a", "a") == 4.0
+        rows[0, 2] = 1e200
         with pytest.raises(NumericalFailureError, match=r"second-moment sum at \('a', 'a'\)"):
-            realization._moment_sums(gram, M, 5, ("x0", "a"))
+            realization._moment_sums(rows, ("x0", "a"))
 
 
 class TestGramLaw:
-    """``verify_realization`` draws the Gram sum of its rows' normals from
-    its exact law (``_gram_law``), not from sampled rows: draw for draw the
-    law of ``tests/helpers.reference_gram``, with the deviations of the
-    band path, a mean that the map takes to the product, and a direct draw
-    of the columns below q + 1 of them."""
+    """``verify_realization`` draws the LQ factor of its rows' normals
+    from its exact law (``_gram_factor``), not from sampled rows: draw for
+    draw the triangle of ``tests/helpers.reference_triangle``, one for
+    every n, with the deviations of the band path and a mean that the map
+    takes to the product."""
 
     @pytest.mark.parametrize("real_mode", [False, True])
     def test_verify_maps_the_drawn_gram_sum(self, real_mode):
-        # q is 8 normals a column complex, 4 real: n = q draws the columns
+        # q is 8 normals a column complex, 4 real: below n = q + 1 the
+        # factor has n columns
         rng = np.random.default_rng(2027)
         k1 = random_gram_kernel(rng, ("a0", "x0", "a1"), not real_mode)
         k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
@@ -941,12 +924,14 @@ class TestGramLaw:
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("d", [1, 6, 32, 71])
     def test_the_mean_gram_sum_maps_to_the_product(self, d, real_mode):
-        # the law's mean is n I', I' the identity on the 1 + q rows of a
-        # column and zero on its pad, so M.T I' M is the product up to
-        # rounding: eigh reproduces each covariance within a small multiple
-        # of d eps its scale, and the map sums at most h terms, each at
-        # most sqrt(P_ss P_tt).  The worst of ten seeds was h eps m / 2, h
-        # the map's height and m the product's largest diagonal entry
+        # the law's mean of R R.T is I', the identity on the 1 + q rows of
+        # a column and zero on its pad, whose rows I' M are M itself (its
+        # pad rows are zero), so the moments of M's rows, M.T M, are the
+        # product up to rounding: eigh reproduces each covariance within a
+        # small multiple of d eps its scale, and the sum of the rows takes
+        # at most h terms, each at most sqrt(P_ss P_tt).  The worst of ten
+        # seeds was h eps m / 2, h the map's height and m the product's
+        # largest diagonal entry
         eps = np.finfo(float).eps
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -954,39 +939,39 @@ class TestGramLaw:
                                      not real_mode) for p in "ab"]
             specs = [schur_reduce(k, "x0") for k in ks]
             M = realization._band_map(specs, real_mode)
-            q = (1 if real_mode else 2) * 2 * d
-            mean = np.diag((np.arange(len(M)) <= q).astype(float))
-            got = realization._moment_sums(mean, M, 1, GluedRealization(*specs).labels)
+            got = realization._moment_sums(M, GluedRealization(*specs).labels)
             product = markov_product(*ks, "x0")
             m = product.entries.diagonal().real.max()
             assert np.abs(got.entries - product.entries).max() <= 4 * len(M) * eps * m
 
     @pytest.mark.parametrize("q", [4, 9])
     def test_law_at_the_bartlett_boundary(self, q):
-        # below q + 1 columns the chi-square degrees n - 1 - i run out and
-        # the columns are drawn: at n = q the Gram sum has rank n, from
-        # q + 1 on full rank q + 1.  On both sides it is the reference
-        # law's, with the mean n I' and the variances of a sum of n
-        # products of normals, 2n on the z block's diagonal, n off it and
-        # in row 0; 4,000 seeds put a mean within 5 standard errors and a
-        # variance within 20%, 7 standard errors
-        h, N, eps = realization._padded(1 + q), 4000, np.finfo(float).eps
-        for n in (q, q + 1, q + 2):
-            draws = np.array([realization._gram_law(h, q, n, np.random.Generator(
-                np.random.SFC64(seed))) for seed in range(N)])
-            G = draws[0]
-            assert np.array_equal(G, G.T) and G[0, 0] == n
-            assert not np.any(G[1 + q :]) and not np.any(G[:, 1 + q :])
-            reference = reference_gram(q, n, 0)
-            bound = 4 * (q + 1) * eps * reference_gram(q, n, 0, magnitudes=True)
-            assert np.all(np.abs(G[: 1 + q, : 1 + q] - reference) <= bound)
-            w = np.linalg.eigvalsh(G[: 1 + q, : 1 + q])
-            assert np.sum(w > 1e-9 * n) == min(n, q + 1)
-            block = draws[:, : 1 + q, : 1 + q]
-            variance = np.full((1 + q, 1 + q), float(n)) + n * np.eye(1 + q)
+        # one triangle for every n: at n = 2, q, q + 1, q + 2 and 10**12 it
+        # is the reference's bit for bit, lower trapezoidal with corner 1
+        # and a zero pad, of rank min(n, q + 1).  On both sides of its full
+        # width k = 1 + q, R R.T has the law of the Gram sum over n: over
+        # 4,000 seeds a mean within 5 standard errors of I', and the
+        # variances of a mean of n products of normals, 2 / n on the z
+        # block's diagonal and 1 / n off it and in row 0, within 20%, about
+        # 4.5 standard errors at n = 2
+        N = 4000
+
+        def factor(n, seed):
+            return realization._gram_factor(q, n, np.random.Generator(np.random.SFC64(seed)))
+
+        for n in (2, q, q + 1, q + 2, 10**12):
+            R = factor(n, 0)
+            assert np.array_equal(R[: 1 + q, : 1 + q], reference_triangle(q, n, 0))
+            assert R[0, 0] == 1.0 and not np.any(np.triu(R, 1))
+            assert not np.any(R[1 + q :]) and not np.any(R[:, 1 + q :])
+            assert np.linalg.matrix_rank(R) == min(n, q + 1)
+        for n in (2, q, q + 1, q + 2):
+            R = np.array([factor(n, seed)[: 1 + q, : 1 + q] for seed in range(N)])
+            block = R @ R.transpose(0, 2, 1)
+            variance = (1.0 + np.eye(1 + q)) / n
             variance[0, 0] = 0.0
-            assert np.all(block[:, 0, 0] == n)
-            assert np.all(np.abs(block.mean(0) - n * np.eye(1 + q)) <= 5 * np.sqrt(variance / N))
+            assert np.all(block[:, 0, 0] == 1.0)
+            assert np.all(np.abs(block.mean(0) - np.eye(1 + q)) <= 5 * np.sqrt(variance / N))
             spread = block.var(0)[variance > 0] / variance[variance > 0]
             assert np.all(np.abs(spread - 1) < 0.2), spread
 
@@ -1100,16 +1085,41 @@ class TestVerifyRealization:
         b = samples[:, 2] - samples[:, 2].mean()
         assert abs((a * b.conj()).mean()) < 0.02
 
-    @pytest.mark.parametrize(
-        "corner, mc_tol, order",
-        # |X_a|**2 near 1.5e305 overflows the Gram sum
-        [(1.5e305, None, "second"), (1.5e305, 0.1, "second")],
-    )
-    def test_moment_sum_overflow_names_the_pair(self, corner, mc_tol, order):
+    def test_moment_sum_overflow_names_the_pair(self):
+        # at n = 2 the moment of |X_a|**2, about 1.7e308 times a chi-square
+        # of 4 degrees over 4, passes float64 at 75 of seeds 0-199
+        k1 = make_kernel(["x0", "a"], [[1, 1], [1, 1.7e308]])
+        _, k2 = cd_pair()
+        with pytest.raises(NumericalFailureError, match=r"the second-moment sum at \('a', 'a'\)"):
+            verify_realization(k1, k2, "x0", 2, seed=10, mc_tol=0.1)
+
+    @pytest.mark.parametrize("corner, n", [(1e300, 10**12), (1.5e305, 10_000),
+                                           (1.7e308, 10_000)])
+    def test_large_corners_verify(self, corner, n):
+        # the moments are taken from rows over sqrt(n), not summed and then
+        # divided by n, so how far they reach does not depend on n; summed,
+        # 1e300 overflowed at n = 10**12 and 1.5e305 at 10**4.  The default
+        # threshold is m * (5 sqrt(v / n)): 5 m overflowed at 1.7e308
         k1 = make_kernel(["x0", "a"], [[1, 1], [1, corner]])
         _, k2 = cd_pair()
-        with pytest.raises(NumericalFailureError, match=f"the {order}-moment sum at \\('a', 'a'\\)"):
-            verify_realization(k1, k2, "x0", 10_000, seed=0, mc_tol=mc_tol)
+        report = verify_realization(k1, k2, "x0", n, seed=0)
+        assert report.passed
+        assert report.mc_tol == pytest.approx(isserlis_mc_tol(report.product, "x0", n),
+                                              rel=1e-12, abs=0.0)
+
+    def test_default_mc_tol_that_overflows_is_a_numerical_failure(self):
+        # at n = 2 the threshold is about 3.5 times the corner 6e307, past
+        # float64; an infinite threshold passed seeds 0-5, whatever the
+        # moments.  A given threshold is taken as it is, and the moments
+        # are finite
+        k1 = make_kernel(["x0", "a"], [[1, 1], [1, 6e307]])
+        _, k2 = cd_pair()
+        assert isserlis_mc_tol(markov_product(k1, k2, "x0"), "x0", 2) == math.inf
+        message = re.escape("the default mc_tol, 6e+307 * 5 sqrt(v_max / n) at n = 2, overflows")
+        with pytest.raises(NumericalFailureError, match=message):
+            verify_realization(k1, k2, "x0", 2, seed=0)
+        report = verify_realization(k1, k2, "x0", 2, seed=0, mc_tol=0.1)
+        assert np.isfinite(report.max_abs_deviation) and not report.passed
 
     def test_default_mc_tol_is_the_closed_form_at_a_large_corner(self):
         # v_max is near 1e320 here, past float64: the closed form is taken
