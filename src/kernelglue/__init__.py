@@ -15,7 +15,6 @@ from .errors import (
     BasepointNotUnitError,
     DimensionMismatchError,
     DuplicateLabelError,
-    EmptyBatchError,
     FileFormatError,
     FileParseError,
     IntersectionNotSingletonError,
@@ -62,7 +61,6 @@ __all__ = [
     "DEFAULT_PSD_TOL",
     "DimensionMismatchError",
     "DuplicateLabelError",
-    "EmptyBatchError",
     "FileFormatError",
     "FileParseError",
     "GluedRealization",

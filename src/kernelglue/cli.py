@@ -48,7 +48,6 @@ COMMANDS = ("glue", "check", "realize", "sample", "verify", "glue-tree")
 
 # Commands that read two kernel files; the rest read one file.
 _TWO_INPUT = {"glue", "verify"}
-_SAMPLING = {"sample", "verify"}
 
 
 @dataclass
@@ -80,8 +79,7 @@ def _validate(config: RunConfig) -> None:
     _check_tolerance("basepoint_tol", config.basepoint_tol)
     if config.mc_tol is not None:
         _check_tolerance("mc_tol", config.mc_tol)
-    if config.command in _SAMPLING:
-        _check_count(config.samples)
+    _check_count(config.samples)
     _check_seed(config.seed)
 
 

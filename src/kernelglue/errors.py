@@ -65,10 +65,6 @@ class NotATreeError(ValidationError):
     code = "NotATree"
 
 
-class EmptyBatchError(ValidationError):
-    code = "EmptyBatch"
-
-
 class InvalidParameterError(ValidationError):
     code = "InvalidParameter"
 

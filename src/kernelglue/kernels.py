@@ -162,12 +162,14 @@ def _check_tolerance(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_type(kind: type, **values) -> None:
-    """Each named value is a ``kind``: a kernel, tree or spec is never coerced."""
+def _check_type(kind: type | tuple[type, ...], **values) -> None:
+    """Each named value is a ``kind``, or one of a tuple of kinds: a kernel,
+    tree or spec is never coerced."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     for name, value in values.items():
-        if not isinstance(value, kind):
-            raise InvalidParameterError(
-                f"{name} must be of type {kind.__name__}, not {type(value).__name__}")
+        if not isinstance(value, kinds):
+            names = " or ".join(k.__name__ for k in kinds)
+            raise InvalidParameterError(f"{name} must be of type {names}, not {type(value).__name__}")
 
 
 def _check_unit_diagonal(value: complex, where: str, tol: float) -> None:

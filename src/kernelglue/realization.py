@@ -14,7 +14,9 @@ whose Schur complement at the glue point is the direct sum of the two
 covariances: ``verify_realization`` takes its certificate from the two
 specs' decisions, and checks the product end to end from second moments
 alone.  A row is ``v.T @ M``, v its column of normals [1; z; 0 pad]
-and M the specs' one real map (``_band_map``).  ``sample_blocks`` draws
+and M the specs' one real map (``_band_map``).  Every draw, of one spec
+or of a glued pair, comes from one ``Generator(SFC64(seed))``, and every
+sample count n is an integer from 1 to 2**53.  ``sample_blocks`` draws
 n columns in bands of ``_BAND_ROWS`` into one reused buffer, so memory
 does not grow with n.  ``verify_realization`` draws no row, and not
 ``sample_blocks``'s normals: it draws the LQ factor of its n columns,
@@ -39,7 +41,6 @@ import numpy as np
 
 from .errors import (
     BasepointMismatchError,
-    EmptyBatchError,
     InvalidParameterError,
     LabelCollisionError,
     NotPsdError,
@@ -64,9 +65,6 @@ from .kernels import (
     markov_product,
 )
 
-# Fixed tags mixed with the seed to derive a sampled glued pair's two streams.
-_STREAM_TAGS = (0x1D872B41, 0x6C8E9CF5)
-
 # Rows per band of ``sample_blocks``, drawn and placed while in cache.
 # Each band draws its own normals, so this fixes the stream, and a run is
 # reproducible per (seed, n).
@@ -79,27 +77,17 @@ _BAND_ROWS = 1 << 10
 _PAD_COLUMNS = 8
 
 
-def _subseed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence((tag, seed)).generate_state(1, np.uint64)[0])
-
-
 def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must fit in 64 unsigned bits, got {seed!r}")
 
 
 def _check_count(n) -> None:
+    """A sample count: an integer from 1 to 2**53, where ``_gram_factor``'s degrees are exact."""
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise InvalidParameterError(f"sample count must be an integer, got {n!r}")
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
-
-
-def _check_rows(n) -> None:
-    """A moment estimate's row count: 2 to 2**53, where ``_gram_factor``'s degrees are exact."""
-    _check_count(n)
-    if n < 2:
-        raise EmptyBatchError(f"need at least 2 rows to estimate moments, got {n}")
     if n > 2**53:
         raise InvalidParameterError(f"sample count must be at most 2**53, got {n}")
 
@@ -298,41 +286,37 @@ def sample_blocks(
     A row is mean + L z for each spec around the constant basepoint
     column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
     order.  z is standard circularly-symmetric complex normal, or standard
-    real normal in real mode (real specs only).  Each spec draws from its
-    own SFC64 generator, seeded through ``SeedSequence`` by the seed, or
-    for a glued pair by the seed mixed with two fixed tags.  Identical
-    (source, seed, n) give bitwise-identical rows.
+    real normal in real mode (real specs only).  All of them come from one
+    ``Generator(SFC64(seed))``, the generator of ``verify_realization``'s
+    law; a glued pair's specs read disjoint draws of it, so they are
+    independent.  Identical (source, seed, n) give bitwise-identical rows.
 
     A band of k rows is V, h x k float64 and C-contiguous, with h = 1 +
     r * (sum of dims) rounded up to a multiple of ``_PAD_COLUMNS``, r = 2,
     or 1 in real mode: a row of ones, then each spec's d rows of the real
     parts of its normals and, unless in real mode, its d rows of their
-    imaginary parts, then zero pad rows.  Per band and spec, the r * k * d
-    normals are drawn straight into the spec's rows by one call, into one
-    reused flat buffer.  A band's rows are ``V.T @ M`` (``_band_map``)
-    viewed as complex.
+    imaginary parts, then zero pad rows.  Per band, the r * k * (sum of
+    dims) normals are drawn straight into the specs' rows, in that order,
+    by one call, into one reused flat buffer.  A band's rows are ``V.T @
+    M`` (``_band_map``) viewed as complex.
     """
-    if not isinstance(source, (RealizationSpec, GluedRealization)):
-        raise InvalidParameterError(f"cannot sample an object of type {type(source).__name__}")
+    _check_type((RealizationSpec, GluedRealization), source=source)
     glued = isinstance(source, GluedRealization)
     specs = (source.spec1, source.spec2) if glued else (source,)
     _check_draw(n, seed, real_mode, [a for spec in specs for a in (spec.mean, spec.covariance)])
     labels = source.labels if glued else source.full_labels
     M = _band_map(specs, real_mode)[:, : 2 * len(labels)]
-    seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
-    rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
-    heights = [spec.dim * (1 if real_mode else 2) for spec in specs]
+    q = (1 if real_mode else 2) * sum(spec.dim for spec in specs)
+    rng = np.random.Generator(np.random.SFC64(seed))
     buffer = np.empty(len(M) * min(n, _BAND_ROWS + 1))
     out = np.empty((min(n, _BAND_ROWS + 1), len(labels)), complex)
 
     def rows():
         for band in _bands(n):
             V = buffer[: len(M) * (band.stop - band.start)].reshape(len(M), -1)
-            V[0], row = 1.0, 1
-            for height, rng in zip(heights, rngs):
-                rng.standard_normal(out=V[row : row + height])
-                row += height
-            V[row:] = 0.0
+            V[0] = 1.0
+            rng.standard_normal(out=V[1 : 1 + q])
+            V[1 + q :] = 0.0
             X = out[: V.shape[1]]
             np.matmul(V.T, M, out=X.view(np.float64))
             yield X
@@ -465,7 +449,6 @@ def verify_realization(
     if mc_tol is not None:
         _check_tolerance("mc_tol", mc_tol)
     _check_draw(n, seed, real_mode, (k1.entries, k2.entries))
-    _check_rows(n)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
     specs = [schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol) for k in (k1, k2)]
     certificate = min(map(psd_check_schur, specs), key=lambda c: c.min_eigenvalue)

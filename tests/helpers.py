@@ -10,7 +10,6 @@ from fractions import Fraction
 import numpy as np
 
 from kernelglue import GluedRealization, GluingTree, IndexedKernel, make_kernel, sample_blocks
-from kernelglue.realization import _STREAM_TAGS, _subseed
 
 #: Tolerance values the library must reject: each one is either not
 #: finite or not positive.
@@ -64,17 +63,18 @@ def moments(source, n, seed, real_mode=False) -> IndexedKernel:
 def _reference_normals(source, n, seed, real_mode):
     """Per band of k rows, the normals of each spec as an r d x k array,
     r = 2 (the d rows of real parts, then the d rows of imaginary parts)
-    or 1 in real mode, read in row order from r k d floats of its
-    stream.  Bands are 1,024 rows, and the last one takes a 1-row tail."""
+    or 1 in real mode, read in row order from the band's r k (sum of d)
+    floats of the one stream ``Generator(SFC64(seed))``, the first
+    spec's r d rows first.  Bands are 1,024 rows, and the last one takes
+    a 1-row tail."""
     glued = isinstance(source, GluedRealization)
     specs = (source.spec1, source.spec2) if glued else (source,)
-    seeds = [_subseed(seed, tag) for tag in _STREAM_TAGS] if glued else [seed]
-    rngs = [np.random.Generator(np.random.SFC64(s)) for s in seeds]
-    r, start = 1 if real_mode else 2, 0
+    rng = np.random.Generator(np.random.SFC64(seed))
+    heights = [(1 if real_mode else 2) * spec.dim for spec in specs]
+    start = 0
     while start < n:
         k = n - start if n - start <= 1025 else 1024
-        yield [rng.standard_normal(r * spec.dim * k).reshape(r * spec.dim, k)
-               for spec, rng in zip(specs, rngs)]
+        yield np.split(rng.standard_normal((sum(heights), k)), np.cumsum(heights)[:-1])
         start += k
 
 

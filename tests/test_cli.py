@@ -491,7 +491,8 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"InvalidParameter: sample count must be at most 2**53, got {n}\n"
 
-    @pytest.mark.parametrize("command, files", [("sample", 1), ("verify", 2)])
+    # every command checks --samples, as it checks --seed, even one that draws nothing
+    @pytest.mark.parametrize("command, files", [("check", 1), ("sample", 1), ("verify", 2)])
     def test_bad_sample_count_is_rejected_before_any_file(self, workdir, capsys, command, files):
         absent = [str(workdir["dir"] / "absent.json")] * files
         assert main([command, *absent, "--glue-label", "x0", "--samples", "0"]) == 2

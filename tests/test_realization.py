@@ -33,7 +33,6 @@ from kernelglue import (
     DEFAULT_PSD_TOL,
     BasepointMismatchError,
     BasepointNotUnitError,
-    EmptyBatchError,
     GluedRealization,
     InvalidParameterError,
     LabelCollisionError,
@@ -407,7 +406,8 @@ class TestSampling:
         assert abs(m.entry("a", "a") - 1.0) < 0.02
 
     def test_only_specs_and_glued_pairs_are_sampled(self):
-        with pytest.raises(InvalidParameterError, match="cannot sample an object of type IndexedKernel"):
+        message = "source must be of type RealizationSpec or GluedRealization, not IndexedKernel"
+        with pytest.raises(InvalidParameterError, match=message):
             sample_blocks(two_point_kernel(0.5), 10, seed=0)
 
 
@@ -492,8 +492,8 @@ class TestGoldenSamples:
         True: "d5053b03c8119bd427369fca23d84845b7278eca5ae559e4ad34dcc6d8045070",
     }
     GLUED = {
-        False: "84b3dbc30b6fb84e879d6309ff914eb44948b1685574059f97ac0effc4474161",
-        True: "0adcea4cac2eb2dfeaca15a8539c199886672668b196f061cbad0f30aadfdb62",
+        False: "344a9d6d5e18a537aeebc8397fcc82d7d9b372418c08b3752af50dc7ace48e22",
+        True: "1aeb213b5b2506f5a66b54ba7e4df882ed79a10252bd87b382fb6cf43d08fab0",
     }
 
     @pytest.mark.parametrize("real_mode", [False, True])
@@ -517,17 +517,17 @@ class TestBlockStream:
         True: "85710a0a6d41d761310b5a800b5c456b61ff8ebb3031b8801fd67fa0c8cb6381",
     }
     GLUED = {
-        False: "cd028d61a1935379bb1bc72cc9506c11edd45ba9ab4d7c89b6b1922394463df1",
-        True: "28c5ca548eb3437523c0f6956a1599bff3b4962f2f37fade48b85f0f260c035a",
+        False: "c4e7e21d34e629b12ebc873f0f3df904ecc15e80cae8aa2bbc4b2005f6f0d060",
+        True: "486c859ddf75aa66c473a71db041e5472722daeae60330e37e0dae0bbc1ad973",
     }
 
     @pytest.mark.parametrize("real_mode", [False, True])
-    def test_sample_realization_across_blocks(self, real_mode):
+    def test_sample_realization_across_bands(self, real_mode):
         spec1, _ = golden_specs(real_mode)
         assert batch_digest(spec1, 16389, real_mode) == self.SINGLE[real_mode]
 
     @pytest.mark.parametrize("real_mode", [False, True])
-    def test_sample_glued_across_blocks(self, real_mode):
+    def test_sample_glued_across_bands(self, real_mode):
         glued = GluedRealization(*golden_specs(real_mode))
         assert batch_digest(glued, 16389, real_mode) == self.GLUED[real_mode]
 
@@ -554,7 +554,7 @@ class TestBlockStream:
         assert max(peaks) < 15 * 2**20
 
     @pytest.mark.parametrize("real_mode", [False, True])
-    def test_verify_holds_no_block(self, real_mode):
+    def test_verify_holds_no_band(self, real_mode):
         rng = np.random.default_rng(404)
         k1 = random_gram_kernel(rng, ("x0",) + tuple(f"a{i}" for i in range(31)), not real_mode)
         k2 = random_gram_kernel(rng, ("x0",) + tuple(f"b{i}" for i in range(31)), not real_mode)
@@ -676,12 +676,13 @@ class TestBlockStream:
         monkeypatch.setattr(realization, "_gram_factor", no_draws)
         with pytest.raises(InvalidParameterError):
             verify_realization(k1, k2, "x0", 0, seed=0)
-        with pytest.raises(EmptyBatchError):
-            verify_realization(k1, k2, "x0", 1, seed=0)
         with pytest.raises(InvalidParameterError, match="at most 2"):
             verify_realization(k1, k2, "x0", 2**53 + 1, seed=0)
         with pytest.raises(InvalidParameterError, match="real mode"):
             verify_realization(k1, complex_k, "x0", 100, seed=0, real_mode=True)
+        # one row is a sample count like any other, and is drawn
+        with pytest.raises(AssertionError, match="samples were drawn"):
+            verify_realization(k1, k2, "x0", 1, seed=0)
 
 
 class TestReferenceSampler:
@@ -760,7 +761,7 @@ class TestCircularDraws:
 
 class TestCountCheck:
     """Every sampling entry point takes a sample count that is an integer
-    of at least 1, and rejects anything else with one library error."""
+    from 1 to 2**53, and rejects anything else with one library error."""
 
     @staticmethod
     def draws(n):
@@ -863,11 +864,6 @@ class TestMomentSums:
         for n in (2, 3, 17, 1000):
             assert verify_realization(k1, k2, "x0", n, seed=n).empirical.entry("x0", "x0") == 1.0
 
-    def test_needs_two_rows(self):
-        k1, k2 = cd_pair()
-        with pytest.raises(EmptyBatchError):
-            verify_realization(k1, k2, "x0", 1, seed=0)
-
     def test_finite_entries_that_overflow_are_a_numerical_failure(self):
         # one float row [1, 0, 2, 0] and zero pad, the row [1, 2] as
         # [re, im] columns
@@ -894,7 +890,7 @@ class TestGramLaw:
         k1 = random_gram_kernel(rng, ("a0", "x0", "a1"), not real_mode)
         k2 = random_gram_kernel(rng, ("b0", "b1", "x0"), not real_mode)
         q = 4 if real_mode else 8
-        for n in (2, q, q + 1, q + 2, 32775, 10**12, 2**53):
+        for n in (1, 2, q, q + 1, q + 2, 32775, 10**12, 2**53):
             report = verify_realization(k1, k2, "x0", n, seed=31, real_mode=real_mode)
             assert_law_moments_within_rounding(report.empirical, glued_pair(k1, k2), n, 31,
                                                real_mode)
@@ -946,26 +942,27 @@ class TestGramLaw:
 
     @pytest.mark.parametrize("q", [4, 9])
     def test_law_at_the_bartlett_boundary(self, q):
-        # one triangle for every n: at n = 2, q, q + 1, q + 2 and 10**12 it
-        # is the reference's bit for bit, lower trapezoidal with corner 1
-        # and a zero pad, of rank min(n, q + 1).  On both sides of its full
-        # width k = 1 + q, R R.T has the law of the Gram sum over n: over
-        # 4,000 seeds a mean within 5 standard errors of I', and the
-        # variances of a mean of n products of normals, 2 / n on the z
-        # block's diagonal and 1 / n off it and in row 0, within 20%, about
-        # 4.5 standard errors at n = 2
+        # one triangle for every n: at n = 1, 2, q, q + 1, q + 2 and 10**12
+        # it is the reference's bit for bit, lower trapezoidal with corner
+        # 1 and a zero pad, of rank min(n, q + 1); at n = 1 it is the one
+        # column [1; z].  On both sides of its full width k = 1 + q, R R.T
+        # has the law of the Gram sum over n: over 4,000 seeds a mean
+        # within 5 standard errors of I', and the variances of a mean of n
+        # products of normals, 2 / n on the z block's diagonal and 1 / n
+        # off it and in row 0, within 20%, about 4.5 standard errors at
+        # n = 2 (the worst was 11% at n = 1)
         N = 4000
 
         def factor(n, seed):
             return realization._gram_factor(q, n, np.random.Generator(np.random.SFC64(seed)))
 
-        for n in (2, q, q + 1, q + 2, 10**12):
+        for n in (1, 2, q, q + 1, q + 2, 10**12):
             R = factor(n, 0)
             assert np.array_equal(R[: 1 + q, : 1 + q], reference_triangle(q, n, 0))
             assert R[0, 0] == 1.0 and not np.any(np.triu(R, 1))
             assert not np.any(R[1 + q :]) and not np.any(R[:, 1 + q :])
             assert np.linalg.matrix_rank(R) == min(n, q + 1)
-        for n in (2, q, q + 1, q + 2):
+        for n in (1, 2, q, q + 1, q + 2):
             R = np.array([factor(n, seed)[: 1 + q, : 1 + q] for seed in range(N)])
             block = R @ R.transpose(0, 2, 1)
             variance = (1.0 + np.eye(1 + q)) / n
@@ -1046,7 +1043,7 @@ class TestVerifyRealization:
         real = make_kernel(["x0", "b"], [[1, 0.5], [0.5, 1]])
         bad = [
             (dict(n=0), InvalidParameterError, "sample count must be >= 1"),
-            (dict(n=1), EmptyBatchError, "need at least 2 rows"),
+            (dict(n=2**53 + 1), InvalidParameterError, "sample count must be at most 2"),
             (dict(n=2.5), InvalidParameterError, "sample count must be an integer"),
             (dict(seed=-1), InvalidParameterError, "seed must fit"),
             (dict(real_mode="no"), InvalidParameterError, "real_mode must be a bool"),
@@ -1062,6 +1059,8 @@ class TestVerifyRealization:
         # a truthy string is not a bool, and does not switch real mode on
         with pytest.raises(InvalidParameterError, match="real_mode must be a bool, got 'no'"):
             sample_blocks(schur_reduce(real, "x0"), 10, 0, real_mode="no")
+        with pytest.raises(InvalidParameterError, match="sample count must be at most 2"):
+            sample_blocks(schur_reduce(real, "x0"), 2**53 + 1, 0)
         assert calls == []
         report = verify_realization(k1, real, "x0", 100, 0, real_mode=np.True_)
         assert report.n_samples == 100
