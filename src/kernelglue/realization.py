@@ -14,9 +14,10 @@ whose Schur complement at the glue point is the direct sum of the two
 covariances: ``verify_realization`` takes its certificate from the two
 specs' decisions, and checks the product end to end from second moments
 alone.  A row is ``v.T @ M``, v its column of normals [1; z; 0 pad]
-and M the specs' one real map (``_band_map``).  Every draw, of one spec
-or of a glued pair, comes from one ``Generator(SFC64(seed))``, and every
-sample count n is an integer from 1 to 2**53.  ``sample_blocks`` draws
+and M the one real map of a spec or a glued pair, built for both
+consumers by ``_realization``.  Every draw, of one spec or of a glued
+pair, comes from one ``Generator(SFC64(seed))``, and every sample
+count n is an integer from 1 to 2**53.  ``sample_blocks`` draws
 n columns in bands of ``_BAND_ROWS`` into one reused buffer, so memory
 does not grow with n.  ``verify_realization`` draws no row, and not
 ``sample_blocks``'s normals: it draws the LQ factor of its n columns,
@@ -92,15 +93,12 @@ def _check_count(n) -> None:
         raise InvalidParameterError(f"sample count must be at most 2**53, got {n}")
 
 
-def _check_draw(n, seed, real_mode, arrays) -> None:
-    """A draw's arguments: a sample count, a seed, and a bool ``real_mode``
-    (numpy's too), which needs every array of ``arrays`` real-valued."""
+def _check_draw(n, seed, real_mode) -> None:
+    """A draw's arguments: a sample count, a seed, and a bool ``real_mode`` (numpy's too)."""
     _check_count(n)
     _check_seed(seed)
     if not isinstance(real_mode, (bool, np.bool_)):
         raise InvalidParameterError(f"real_mode must be a bool, got {real_mode!r}")
-    if real_mode and any(np.any(a.imag) for a in arrays):
-        raise InvalidParameterError("real mode requires a real-valued mean and covariance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,29 +282,19 @@ def sample_blocks(
     next band overwrites.
 
     A row is mean + L z for each spec around the constant basepoint
-    column, in ``full_labels`` (a spec) or ``labels`` (a glued pair)
-    order.  z is standard circularly-symmetric complex normal, or standard
-    real normal in real mode (real specs only).  All of them come from one
+    column, in the realization's labels.  z is standard
+    circularly-symmetric complex normal, or standard real normal in real
+    mode (real specs only).  All of them come from one
     ``Generator(SFC64(seed))``, the generator of ``verify_realization``'s
     law; a glued pair's specs read disjoint draws of it, so they are
     independent.  Identical (source, seed, n) give bitwise-identical rows.
-
-    A band of k rows is V, h x k float64 and C-contiguous, with h = 1 +
-    r * (sum of dims) rounded up to a multiple of ``_PAD_COLUMNS``, r = 2,
-    or 1 in real mode: a row of ones, then each spec's d rows of the real
-    parts of its normals and, unless in real mode, its d rows of their
-    imaginary parts, then zero pad rows.  Per band, the r * k * (sum of
-    dims) normals are drawn straight into the specs' rows, in that order,
-    by one call, into one reused flat buffer.  A band's rows are ``V.T @
-    M`` (``_band_map``) viewed as complex.
+    A band of k rows is the h x k float64 V of ``_realization``, in one
+    reused flat buffer, its q rows of normals drawn in place by one call;
+    its rows are ``V.T @ M`` viewed as complex, M's pad columns dropped.
     """
-    _check_type((RealizationSpec, GluedRealization), source=source)
-    glued = isinstance(source, GluedRealization)
-    specs = (source.spec1, source.spec2) if glued else (source,)
-    _check_draw(n, seed, real_mode, [a for spec in specs for a in (spec.mean, spec.covariance)])
-    labels = source.labels if glued else source.full_labels
-    M = _band_map(specs, real_mode)[:, : 2 * len(labels)]
-    q = (1 if real_mode else 2) * sum(spec.dim for spec in specs)
+    _check_draw(n, seed, real_mode)
+    labels, M, q = _realization(source, real_mode)
+    M = M[:, : 2 * len(labels)]
     rng = np.random.Generator(np.random.SFC64(seed))
     buffer = np.empty(len(M) * min(n, _BAND_ROWS + 1))
     out = np.empty((min(n, _BAND_ROWS + 1), len(labels)), complex)
@@ -324,14 +312,25 @@ def sample_blocks(
     return rows()
 
 
-def _band_map(specs, real_mode: bool) -> np.ndarray:
-    """M, as high as a band V (``sample_blocks``), with ``V.T @ M`` the
-    band's rows as interleaved ``[re, im]`` float columns, then zero pad
-    columns up to a multiple of ``_PAD_COLUMNS``.  Row 0 holds the means,
-    1.0 at the basepoint.  A spec's rows hold the real form of its factor
-    F, ``L.T`` pre-scaled by sqrt(0.5) (``L.real.T`` in real mode): on the
-    rows of the real parts ``(Re F, Im F)``, on those of the imaginary
-    parts ``(-Im F, Re F)``, in its labels' columns."""
+def _realization(source, real_mode: bool) -> tuple:
+    """``(labels, M, q)`` of a spec or a glued pair: its ``full_labels``
+    (a spec) or ``labels`` (a pair), its one real map M, and q = r * (sum
+    of its specs' dims) normals a column, r = 2, or 1 in real mode, which
+    needs real specs and is decided before any ``factor`` is read.  A
+    column of a band V is [1; z; 0 pad], h high, h = 1 + q rounded up to a
+    multiple of ``_PAD_COLUMNS``: z is each spec's d real parts and,
+    unless in real mode, its d imaginary parts, in spec order.  ``V.T @
+    M`` is the band's rows as interleaved ``[re, im]`` float columns, then
+    zero pad columns up to a multiple of ``_PAD_COLUMNS``.  Row 0 of M
+    holds the means, 1.0 at the basepoint.  A spec's rows hold the real
+    form of its factor F, ``L.T`` pre-scaled by sqrt(0.5) (``L.real.T`` in
+    real mode): on the rows of the real parts ``(Re F, Im F)``, on those
+    of the imaginary parts ``(-Im F, Re F)``, in its labels' columns."""
+    _check_type((RealizationSpec, GluedRealization), source=source)
+    glued = isinstance(source, GluedRealization)
+    specs = (source.spec1, source.spec2) if glued else (source,)
+    if real_mode and not all(spec.is_real for spec in specs):
+        raise InvalidParameterError("real mode requires a real-valued mean and covariance")
     r, i = 1 if real_mode else 2, specs[0].basepoint_index
     coords = sum(spec.dim for spec in specs)
     cols = 2 * np.delete(np.arange(1 + coords), i)
@@ -345,12 +344,12 @@ def _band_map(specs, real_mode: bool) -> np.ndarray:
         if not real_mode:
             M[row + d : row + 2 * d, c], M[row + d : row + 2 * d, c + 1] = -F.imag, F.real
         row += r * d
-    return M
+    return (source.labels if glued else source.full_labels), M, r * coords
 
 
 def _gram_factor(q: int, n: int, rng) -> np.ndarray:
     """The factor R of the law of n columns ``[1; z; 0 pad]``, z q
-    standard normals: h x h, h the height of their band (``_band_map``),
+    standard normals: h x h, h the height of their band (``_realization``),
     with ``R @ R.T`` their Gram sum over n.  R is the columns'
     lower-trapezoidal LQ factor over sqrt(n), of k = min(1 + q, n)
     columns (Bartlett's triangle; the Gram sum is singular Wishart when
@@ -448,9 +447,10 @@ def verify_realization(
     _check_type(IndexedKernel, k1=k1, k2=k2)
     if mc_tol is not None:
         _check_tolerance("mc_tol", mc_tol)
-    _check_draw(n, seed, real_mode, (k1.entries, k2.entries))
+    _check_draw(n, seed, real_mode)
     product = markov_product(k1, k2, x0, basepoint_tol=basepoint_tol)
     specs = [schur_reduce(k, x0, tol, basepoint_tol=basepoint_tol) for k in (k1, k2)]
+    labels, M, q = _realization(GluedRealization(*specs), real_mode)
     certificate = min(map(psd_check_schur, specs), key=lambda c: c.min_eigenvalue)
     if mc_tol is None:
         m, v = _null_variance(product, x0, real_mode)
@@ -458,10 +458,10 @@ def verify_realization(
         if not math.isfinite(mc_tol):
             raise NumericalFailureError(f"the default mc_tol, {m:g} * 5 sqrt(v_max / n) at n = {n}, "
                                         "overflows float64")
-    q = (1 if real_mode else 2) * sum(spec.dim for spec in specs)
     rng = np.random.Generator(np.random.SFC64(seed))
-    rows = _gram_factor(q, n, rng).T @ _band_map(specs, real_mode)
-    empirical = _moment_sums(rows, product.labels)
+    rows = _gram_factor(q, n, rng).T @ M
+    del M  # the rows' size: freed before their moment sum, verify's peak
+    empirical = _moment_sums(rows, labels)
     max_dev = float(np.abs(empirical.entries - product.entries).max())
     return VerificationReport(product, certificate, empirical, max_dev, float(mc_tol), n,
                               int(seed), bool(max_dev <= mc_tol))

@@ -443,8 +443,9 @@ class TestGluedRealization:
         _, b2 = draw(glued, 200, seed=77)
         assert np.array_equal(b1, b2)
 
-    def test_component_streams_differ(self):
-        # the two specs must not share randomness even when identical
+    def test_components_read_disjoint_draws(self):
+        # the two specs read disjoint draws of one stream, so their
+        # components differ even when the specs are identical
         k = two_point_kernel(0.5)
         k_b = make_kernel(["x0", "b"], [[1, 0.5], [0.5, 1]])
         _, samples = draw(glued_pair(k, k_b), 500, seed=5)
@@ -617,7 +618,7 @@ class TestBlockStream:
             "import numpy as np\n"
             "from helpers import random_gram_kernel\n"
             "from kernelglue import GluedRealization, make_kernel, schur_reduce\n"
-            "from kernelglue.realization import _band_map, _gram_factor, _moment_sums\n"
+            "from kernelglue.realization import _gram_factor, _moment_sums, _realization\n"
             "d, real_mode = int(sys.argv[1]), sys.argv[2] == 'real'\n"
             "rng = np.random.default_rng(6)\n"
             "ks = [random_gram_kernel(rng, ('x0',) + tuple(f'{p}{i}' for i in range(d)))\n"
@@ -625,11 +626,10 @@ class TestBlockStream:
             "if real_mode:\n"
             "    ks = [make_kernel(k.labels, k.entries.real) for k in ks]\n"
             "glued = GluedRealization(*(schur_reduce(k, 'x0') for k in ks))\n"
-            "M = _band_map((glued.spec1, glued.spec2), real_mode)\n"
-            "q = (1 if real_mode else 2) * 2 * d\n"
+            "labels, M, q = _realization(glued, real_mode)\n"
             "for n in (q, 5000, 10**12):\n"
             "    rows = _gram_factor(q, n, np.random.Generator(np.random.SFC64(1))).T @ M\n"
-            "    empirical = _moment_sums(rows, glued.labels)\n"
+            "    empirical = _moment_sums(rows, labels)\n"
             "    print(hashlib.sha256(rows.tobytes() + empirical.entries.tobytes()).hexdigest())\n"
         )
         tests, src = Path(__file__).parent, Path(realization.__file__).parents[1]
@@ -654,9 +654,10 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("larger_first", [True, False])
-    def test_scratch_is_shared_by_specs_of_unequal_size(self, real_mode, larger_first):
-        # the two specs draw in turn into one band buffer, the larger first
-        # or second, and each band is the per-band formula's
+    def test_specs_of_unequal_size_share_one_band(self, real_mode, larger_first):
+        # one call draws both specs' normals into the rows of one band, the
+        # larger spec's first or second, and each band is the per-band
+        # formula's
         rng = np.random.default_rng(2028)
         big = random_gram_kernel(rng, ("a0", "a1", "x0", "a2", "a3"), not real_mode)
         small = random_gram_kernel(rng, ("x0", "b0"), not real_mode)
@@ -798,15 +799,20 @@ class TestCountCheck:
             assert np.array_equal(draw(), same()), name
 
     @pytest.mark.parametrize("n", [2**53 + 1, np.uint64(2**63), 2**70])
-    def test_verify_rejects_a_count_past_2_to_the_53(self, monkeypatch, n):
+    def test_every_entry_rejects_a_count_past_2_to_the_53(self, monkeypatch, n):
         # past 2**53 the law's degrees of freedom n - j are not exact
-        # as floats, and at 2**70 the chi-square draw overflowed
-        k1, k2 = cd_pair()
+        # as floats, and at 2**70 the chi-square draw overflowed; the
+        # count is checked before any spec is factored
         calls = count_solver_calls(monkeypatch)
         message = re.escape(f"sample count must be at most 2**53, got {n}")
-        with pytest.raises(InvalidParameterError, match=message):
-            verify_realization(k1, k2, "x0", n, 0)
-        assert calls == []
+        for name, draw in self.draws(n).items():
+            with pytest.raises(InvalidParameterError, match=message):
+                draw()
+            assert calls == [], name
+        k1, k2 = cd_pair()
+        spec = schur_reduce(k1, "x0")
+        for source in (spec, GluedRealization(spec, schur_reduce(k2, "x0"))):
+            assert len(next(sample_blocks(source, 2**53, 0))) == _BAND_ROWS
         assert verify_realization(k1, k2, "x0", 2**53, 0).passed
 
 
@@ -934,8 +940,8 @@ class TestGramLaw:
             ks = [random_gram_kernel(rng, ("x0",) + tuple(f"{p}{i}" for i in range(d)),
                                      not real_mode) for p in "ab"]
             specs = [schur_reduce(k, "x0") for k in ks]
-            M = realization._band_map(specs, real_mode)
-            got = realization._moment_sums(M, GluedRealization(*specs).labels)
+            labels, M, _ = realization._realization(GluedRealization(*specs), real_mode)
+            got = realization._moment_sums(M, labels)
             product = markov_product(*ks, "x0")
             m = product.entries.diagonal().real.max()
             assert np.abs(got.entries - product.entries).max() <= 4 * len(M) * eps * m
@@ -1064,6 +1070,21 @@ class TestVerifyRealization:
         assert calls == []
         report = verify_realization(k1, real, "x0", 100, 0, real_mode=np.True_)
         assert report.n_samples == 100
+
+    def test_sample_blocks_rejects_real_mode_before_any_solve(self, monkeypatch):
+        # the real-mode rule reads the specs, not their factors: a complex
+        # spec, a pair whose second spec alone is complex and a complex
+        # spec that is not PSD are each rejected before any eigensolver call
+        real = schur_reduce(make_kernel(["x0", "a"], [[1, 0.5], [0.5, 1]]), "x0")
+        complex_spec = schur_reduce(make_kernel(["x0", "b"], [[1, 0.5j], [-0.5j, 1]]), "x0")
+        indefinite = schur_reduce(make_kernel(["x0", "c"], [[1, 2j], [-2j, 1]]), "x0")
+        calls = count_solver_calls(monkeypatch)
+        for source in (complex_spec, GluedRealization(real, complex_spec), indefinite):
+            with pytest.raises(InvalidParameterError, match="real mode requires"):
+                sample_blocks(source, 10, 0, real_mode=True)
+            assert calls == [], source
+        with pytest.raises(NotPsdError):
+            sample_blocks(indefinite, 10, 0)
 
     def test_rejects_zero_samples(self):
         k1, k2 = cd_pair()
