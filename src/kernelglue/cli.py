@@ -36,18 +36,23 @@ from .kernels import (
     psd_check_eigen,
 )
 from .realization import (
-    _check_count,
-    _check_seed,
+    _check_draw,
     sample_blocks,
     schur_reduce,
     verify_realization,
 )
 from .trees import glue_tree
 
-COMMANDS = ("glue", "check", "realize", "sample", "verify", "glue-tree")
-
-# Commands that read two kernel files; the rest read one file.
-_TWO_INPUT = {"glue", "verify"}
+# Each command's input file count, the loader of each input, and its help line.
+COMMANDS = {
+    "glue": (2, load_kernel, "Markov product of two kernel files at --glue-label"),
+    "check": (1, load_kernel, "PSD certificate of one kernel file"),
+    "realize": (1, load_kernel, "mean/covariance realization of one kernel at a basepoint"),
+    "sample": (1, load_kernel, "draw realization samples as a tabular export"),
+    "verify": (2, load_kernel,
+               "compare n glued samples' moments, drawn from their exact law, to the product"),
+    "glue-tree": (1, load_tree, "glue a tree of kernels into one kernel"),
+}
 
 
 @dataclass
@@ -70,7 +75,7 @@ class RunConfig:
 def _validate(config: RunConfig) -> None:
     if config.command not in COMMANDS:
         raise InvalidParameterError(f"unknown command {config.command!r}")
-    expected = 2 if config.command in _TWO_INPUT else 1
+    expected = COMMANDS[config.command][0]
     if len(config.inputs) != expected:
         raise InvalidParameterError(
             f"{config.command} takes {expected} input file(s), got {len(config.inputs)}"
@@ -79,33 +84,34 @@ def _validate(config: RunConfig) -> None:
     _check_tolerance("basepoint_tol", config.basepoint_tol)
     if config.mc_tol is not None:
         _check_tolerance("mc_tol", config.mc_tol)
-    _check_count(config.samples)
-    _check_seed(config.seed)
+    _check_draw(config.samples, config.seed, config.real_mode)
 
 
-def _require_glue_label(config: RunConfig) -> str:
-    if not config.glue_label:
+def _glue_label(config: RunConfig, default: str | None = None) -> str:
+    """``--glue-label`` as given, the empty string too; else ``default``."""
+    if config.glue_label is not None:
+        return config.glue_label
+    if default is None:
         raise InvalidParameterError(f"{config.command} requires --glue-label")
-    return config.glue_label
+    return default
 
 
 def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     _validate(config)
     cmd = config.command
+    _, loader, _ = COMMANDS[cmd]
+    inputs = [loader(path) for path in config.inputs]
 
     if cmd == "glue":
-        k1, k2 = map(load_kernel, config.inputs)
-        product = markov_product(
-            k1, k2, _require_glue_label(config), basepoint_tol=config.basepoint_tol
-        )
+        product = markov_product(*inputs, _glue_label(config), basepoint_tol=config.basepoint_tol)
         return 0, kernel_to_document(product)
 
     if cmd == "check":
-        cert = psd_check_eigen(load_kernel(config.inputs[0]), config.tol)
+        cert = psd_check_eigen(inputs[0], config.tol)
         return (0 if cert.verdict else 1), certificate_to_document(cert)
 
     if cmd in ("realize", "sample"):
-        kernel = load_kernel(config.inputs[0])
+        kernel = inputs[0]
         for label in kernel.labels:
             # the sample header joins the labels by commas on one line
             if cmd == "sample" and any(c in label for c in ",\n\r"):
@@ -113,9 +119,7 @@ def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
                     f"the sample header cannot carry label {label!r}: it holds ',' or a line break")
         # The basepoint defaults to the kernel's first label.
         spec = schur_reduce(
-            kernel,
-            config.glue_label or kernel.labels[0],
-            config.tol,
+            kernel, _glue_label(config, kernel.labels[0]), config.tol,
             basepoint_tol=config.basepoint_tol,
         )
         if cmd == "realize":
@@ -125,23 +129,14 @@ def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
         return 0, sample_text(spec.full_labels, config.seed, blocks)
 
     if cmd == "verify":
-        k1, k2 = map(load_kernel, config.inputs)
         report = verify_realization(
-            k1,
-            k2,
-            _require_glue_label(config),
-            config.samples,
-            config.seed,
-            config.mc_tol,
-            tol=config.tol,
-            basepoint_tol=config.basepoint_tol,
-            real_mode=config.real_mode,
+            *inputs, _glue_label(config), config.samples, config.seed, config.mc_tol,
+            tol=config.tol, basepoint_tol=config.basepoint_tol, real_mode=config.real_mode,
         )
         return (0 if report.passed else 1), report_to_document(report)
 
     # glue-tree
-    tree = load_tree(config.inputs[0])
-    kernel = glue_tree(tree, basepoint_tol=config.basepoint_tol)
+    kernel = glue_tree(inputs[0], basepoint_tol=config.basepoint_tol)
     return 0, kernel_to_document(kernel)
 
 
@@ -211,16 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "positivity by certification and by sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "glue": "Markov product of two kernel files at --glue-label",
-        "check": "PSD certificate of one kernel file",
-        "realize": "mean/covariance realization of one kernel at a basepoint",
-        "sample": "draw realization samples as a tabular export",
-        "verify": "compare n glued samples' moments, drawn from their exact law, to the product",
-        "glue-tree": "glue a tree of kernels into one kernel",
-    }
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, _, help_line) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
     return parser
 
 

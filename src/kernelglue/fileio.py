@@ -167,10 +167,13 @@ def load_kernel(path: str) -> IndexedKernel:
 
 
 def _build(from_document, doc: dict, path: str):
-    """``from_document(doc)``; an integer entry too large for a float is
-    a ``FileParseError`` of the file, as ``json`` finds one too long."""
+    """``from_document(doc)``, its ``FileFormatError`` naming the file; an
+    integer entry too large for a float is a ``FileParseError`` of the
+    file, as ``json`` finds one too long."""
     try:
         return from_document(doc)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     except OverflowError as exc:
         raise FileParseError(f"{path}: {exc}") from exc
 

@@ -166,11 +166,14 @@ class RealizationSpec:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """L with ``L @ L.conj().T`` the covariance, or ``NotPsdError``, as ``_schur`` decides."""
+        """L with ``L @ L.conj().T`` the covariance, or ``NotPsdError``, as
+        ``_schur`` decides, naming the label where its witness is largest."""
         w, scale, verdict, factor = self._schur
         if not verdict:
+            label = self.labels[int(np.argmax(np.abs(factor)))]
             raise NotPsdError(f"kernel is not PSD at basepoint {self.basepoint!r}: covariance "
-                              f"has min eigenvalue {w[0]:.6e} below -{self.tol:g}*{scale:g}")
+                              f"has min eigenvalue {w[0]:.6e} below -{self.tol:g}*{scale:g}, "
+                              f"its witness largest at label {label!r}")
         return factor
 
 

@@ -265,11 +265,14 @@ class TestRun:
             RunConfig("realize", [path]),
             RunConfig("sample", [path], samples=10),
             RunConfig("verify", [path, workdir["k2"]], glue_label="x0", samples=10),
+            RunConfig("verify", [workdir["k2"], path], glue_label="x0", samples=10),
         ]
         for config in configs:
             status, doc = run(config)
             assert status == 1
             assert doc["error"] == "NotPsd"
+            # the label names the failing kernel in either order
+            assert doc["message"].endswith("its witness largest at label 'a'")
 
     def test_covariance_eigensolver_failure_exits_one(self, workdir, monkeypatch):
         # the 2x2 kernel decomposes, its 1x1 covariance does not
@@ -506,8 +509,9 @@ class TestMain:
             (["sample", "{k1}", "--samples", "2.5"], "argument --samples: invalid int value"),
             (["frob", "{k1}"], "argument command: invalid choice: 'frob'"),
             (["check"], "the following arguments are required: FILE"),
+            (["glue", "{k1}", "{k2}"], "glue requires --glue-label"),
         ],
-        ids=["seed", "samples", "command", "no-file"],
+        ids=["seed", "samples", "command", "no-file", "no-glue-label"],
     )
     def test_usage_errors_are_one_stderr_line(self, workdir, capsys, argv, message):
         assert main([a.format(**workdir) for a in argv]) == 2
@@ -524,7 +528,62 @@ class TestMain:
         assert main(["check", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "FormatError: kernel 'entries' must be a 2x2 matrix\n"
+        assert captured.err == f"FormatError: {path}: kernel 'entries' must be a 2x2 matrix\n"
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["glue", "{k1}", "{bad}", "--glue-label", "x0"], '{"labels": ["x0", "a"]}',
+             "kernel document is missing the 'entries' field"),
+            (["glue", "{k1}", "{bad}", "--glue-label", "x0"],
+             '{"labels": ["x0", "a"], "entries": [1, 2]}',
+             "kernel 'entries' must be an array of rows"),
+            (["glue-tree", "{bad}"], '{"nodes": {}, "edges": []}',
+             "tree 'nodes' and 'edges' must be arrays"),
+            # the loader's own message names the file once
+            (["check", "{bad}"], "[1]", "top-level JSON value must be an object"),
+        ],
+        ids=["no-entries", "entries-not-rows", "tree-not-arrays", "not-an-object"],
+    )
+    def test_format_errors_name_the_file(self, workdir, capsys, argv, content, message):
+        bad = workdir["dir"] / "bad.json"
+        bad.write_text(content)
+        assert main([a.format(bad=bad, **workdir) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"FormatError: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("command", ["glue", "verify"])
+    def test_empty_glue_label_is_a_label(self, workdir, capsys, command):
+        # two kernels whose shared label is the empty string glue there
+        paths = []
+        for name, other in (("e1.json", "a"), ("e2.json", "b")):
+            path = workdir["dir"] / name
+            path.write_text(json.dumps({"labels": ["", other],
+                                        "entries": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]}))
+            paths.append(str(path))
+        argv = [command, *paths, "--glue-label", "", "--samples", "20000", "--no-timestamp"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
+        assert (doc if command == "glue" else doc["product"])["labels"] == ["", "a", "b"]
+
+    def test_empty_glue_label_is_the_basepoint(self, workdir, capsys):
+        # the empty label is not first, so the first-label default would reduce at "a"
+        path = workdir["dir"] / "e.json"
+        path.write_text(json.dumps({"labels": ["a", "", "b"], "entries": [
+            [[1, 0], [0.5, 0], [0.25, 0]],
+            [[0.5, 0], [1, 0], [0.5, 0]],
+            [[0.25, 0], [0.5, 0], [1, 0]]]}))
+        assert main(["realize", str(path), "--glue-label", "", "--no-timestamp"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["basepoint"] == "" and doc["labels"] == ["a", "b"]
+        assert main(["sample", str(path), "--glue-label", "", "--samples", "4"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "# seed=0 labels=a,,b"
+        # the basepoint's column is the constant 1
+        assert len(rows) == 4 and all(row.split(",")[1] == "1+0i" for row in rows)
 
     def test_check_indefinite_exit_code(self, workdir, capsys):
         code = main(["check", workdir["indefinite"], "--no-timestamp"])

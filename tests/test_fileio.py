@@ -366,7 +366,12 @@ class TestWriterShapes:
 
 
 def _reference(path):
-    return kernel_from_document(load_document(path))
+    """The kernel of the whole document, a format error naming the file."""
+    doc = load_document(path)
+    try:
+        return kernel_from_document(doc)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _outcome(read, path):

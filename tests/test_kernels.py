@@ -104,6 +104,14 @@ class TestMakeKernel:
         assert k1 == k2
         assert k1 != k3
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        k = make_kernel(["a"], [[1.0]])
+        assert k.__eq__(k.entries) is NotImplemented
+        assert k != ("a",)
+
+    def test_repr_names_the_labels_and_dimension(self):
+        assert repr(make_kernel(["a", "b"], np.eye(2))) == "IndexedKernel(labels=('a', 'b'), dim=2)"
+
 
 class TestMirrorUpper:
     def test_result_exactly_hermitian(self):

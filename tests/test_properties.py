@@ -140,7 +140,7 @@ _POINT = make_kernel(["x0"], [[1.0]])
 @example(_POINT, random_gram_kernel(np.random.default_rng(1), ("b0", "x0", "b1")), False, 5, 0)
 @example(random_gram_kernel(np.random.default_rng(2), ("a0", "a1", "x0", "a2")), _POINT, True, 2,
          2**64 - 1)
-def test_verify_moments_are_the_map_of_the_drawn_gram_sum(k1, k2, real_mode, n, seed):
+def test_verify_moments_are_the_map_of_the_drawn_factor(k1, k2, real_mode, n, seed):
     # with "x0" first, in the middle and last in each kernel: a misplaced
     # column of the map from normals to rows moves an entry by O(1)
     if real_mode:

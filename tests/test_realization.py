@@ -881,7 +881,7 @@ class TestMomentSums:
             realization._moment_sums(rows, ("x0", "a"))
 
 
-class TestGramLaw:
+class TestFactorLaw:
     """``verify_realization`` draws the LQ factor of its rows' normals
     from its exact law (``_gram_factor``), not from sampled rows: draw for
     draw the triangle of ``tests/helpers.reference_triangle``, one for
@@ -889,7 +889,7 @@ class TestGramLaw:
     takes to the product."""
 
     @pytest.mark.parametrize("real_mode", [False, True])
-    def test_verify_maps_the_drawn_gram_sum(self, real_mode):
+    def test_verify_maps_the_drawn_factor(self, real_mode):
         # q is 8 normals a column complex, 4 real: below n = q + 1 the
         # factor has n columns
         rng = np.random.default_rng(2027)
@@ -925,7 +925,7 @@ class TestGramLaw:
 
     @pytest.mark.parametrize("real_mode", [False, True])
     @pytest.mark.parametrize("d", [1, 6, 32, 71])
-    def test_the_mean_gram_sum_maps_to_the_product(self, d, real_mode):
+    def test_the_mean_factor_maps_to_the_product(self, d, real_mode):
         # the law's mean of R R.T is I', the identity on the 1 + q rows of
         # a column and zero on its pad, whose rows I' M are M itself (its
         # pad rows are zero), so the moments of M's rows, M.T M, are the
