@@ -19,7 +19,7 @@ import json
 import os
 from collections.abc import Iterator
 from itertools import chain
-from json.decoder import WHITESPACE, scanstring
+from json.decoder import WHITESPACE
 from numbers import Real
 
 import numpy as np
@@ -223,12 +223,6 @@ def _nothing(text: str, pos: int):
     return None, pos
 
 
-def _key(text: str, pos: int):
-    if text[pos : pos + 1] != '"':
-        raise ValueError("expected a key")
-    return scanstring(text, pos + 1)
-
-
 def _read_kernel(handle) -> tuple[list, np.ndarray]:
     """The labels and ``(n, n, 2)`` float64 ``[re, im]`` entries of a kernel
     file, walking its top-level object as ``json.loads`` does (the last of
@@ -239,7 +233,9 @@ def _read_kernel(handle) -> tuple[list, np.ndarray]:
     window.take(_nothing, "{")
     values, sep = {}, ","
     while sep == ",":
-        key, _ = window.take(_key, ":")
+        key, _ = window.take(_DECODER.raw_decode, ":")
+        if type(key) is not str:
+            raise ValueError("a key is not a string")
         if key == "entries":
             values[key], sep = _entry_rows(window, os.fstat(handle.fileno()).st_size)
         else:
@@ -260,7 +256,10 @@ def _entry_rows(window: _Window, size: int) -> tuple[np.ndarray, str]:
     pairs, i, sep = None, 0, ","
     while sep == ",":
         row, sep = window.take(_DECODER.raw_decode, ",]")
-        if not _float_pairs(row):
+        if type(row) is not list or set(map(type, row)) - {list} or set(map(len, row)) - {2}:
+            raise ValueError("not a row of pairs")
+        flat = list(chain.from_iterable(row))
+        if set(map(type, flat)) - {float}:
             raise ValueError("not a row of float pairs")
         if pairs is None:
             if 5 * len(row) ** 2 > size:  # no file this size holds that many "[0,0]" pairs
@@ -268,22 +267,11 @@ def _entry_rows(window: _Window, size: int) -> tuple[np.ndarray, str]:
             pairs = np.empty((len(row), len(row), 2))
         if i == len(pairs) or len(row) != len(pairs):
             raise ValueError("entries are not a square matrix")
-        pairs[i] = row
+        pairs[i].reshape(-1)[:] = flat
         i += 1
     if pairs is None or i != len(pairs):
         raise ValueError("entries are not a square matrix")
     return pairs, window.take(_nothing, ",}")[1]
-
-
-def _float_pairs(row) -> bool:
-    """Whether ``row`` is a list of ``[re, im]`` lists of two floats, the
-    case of the per-entry rule that ``kernel_from_document`` takes at once."""
-    return (
-        type(row) is list
-        and set(map(type, row)) <= {list}
-        and set(map(len, row)) <= {2}
-        and set(map(type, chain.from_iterable(row))) <= {float}
-    )
 
 
 def load_tree(path: str) -> GluingTree:
@@ -329,16 +317,11 @@ def _write(o, nl: str) -> Iterator[str]:
         yield nl + "]"
     elif isinstance(o, np.ndarray):
         a = np.require(o, np.complex128, "C")
-        pairs = a.reshape(-1).view(np.float64).reshape(*a.shape, 2)
-        if pairs.ndim < 3 or not len(pairs):
-            yield _fill(_template(pairs.shape, nl), pairs)
+        if a.ndim > 1 and len(a):
+            yield from _write(list(a), nl)
             return
-        row = _template(pairs.shape[1:], inner)
-        sep = "[" + inner
-        for r in pairs:
-            yield sep + _fill(row, r)
-            sep = "," + inner
-        yield nl + "]"
+        pairs = a.reshape(-1).view(np.float64).reshape(*a.shape, 2)
+        yield _fill(_template(pairs.shape, nl), pairs)
     else:
         yield json.dumps(o, indent=2).replace("\n", nl)
 

@@ -78,25 +78,18 @@ _BAND_ROWS = 1 << 10
 _PAD_COLUMNS = 8
 
 
-def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed must fit in 64 unsigned bits, got {seed!r}")
-
-
-def _check_count(n) -> None:
-    """A sample count: an integer from 1 to 2**53, where ``_gram_factor``'s degrees are exact."""
+def _check_draw(n, seed, real_mode) -> None:
+    """A draw's arguments: a sample count, an integer from 1 to 2**53, where
+    ``_gram_factor``'s degrees are exact; a seed of 64 unsigned bits; and a
+    bool ``real_mode`` (numpy's too)."""
     if isinstance(n, bool) or not isinstance(n, Integral):
         raise InvalidParameterError(f"sample count must be an integer, got {n!r}")
     if n < 1:
         raise InvalidParameterError(f"sample count must be >= 1, got {n}")
     if n > 2**53:
         raise InvalidParameterError(f"sample count must be at most 2**53, got {n}")
-
-
-def _check_draw(n, seed, real_mode) -> None:
-    """A draw's arguments: a sample count, a seed, and a bool ``real_mode`` (numpy's too)."""
-    _check_count(n)
-    _check_seed(seed)
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed must fit in 64 unsigned bits, got {seed!r}")
     if not isinstance(real_mode, (bool, np.bool_)):
         raise InvalidParameterError(f"real_mode must be a bool, got {real_mode!r}")
 

@@ -359,6 +359,10 @@ class TestWriterShapes:
         twin = {"labels": ["a"], "entries": [[[-0.0, 0.0]]]}
         assert dump_document(doc) == json.dumps(twin, indent=2) + "\n"
 
+    def test_empty_rows_and_no_rows(self):
+        doc = {"a": np.zeros((2, 0), complex), "b": np.zeros((0, 3), complex)}
+        assert dump_document(doc) == json.dumps({"a": [[], []], "b": []}, indent=2) + "\n"
+
     def test_non_finite_entries_are_spelled_as_json_spells_them(self):
         doc = {"a": np.array([[complex(math.nan, math.inf)], [complex(-math.inf, 5e-324)]])}
         twin = {"a": [[[math.nan, math.inf]], [[-math.inf, 5e-324]]]}
@@ -491,6 +495,16 @@ class TestRowReader:
         "int -0": (_COMPACT.replace("[1.0, 0.0]", "[1, -0]", 1), False),
         "bool": (_COMPACT.replace("[1.0, 0.0]", "[true, 0.0]", 1), False),
         "ragged": (_COMPACT.replace(", [0.5, 0.25]", "", 1), False),
+        "non-string key": ("{1: 2, " + _COMPACT[1:], False),
+        "one-element pair": (_COMPACT.replace("[1.0, 0.0]", "[1.0]", 1), False),
+        "three-element pair": (_COMPACT.replace("[1.0, 0.0]", "[1.0, 0.0, 0.0]", 1), False),
+        # a row's values are as many as those of two pairs
+        "pairs of one and three": (
+            _COMPACT.replace("[1.0, 0.0], [0.5, 0.25]", "[1.0], [0.0, 0.5, 0.25]", 1),
+            False,
+        ),
+        "bare number entry": (_COMPACT.replace("[1.0, 0.0]", "1.0", 1), False),
+        "row not a list": (_COMPACT.replace("[[1.0, 0.0], [0.5, 0.25]]", "1.0", 1), False),
         "more labels than rows": (_COMPACT.replace('"b"]', '"b", "c"]'), False),
         # sized by its first row, the array would take 160 GB
         "first row too long for the file": (

@@ -93,7 +93,7 @@ def near_boundary_kernel(rng, kind):
     return k.restrict([labels[i] for i in rng.permutation(n)])
 
 
-class TestRealizeProcess:
+class TestSchurReduce:
     def test_two_point_example(self):
         # c = 0.5: mean(a) = K(a, x0) = 0.5, cov = 1 - |c|^2 = 0.75
         spec = schur_reduce(two_point_kernel(0.5), "x0")
