@@ -5,12 +5,10 @@ floats.  Matrices are written in full (no triangular compression), and
 floats serialize via Python's shortest round-trip representation, so a
 write/read cycle reproduces every entry bit for bit.  A document built
 by ``*_to_document`` carries each value type's complex array itself;
-it is written as exactly the bytes of ``json.dumps`` of its JSON-native
-twin, ``indent=2``, plus a newline, a row at a time, formatted from the
-array at C speed.  ``load_kernel`` reads a kernel file a row at a time
-too.  Loaders ignore unknown keys (e.g. a timestamp added by the CLI),
-and raise ``FileParseError``, naming the file, for one that is not UTF-8
-JSON they can read.
+``document_text`` writes it a row at a time, and ``load_kernel`` reads a
+kernel file a row at a time.  Loaders ignore unknown keys (e.g. a
+timestamp added by the CLI), and raise ``FileParseError``, naming the
+file, for one that is not UTF-8 JSON they can read.
 """
 
 from __future__ import annotations
@@ -28,16 +26,6 @@ from .errors import FileFormatError, FileParseError
 from .kernels import IndexedKernel, PsdCertificate, _lock, make_kernel
 from .realization import RealizationSpec, VerificationReport
 from .trees import GluingTree
-
-
-def pair_to_complex(obj) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, Real) and not isinstance(x, bool) for x in obj)
-    ):
-        raise FileFormatError(f"expected a two-element [re, im] array, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
 
 
 def _require(doc: dict, key: str, kind: str):
@@ -58,22 +46,17 @@ def kernel_from_document(doc: dict) -> IndexedKernel:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise FileFormatError("kernel 'entries' must be an array of rows")
     n = len(labels)
-    for row in rows:
-        for z in row:
-            if type(z) is not list or len(z) != 2 or not type(z[0]) is type(z[1]) is float:
-                pair_to_complex(z)  # the full rule: raises on a bad entry
+    for z in chain.from_iterable(rows):
+        # the float-pair fast path, then the full rule
+        if type(z) is not list or len(z) != 2 or not type(z[0]) is type(z[1]) is float:
+            if not (isinstance(z, (list, tuple)) and len(z) == 2
+                    and all(isinstance(x, Real) and not isinstance(x, bool) for x in z)):
+                raise FileFormatError(f"expected a two-element [re, im] array, got {z!r}")
     if len(rows) != n or {len(row) for row in rows} not in ({n}, set()):
         raise FileFormatError(f"kernel 'entries' must be a {n}x{n} matrix")
     # [re, im] pairs are the memory layout of complex128: the view is bitwise exact
     pairs = _lock(np.array(rows, dtype=np.float64)).reshape(n, n, 2).view(np.complex128)
     return make_kernel(labels, pairs[..., 0])
-
-
-def tree_to_document(tree: GluingTree) -> dict:
-    return {
-        "nodes": [kernel_to_document(k) for k in tree.nodes],
-        "edges": [[i, j, label] for i, j, label in tree.edges],
-    }
 
 
 def tree_from_document(doc: dict) -> GluingTree:
@@ -85,7 +68,7 @@ def tree_from_document(doc: dict) -> GluingTree:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 3 and all(map(isinstance, e, (int, int, str)))):
             raise FileFormatError(f"tree edge must be [i, j, \"label\"], got {e!r}")
-    return GluingTree(kernels, tuple(map(tuple, edges)))
+    return GluingTree(kernels, edges)
 
 
 def certificate_to_document(cert: PsdCertificate) -> dict:
@@ -291,11 +274,6 @@ def document_text(doc: dict) -> Iterator[str]:
     """
     yield from _write(doc, "\n")
     yield "\n"
-
-
-def dump_document(doc: dict) -> str:
-    """The whole ``document_text`` of a document, as one string."""
-    return "".join(document_text(doc))
 
 
 def _write(o, nl: str) -> Iterator[str]:

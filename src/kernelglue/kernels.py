@@ -100,7 +100,10 @@ def _lock(a: np.ndarray) -> np.ndarray:
 
 def _labels(labels) -> tuple[str, ...]:
     """Labels as a tuple of distinct strings; the first repeat raises."""
-    labels = tuple(str(l) for l in labels)
+    try:
+        labels = tuple(map(str, labels))
+    except TypeError as exc:
+        raise InvalidParameterError(f"labels cannot be read as strings: {exc}") from None
     if len(set(labels)) != len(labels):
         repeat = next(l for i, l in enumerate(labels) if l in labels[:i])
         raise DuplicateLabelError(f"label {repeat!r} appears more than once")
@@ -140,7 +143,10 @@ def _array(value, name: str, n: int, ndim: int, labels=None) -> np.ndarray:
         keys = [labels[i] if labels is not None else int(i) for i in index]
         return f"({', '.join(map(repr, keys))})"
 
-    a = value if _locked(value) else np.array(value, dtype=np.complex128)
+    try:
+        a = value if _locked(value) else np.array(value, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"{name} cannot be read as complex numbers: {exc}") from None
     if a.shape != (n,) * ndim:
         raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {(n,) * ndim}")
     if not np.isfinite(a).all():
@@ -273,7 +279,7 @@ class IndexedKernel:
         of this kernel's labels.
         """
         idx = [self.index(l) for l in labels]
-        return IndexedKernel(tuple(labels), _lock(self.entries[np.ix_(idx, idx)]))
+        return IndexedKernel(labels, _lock(self.entries[np.ix_(idx, idx)]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IndexedKernel):
@@ -313,7 +319,7 @@ class PsdCertificate:
 
 def make_kernel(labels, entries) -> IndexedKernel:
     """Build an IndexedKernel, validating labels and Hermitian symmetry."""
-    return IndexedKernel(tuple(labels), entries)
+    return IndexedKernel(labels, entries)
 
 
 def _unit_index(k: IndexedKernel, label: str, tol: float) -> int:
@@ -366,7 +372,7 @@ def _glue_chain(
         for i in rest:
             index[k.labels[i]] = len(labels)
             labels.append(k.labels[i])
-    return IndexedKernel(tuple(labels), _lock(out))
+    return IndexedKernel(labels, _lock(out))
 
 
 def markov_product(

@@ -35,10 +35,14 @@ class GluingTree:
         n = len(nodes)
         edges = []
         incident: list[list[tuple[int, str]]] = [[] for _ in nodes]
-        for i, j, label in self.edges:
-            if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in (i, j)):
-                raise NotATreeError(f"edge {(i, j, label)!r}: node indices must be integers")
-            i, j, label = int(i), int(j), str(label)
+        if not isinstance(self.edges, (tuple, list)):
+            raise NotATreeError(f"edges must be a tuple or list, got {self.edges!r}")
+        for edge in self.edges:
+            if not (isinstance(edge, (tuple, list)) and len(edge) == 3 and all(
+                    isinstance(x, Integral) and not isinstance(x, bool) for x in edge[:2])):
+                raise NotATreeError("edge must be an (i, j, label) triple, and its node "
+                                    f"indices must be integers, got {edge!r}")
+            i, j, label = int(edge[0]), int(edge[1]), str(edge[2])
             if not (0 <= i < n and 0 <= j < n):
                 raise NotATreeError(f"edge ({i}, {j}, {label!r}) references a missing node")
             if i == j:

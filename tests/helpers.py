@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from kernelglue import GluedRealization, GluingTree, IndexedKernel, make_kernel, sample_blocks
+from kernelglue.fileio import document_text, kernel_to_document
 
 #: Tolerance values the library must reject: each one is either not
 #: finite or not positive.
@@ -27,6 +28,19 @@ def json_native(doc):
     if isinstance(doc, np.complexfloating):
         return [float(doc.real), float(doc.imag)]
     return doc
+
+
+def dump_document(doc: dict) -> str:
+    """The whole ``document_text`` of a document, as one string."""
+    return "".join(document_text(doc))
+
+
+def tree_to_document(tree: GluingTree) -> dict:
+    """The tree document that ``tree_from_document`` reads back as ``tree``."""
+    return {
+        "nodes": [kernel_to_document(k) for k in tree.nodes],
+        "edges": [[i, j, label] for i, j, label in tree.edges],
+    }
 
 
 def count_solver_calls(monkeypatch):

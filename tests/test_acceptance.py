@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from helpers import (
+    dump_document,
     path_product_oracle,
     random_glued_pair,
     random_gluing_tree,
@@ -27,7 +28,7 @@ from kernelglue import (
     verify_realization,
 )
 from kernelglue.cli import main
-from kernelglue.fileio import dump_document, kernel_to_document
+from kernelglue.fileio import kernel_to_document
 
 
 def _verdict(name, ok):

@@ -15,15 +15,17 @@ import pytest
 import kernelglue
 from helpers import (
     count_solver_calls,
+    dump_document,
     edge_kernel_tree,
     json_native,
     random_glued_pair,
     random_gluing_tree,
     random_gram_kernel,
+    tree_to_document,
 )
 from kernelglue import cli, make_kernel, markov_product
 from kernelglue.cli import RunConfig, _build_parser, main, run
-from kernelglue.fileio import dump_document, kernel_to_document, tree_to_document
+from kernelglue.fileio import kernel_to_document
 
 
 @pytest.fixture

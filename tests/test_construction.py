@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import dump_document
 from kernelglue import (
     BasepointMismatchError,
     BasepointNotUnitError,
@@ -34,7 +35,7 @@ from kernelglue import (
 )
 from kernelglue import IndexedKernel, markov_product, schur_reduce
 from kernelglue.cli import main
-from kernelglue.fileio import dump_document, kernel_to_document, load_kernel
+from kernelglue.fileio import kernel_to_document, load_kernel
 
 # Finite entries whose eigenvalues (+-1.5e308 * sqrt(2)) overflow float64.
 OVERFLOW = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]
@@ -100,6 +101,18 @@ class TestLabelsAndMessages:
     def test_witness_is_a_finite_vector(self):
         with pytest.raises(NonFiniteError):
             PsdCertificate(False, -1.0, [np.nan, 1.0], 1e-9)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_kernel(["a"], "x"), "^kernel cannot be read as complex numbers: "),
+        (lambda: make_kernel(["a", "b"], [[1, 0], [1]]),
+         "^kernel cannot be read as complex numbers: "),
+        (lambda: PsdCertificate(False, -1.0, ["q"], 1e-9),
+         "^witness cannot be read as complex numbers: "),
+        (lambda: make_kernel(5, [[1]]), "^labels cannot be read as strings: "),
+    ], ids=["string-entries", "ragged-entries", "string-witness", "int-labels"])
+    def test_unreadable_values_are_invalid_parameters(self, call, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
 
     def test_hermitian_check_covers_every_band(self):
         # 600 rows take six bands of the banded comparison; a pair in any

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import draw, json_native, random_glued_pair, random_gram_kernel
+from helpers import (
+    draw,
+    dump_document,
+    json_native,
+    random_glued_pair,
+    random_gram_kernel,
+    tree_to_document,
+)
 from kernelglue import (
     FileFormatError,
     FileParseError,
@@ -30,18 +37,15 @@ from kernelglue import fileio
 from kernelglue.fileio import (
     certificate_to_document,
     document_text,
-    dump_document,
     kernel_from_document,
     kernel_to_document,
     load_document,
     load_kernel,
     load_tree,
-    pair_to_complex,
     realization_to_document,
     report_to_document,
     sample_text,
     tree_from_document,
-    tree_to_document,
 )
 
 
@@ -111,7 +115,7 @@ class TestKernelDocuments:
             [(1e-310, 0.0), [big, -7], [-0.0, 0.0]],
         ]
         k = kernel_from_document({"labels": ["a", "b", "c"], "entries": rows})
-        expected = np.array([[pair_to_complex(z) for z in row] for row in rows])
+        expected = np.array([[complex(float(re), float(im)) for re, im in row] for row in rows])
         assert k.entries.tobytes() == expected.tobytes()
         assert np.signbit(k.entries.real[0, 1]) and np.signbit(k.entries.imag[0, 2])
 
@@ -140,11 +144,12 @@ class TestKernelDocuments:
             kernel_from_document(doc)
 
     def test_pair_parsing(self):
-        assert pair_to_complex([1.5, -2.0]) == 1.5 - 2.0j
-        assert pair_to_complex([3, 4]) == 3 + 4j
+        for pair, z in (([1.5, -2.0], 1.5 - 2.0j), ([3, 4], 3 + 4j)):
+            rows = [[[1, 0], pair], [[z.real, -z.imag], [1, 0]]]
+            assert kernel_from_document({"labels": ["a", "b"], "entries": rows}).entry("a", "b") == z
         for bad in ([1.0], [1.0, 2.0, 3.0], "12", [1.0, "x"], None):
-            with pytest.raises(FileFormatError):
-                pair_to_complex(bad)
+            with pytest.raises(FileFormatError, match=r"expected a two-element \[re, im\] array"):
+                kernel_from_document({"labels": ["a"], "entries": [[bad]]})
 
 
 class TestTreeDocuments:

@@ -27,6 +27,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import (
     assert_law_moments_within_rounding,
+    dump_document,
     edge_kernel_tree,
     haagerup_oracle,
     random_gram_kernel,
@@ -45,7 +46,7 @@ from kernelglue import (
     schur_reduce,
     verify_realization,
 )
-from kernelglue.fileio import dump_document, kernel_from_document, kernel_to_document
+from kernelglue.fileio import kernel_from_document, kernel_to_document
 from kernelglue.realization import _null_variance
 
 

@@ -508,7 +508,7 @@ class TestGoldenSamples:
         assert batch_digest(glued, 64, real_mode) == self.GLUED[real_mode]
 
 
-class TestBlockStream:
+class TestBandStream:
     """Sampling runs in bands of ``_BAND_ROWS`` rows; these pin the stream
     across many band boundaries, and bound the memory of sampling and of
     ``verify_realization``, which draws no band."""

@@ -65,6 +65,17 @@ class TestGluingTreeValidation:
             GluingTree(nodes, (edge,))
         assert GluingTree(nodes, ((np.int64(0), 1, "a"),)).edges == ((0, 1, "a"),)
 
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1)], r"^edge must be an \(i, j, label\) triple, .*, got \(0, 1\)$"),
+        ([(0, 1, "a", 7)], r"^edge must be an \(i, j, label\) triple, .*, got \(0, 1, 'a', 7\)$"),
+        ([None], r"^edge must be an \(i, j, label\) triple, .*, got None$"),
+        (5, r"^edges must be a tuple or list, got 5$"),
+    ], ids=["pair", "quadruple", "none", "not-iterable"])
+    def test_edges_must_be_triples(self, edges, message):
+        nodes = (correlation_kernel("x0", "a"), correlation_kernel("a", "b"))
+        with pytest.raises(NotATreeError, match=message):
+            GluingTree(nodes, edges)
+
     def test_order_is_breadth_first_from_node_0(self):
         # 0 -a- 1, 1 -b- 2 -d- 4, 1 -c- 3 -e- 5; node 1 meets 3 before 2 in
         # the edge list, and depth first would place 4 before 5
