@@ -132,16 +132,15 @@ def _read_document(handle, path: str) -> dict:
 def load_kernel(path: str) -> IndexedKernel:
     """The kernel of a kernel file, its entries read a row at a time.
 
-    A file the row reader does not take, an invalid or unusual one, is
-    read again whole, as is a pipe, which cannot be read twice: the
-    reference ``kernel_from_document`` of its ``load_document`` gives
-    the kernel or reports what is wrong.
+    A pipe, which cannot be read twice, and an invalid file are read
+    whole: the reference ``kernel_from_document`` of ``load_document``
+    gives the kernel or reports what is wrong.
     """
     with open(path, "r", encoding="utf-8") as handle:
         if handle.seekable():
             try:
                 labels, pairs = _read_kernel(handle)
-            except (ValueError, RecursionError):  # JSONDecodeError, UnicodeDecodeError
+            except (ValueError, RecursionError, OverflowError):
                 handle.seek(0)
             else:
                 # locked, the array is the kernel's own: make_kernel shares it
@@ -193,14 +192,6 @@ class _Window:
                 raise ValueError("the file ends before the expected character")
             self.text, self.pos = self.text[self.pos :] + chunk, 0
 
-    def at_end(self) -> bool:
-        """Whether only whitespace is left in the file."""
-        while WHITESPACE.match(self.text, self.pos).end() == len(self.text):
-            self.text, self.pos = self.handle.read(_CHUNK_CHARS), 0
-            if not self.text:
-                return True
-        return False
-
 
 def _nothing(text: str, pos: int):
     return None, pos
@@ -211,7 +202,7 @@ def _read_kernel(handle) -> tuple[list, np.ndarray]:
     file, walking its top-level object as ``json.loads`` does (the last of
     a repeated key wins) and decoding ``entries`` a row at a time.
     ValueError unless the file is a kernel document whose entries are all
-    float pairs."""
+    number pairs, OverflowError if an integer is past the float range."""
     window = _Window(handle)
     window.take(_nothing, "{")
     values, sep = {}, ","
@@ -224,7 +215,9 @@ def _read_kernel(handle) -> tuple[list, np.ndarray]:
         else:
             values[key], sep = window.take(_DECODER.raw_decode, ",}")
     labels, pairs = values.get("labels"), values.get("entries")
-    if not window.at_end() or pairs is None or type(labels) is not list:
+    # one read: only whitespace may follow the object
+    rest = window.text[window.pos :] + handle.read()
+    if rest.strip(" \t\n\r") or pairs is None or type(labels) is not list:
         raise ValueError("not a kernel document")
     if len(labels) != len(pairs) or not all(type(l) is str for l in labels):
         raise ValueError("labels are not as many strings as there are rows")
@@ -234,7 +227,7 @@ def _read_kernel(handle) -> tuple[list, np.ndarray]:
 def _entry_rows(window: _Window, size: int) -> tuple[np.ndarray, str]:
     """The rows of an ``entries`` array, each checked and stored as it is
     decoded into one array sized by the first row, and the character after
-    the array.  ValueError unless it is a square matrix of float pairs."""
+    the array.  ValueError unless it is a square matrix of number pairs."""
     window.take(_nothing, "[")
     pairs, i, sep = None, 0, ","
     while sep == ",":
@@ -242,8 +235,8 @@ def _entry_rows(window: _Window, size: int) -> tuple[np.ndarray, str]:
         if type(row) is not list or set(map(type, row)) - {list} or set(map(len, row)) - {2}:
             raise ValueError("not a row of pairs")
         flat = list(chain.from_iterable(row))
-        if set(map(type, flat)) - {float}:
-            raise ValueError("not a row of float pairs")
+        if set(map(type, flat)) - {float, int}:  # a bool is neither
+            raise ValueError("not a row of number pairs")
         if pairs is None:
             if 5 * len(row) ** 2 > size:  # no file this size holds that many "[0,0]" pairs
                 raise ValueError("the first row is too long for the file")

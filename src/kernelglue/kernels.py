@@ -132,12 +132,12 @@ def _hermitian(a: np.ndarray) -> bool:
     )
 
 
-def _array(value, name: str, n: int, ndim: int, labels=None) -> np.ndarray:
+def _array(value, name: str, n: int | None, ndim: int, labels=None) -> np.ndarray:
     """The one rule for a value type's complex array: a locked complex128
-    array of shape ``(n,) * ndim`` with finite entries, and a matrix must be
-    exactly Hermitian.  A locked array (``_locked``) is shared; any other
-    value is copied, so no caller can change it later.  Errors name
-    entries by label, else by index."""
+    array of shape ``(n,) * ndim`` (a vector of any length if ``n`` is
+    None) with finite entries, and a matrix must be exactly Hermitian.  A
+    locked array (``_locked``) is shared; any other value is copied, so no
+    caller can change it later.  Errors name entries by label, else by index."""
 
     def at(*index) -> str:
         keys = [labels[i] if labels is not None else int(i) for i in index]
@@ -147,8 +147,9 @@ def _array(value, name: str, n: int, ndim: int, labels=None) -> np.ndarray:
         a = value if _locked(value) else np.array(value, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"{name} cannot be read as complex numbers: {exc}") from None
-    if a.shape != (n,) * ndim:
-        raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {(n,) * ndim}")
+    shape = (n,) * ndim if n is not None else a.shape if a.ndim == 1 else "a vector"
+    if a.shape != shape:
+        raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
         index = tuple(np.argwhere(~np.isfinite(a))[0])
         raise NonFiniteError(f"{name} entry {at(*index)} is {complex(a[index])}, not finite")
@@ -313,8 +314,7 @@ class PsdCertificate:
 
     def __post_init__(self):
         if self.witness is not None:
-            w = _array(self.witness, "witness", np.size(self.witness), 1)
-            object.__setattr__(self, "witness", w)
+            object.__setattr__(self, "witness", _array(self.witness, "witness", None, 1))
 
 
 def make_kernel(labels, entries) -> IndexedKernel:

@@ -30,13 +30,14 @@ class GluingTree:
     order: tuple[tuple[int, str], ...] = field(init=False)
 
     def __post_init__(self):
+        for name, value in (("nodes", self.nodes), ("edges", self.edges)):
+            if not isinstance(value, (tuple, list)):
+                raise NotATreeError(f"{name} must be a tuple or list, got {value!r}")
         nodes = tuple(self.nodes)
         _check_type(IndexedKernel, **{f"node {i}": node for i, node in enumerate(nodes)})
         n = len(nodes)
         edges = []
         incident: list[list[tuple[int, str]]] = [[] for _ in nodes]
-        if not isinstance(self.edges, (tuple, list)):
-            raise NotATreeError(f"edges must be a tuple or list, got {self.edges!r}")
         for edge in self.edges:
             if not (isinstance(edge, (tuple, list)) and len(edge) == 3 and all(
                     isinstance(x, Integral) and not isinstance(x, bool) for x in edge[:2])):

@@ -302,16 +302,17 @@ def random_unit_corner_hermitian(rng, n, psd) -> IndexedKernel:
         return make_kernel(labels, out)
 
 
-def random_glued_pair(rng, max_dim=8):
-    """Two unit-diagonal PSD kernels sharing exactly the label "x0"."""
+def random_glued_pair(rng, max_dim=8, complex_entries=True):
+    """Two unit-diagonal PSD kernels sharing exactly the label "x0"; real
+    ones, whose imaginary parts are all +0.0, unless ``complex_entries``."""
     n1 = int(rng.integers(2, max_dim + 1))
     n2 = int(rng.integers(2, max_dim + 1))
     labels1 = [f"a{i}" for i in range(n1 - 1)]
     labels1.insert(int(rng.integers(0, n1)), "x0")
     labels2 = [f"b{i}" for i in range(n2 - 1)]
     labels2.insert(int(rng.integers(0, n2)), "x0")
-    k1 = random_gram_kernel(rng, tuple(labels1))
-    k2 = random_gram_kernel(rng, tuple(labels2))
+    k1 = random_gram_kernel(rng, tuple(labels1), complex_entries)
+    k2 = random_gram_kernel(rng, tuple(labels2), complex_entries)
     return k1, k2
 
 

@@ -9,6 +9,8 @@ copied, a caller's read-only array too.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from helpers import dump_document
 from kernelglue import (
     BasepointMismatchError,
     BasepointNotUnitError,
+    DimensionMismatchError,
     DuplicateLabelError,
     GluedRealization,
     GluingTree,
@@ -109,10 +112,22 @@ class TestLabelsAndMessages:
         (lambda: PsdCertificate(False, -1.0, ["q"], 1e-9),
          "^witness cannot be read as complex numbers: "),
         (lambda: make_kernel(5, [[1]]), "^labels cannot be read as strings: "),
-    ], ids=["string-entries", "ragged-entries", "string-witness", "int-labels"])
+        (lambda: PsdCertificate(False, -1.0, [[1], [1, 2]], 1e-9),
+         "^witness cannot be read as complex numbers: "),
+    ], ids=["string-entries", "ragged-entries", "string-witness", "int-labels", "ragged-witness"])
     def test_unreadable_values_are_invalid_parameters(self, call, message):
         with pytest.raises(InvalidParameterError, match=message):
             call()
+
+    @pytest.mark.parametrize("witness, shape", [
+        ([[1.0, 0.0], [0.0, 1.0]], "(2, 2)"), ([[1.0, 0.0]], "(1, 2)"), (1.0, "()"),
+    ], ids=["square", "row", "scalar"])
+    def test_witness_is_a_vector_of_any_length(self, witness, shape):
+        with pytest.raises(DimensionMismatchError,
+                           match=rf"^witness has shape {re.escape(shape)}, expected a vector$"):
+            PsdCertificate(False, -1.0, witness, 1e-9)
+        for n in (1, 3):
+            assert PsdCertificate(False, -1.0, [1.0] * n, 1e-9).witness.shape == (n,)
 
     def test_hermitian_check_covers_every_band(self):
         # 600 rows take six bands of the banded comparison; a pair in any

@@ -398,7 +398,7 @@ def _rows_taken(path) -> bool:
     with open(path, encoding="utf-8") as handle:
         try:
             fileio._read_kernel(handle)
-        except (ValueError, RecursionError):
+        except (ValueError, RecursionError, OverflowError):
             return False
     return True
 
@@ -496,8 +496,8 @@ class TestRowReader:
         "NaN": (_COMPACT.replace("0.25", "NaN", 1), True),
         "1e400": (_COMPACT.replace("0.25", "1e400", 1), True),
         "not Hermitian": (_COMPACT.replace("0.5, 0.25", "0.5, 0.3", 1), True),
-        "ints": (_COMPACT.replace("[1.0, 0.0]", "[1, 0]"), False),
-        "int -0": (_COMPACT.replace("[1.0, 0.0]", "[1, -0]", 1), False),
+        "ints": (_COMPACT.replace("[1.0, 0.0]", "[1, 0]"), True),
+        "int -0": (_COMPACT.replace("[1.0, 0.0]", "[1, -0]", 1), True),
         "bool": (_COMPACT.replace("[1.0, 0.0]", "[true, 0.0]", 1), False),
         "ragged": (_COMPACT.replace(", [0.5, 0.25]", "", 1), False),
         "non-string key": ("{1: 2, " + _COMPACT[1:], False),
@@ -538,6 +538,13 @@ class TestRowReader:
         with mock.patch.object(fileio, "_CHUNK_CHARS", chunk):
             assert _outcome(load_kernel, str(path)) == _outcome(_reference, str(path))
             assert _rows_taken(str(path)) == taken
+
+    def test_an_integer_past_the_float_range_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text(_COMPACT.replace("[1.0, 0.0]", "[1" + "0" * 400 + ", 0]", 1))
+        assert not _rows_taken(str(path))
+        with pytest.raises(FileParseError, match=re.escape(str(path))):
+            load_kernel(str(path))
 
     def test_strict_decoding_is_the_reference(self, tmp_path):
         path = tmp_path / "bom.json"

@@ -227,6 +227,55 @@ def test_glue_tree_is_traversal_independent(tree, data):
     assert np.abs(rerooted.restrict(base.labels).entries - base.entries).max() <= 1e-12
 
 
+def _conj(k):
+    return make_kernel(k.labels, k.entries.conj())
+
+
+@st.composite
+def complex_glued_pairs(draw):
+    """Two unit-diagonal PSD kernels with random complex entries off the
+    diagonal, sharing only "x0", each label order drawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [
+        random_gram_kernel(rng, tuple(draw(st.permutations(
+            ["x0"] + [f"{prefix}{j}" for j in range(draw(st.integers(1, 5)))]))))
+        for prefix in "ab"
+    ]
+
+
+# Exact symmetries, compared in bytes.  Conjugation negates both factors'
+# imaginary parts, so each product's real part is the same sum and its
+# imaginary part the negated one; a zero imaginary part could take either
+# sign, so the conjugation properties draw complex entries.
+
+@settings(max_examples=150)
+@given(complex_glued_pairs())
+def test_markov_product_of_conjugates_is_the_conjugate(pair):
+    k1, k2 = pair
+    product = markov_product(k1, k2, "x0")
+    conjugated = markov_product(_conj(k1), _conj(k2), "x0")
+    assert conjugated.labels == product.labels
+    assert conjugated.entries.tobytes() == product.entries.conj().tobytes()
+
+
+@settings(max_examples=100)
+@given(gluing_trees())
+def test_glue_tree_of_conjugates_is_the_conjugate(tree):
+    glued = glue_tree(tree)
+    conjugated = glue_tree(GluingTree(tuple(map(_conj, tree.nodes)), tree.edges))
+    assert conjugated.labels == glued.labels
+    assert conjugated.entries.tobytes() == glued.entries.conj().tobytes()
+
+
+@settings(max_examples=150)
+@given(unit_psd_kernels("a"), unit_psd_kernels("b"), st.data())
+def test_markov_product_of_permuted_operands_restricts_to_the_product(k1, k2, data):
+    product = markov_product(k1, k2, "x0")
+    p1, p2 = (data.draw(st.permutations(k.labels)) for k in (k1, k2))
+    permuted = markov_product(k1.restrict(p1), k2.restrict(p2), "x0")
+    assert permuted.restrict(product.labels).entries.tobytes() == product.entries.tobytes()
+
+
 @st.composite
 def vertex_trees(draw):
     """A parent array on 2 to 200 vertices and a complex q with 0.5 <= |q| <= 0.99."""

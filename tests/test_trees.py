@@ -76,6 +76,11 @@ class TestGluingTreeValidation:
         with pytest.raises(NotATreeError, match=message):
             GluingTree(nodes, edges)
 
+    @pytest.mark.parametrize("nodes", [5, None], ids=["int", "none"])
+    def test_nodes_must_be_a_tuple_or_list(self, nodes):
+        with pytest.raises(NotATreeError, match=rf"^nodes must be a tuple or list, got {nodes}$"):
+            GluingTree(nodes, ())
+
     def test_order_is_breadth_first_from_node_0(self):
         # 0 -a- 1, 1 -b- 2 -d- 4, 1 -c- 3 -e- 5; node 1 meets 3 before 2 in
         # the edge list, and depth first would place 4 before 5
