@@ -19,6 +19,7 @@ from datetime import datetime, timezone
 
 from .errors import InvalidParameterError, KernelGlueError
 from .fileio import (
+    _check_sample_labels,
     certificate_to_document,
     document_text,
     kernel_to_document,
@@ -43,15 +44,14 @@ from .realization import (
 )
 from .trees import glue_tree
 
-# Each command's input file count, the loader of each input, and its help line.
+# Each command's input file count and help line.
 COMMANDS = {
-    "glue": (2, load_kernel, "Markov product of two kernel files at --glue-label"),
-    "check": (1, load_kernel, "PSD certificate of one kernel file"),
-    "realize": (1, load_kernel, "mean/covariance realization of one kernel at a basepoint"),
-    "sample": (1, load_kernel, "draw realization samples as a tabular export"),
-    "verify": (2, load_kernel,
-               "compare n glued samples' moments, drawn from their exact law, to the product"),
-    "glue-tree": (1, load_tree, "glue a tree of kernels into one kernel"),
+    "glue": (2, "Markov product of two kernel files at --glue-label"),
+    "check": (1, "PSD certificate of one kernel file"),
+    "realize": (1, "mean/covariance realization of one kernel at a basepoint"),
+    "sample": (1, "draw realization samples as a tabular export"),
+    "verify": (2, "compare n glued samples' moments, drawn from their exact law, to the product"),
+    "glue-tree": (1, "glue a tree of kernels into one kernel"),
 }
 
 
@@ -99,8 +99,8 @@ def _glue_label(config: RunConfig, default: str | None = None) -> str:
 def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
     _validate(config)
     cmd = config.command
-    _, loader, _ = COMMANDS[cmd]
-    inputs = [loader(path) for path in config.inputs]
+    # named at each call, not held in COMMANDS, so a loader wrapped after import is the one run
+    inputs = [(load_tree if cmd == "glue-tree" else load_kernel)(p) for p in config.inputs]
 
     if cmd == "glue":
         product = markov_product(*inputs, _glue_label(config), basepoint_tol=config.basepoint_tol)
@@ -112,11 +112,8 @@ def _execute(config: RunConfig) -> tuple[int, dict | Iterable[str]]:
 
     if cmd in ("realize", "sample"):
         kernel = inputs[0]
-        for label in kernel.labels:
-            # the sample header joins the labels by commas on one line
-            if cmd == "sample" and any(c in label for c in ",\n\r"):
-                raise InvalidParameterError(
-                    f"the sample header cannot carry label {label!r}: it holds ',' or a line break")
+        if cmd == "sample":
+            _check_sample_labels(kernel.labels)
         # The basepoint defaults to the kernel's first label.
         spec = schur_reduce(
             kernel, _glue_label(config, kernel.labels[0]), config.tol,
@@ -206,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "positivity by certification and by sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_line) in COMMANDS.items():
+    for name, (_, help_line) in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_line)
     return parser
 

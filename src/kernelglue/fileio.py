@@ -6,13 +6,15 @@ floats serialize via Python's shortest round-trip representation, so a
 write/read cycle reproduces every entry bit for bit.  A document built
 by ``*_to_document`` carries each value type's complex array itself;
 ``document_text`` writes it a row at a time, and ``load_kernel`` reads a
-kernel file a row at a time.  Loaders ignore unknown keys (e.g. a
-timestamp added by the CLI), and raise ``FileParseError``, naming the
-file, for one that is not UTF-8 JSON they can read.
+kernel file or pipe a row at a time, by the entry rule of the reference
+``kernel_from_document``.  Loaders ignore unknown keys (e.g. a timestamp
+added by the CLI), and raise ``FileParseError``, naming the file, for
+one that is not UTF-8 JSON they can read.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from collections.abc import Iterator
@@ -22,7 +24,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import FileFormatError, FileParseError
+from .errors import FileFormatError, FileParseError, InvalidParameterError
 from .kernels import IndexedKernel, PsdCertificate, _lock, make_kernel
 from .realization import RealizationSpec, VerificationReport
 from .trees import GluingTree
@@ -46,17 +48,26 @@ def kernel_from_document(doc: dict) -> IndexedKernel:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise FileFormatError("kernel 'entries' must be an array of rows")
     n = len(labels)
-    for z in chain.from_iterable(rows):
-        # the float-pair fast path, then the full rule
-        if type(z) is not list or len(z) != 2 or not type(z[0]) is type(z[1]) is float:
-            if not (isinstance(z, (list, tuple)) and len(z) == 2
-                    and all(isinstance(x, Real) and not isinstance(x, bool) for x in z)):
-                raise FileFormatError(f"expected a two-element [re, im] array, got {z!r}")
+    values = [_pair_values(row) for row in rows]
     if len(rows) != n or {len(row) for row in rows} not in ({n}, set()):
         raise FileFormatError(f"kernel 'entries' must be a {n}x{n} matrix")
     # [re, im] pairs are the memory layout of complex128: the view is bitwise exact
-    pairs = _lock(np.array(rows, dtype=np.float64)).reshape(n, n, 2).view(np.complex128)
+    pairs = _lock(np.array(values, dtype=np.float64)).reshape(n, n, 2).view(np.complex128)
     return make_kernel(labels, pairs[..., 0])
+
+
+def _pair_values(row) -> list:
+    """A row's ``[re, im]`` number pairs as one flat list, by the one entry
+    rule of both readers; FileFormatError names its first other entry."""
+    if not set(map(type, row)) - {list} and not set(map(len, row)) - {2}:
+        flat = list(chain.from_iterable(row))
+        if not set(map(type, flat)) - {float, int}:  # a bool is neither
+            return flat
+    for z in row:  # the full rule: tuples and any real number but a bool
+        if not (isinstance(z, (list, tuple)) and len(z) == 2
+                and all(isinstance(x, Real) and not isinstance(x, bool) for x in z)):
+            raise FileFormatError(f"expected a two-element [re, im] array, got {z!r}")
+    return list(chain.from_iterable(row))
 
 
 def tree_from_document(doc: dict) -> GluingTree:
@@ -113,12 +124,28 @@ def sample_text(labels, seed: int, blocks) -> Iterator[str]:
         yield row * len(block) % tuple(block.view(np.float64).ravel().tolist())
 
 
+def _check_sample_labels(labels) -> None:
+    """The ``sample_text`` header joins the labels by commas on one line."""
+    for label in labels:
+        if any(c in label for c in ",\n\r"):
+            raise InvalidParameterError(
+                f"the sample header cannot carry label {label!r}: it holds ',' or a line break")
+
+
 def load_document(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return _read_document(handle, path)
+        return _read_whole(handle, path, lambda doc: doc)
 
 
-def _read_document(handle, path: str) -> dict:
+def load_tree(path: str) -> GluingTree:
+    with open(path, "r", encoding="utf-8") as handle:
+        return _read_whole(handle, path, tree_from_document)
+
+
+def _read_whole(handle, path: str, from_document):
+    """``from_document`` of the file's whole JSON object, each error naming
+    the file; an integer entry too large for a float is a ``FileParseError``,
+    as ``json`` finds one too long."""
     try:
         doc = json.loads(handle.read())
     except (ValueError, RecursionError) as exc:
@@ -126,38 +153,33 @@ def _read_document(handle, path: str) -> dict:
         raise FileParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level JSON value must be an object")
-    return doc
-
-
-def load_kernel(path: str) -> IndexedKernel:
-    """The kernel of a kernel file, its entries read a row at a time.
-
-    A pipe, which cannot be read twice, and an invalid file are read
-    whole: the reference ``kernel_from_document`` of ``load_document``
-    gives the kernel or reports what is wrong.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        if handle.seekable():
-            try:
-                labels, pairs = _read_kernel(handle)
-            except (ValueError, RecursionError, OverflowError):
-                handle.seek(0)
-            else:
-                # locked, the array is the kernel's own: make_kernel shares it
-                return make_kernel(labels, _lock(pairs).view(np.complex128)[..., 0])
-        return _build(kernel_from_document, _read_document(handle, path), path)
-
-
-def _build(from_document, doc: dict, path: str):
-    """``from_document(doc)``, its ``FileFormatError`` naming the file; an
-    integer entry too large for a float is a ``FileParseError`` of the
-    file, as ``json`` finds one too long."""
     try:
         return from_document(doc)
     except FileFormatError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     except OverflowError as exc:
         raise FileParseError(f"{path}: {exc}") from exc
+
+
+def load_kernel(path: str) -> IndexedKernel:
+    """The kernel of a kernel file, its entries read a row at a time; a
+    pipe, which cannot be read twice, is read into memory first.  A file
+    the row reader refuses is read whole: the reference
+    ``kernel_from_document`` of its document reports what is wrong."""
+    with open(path, "r", encoding="utf-8") as handle:
+        if handle.seekable():
+            size = os.fstat(handle.fileno()).st_size
+        else:
+            data = handle.buffer.read()
+            handle, size = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), len(data)
+        try:
+            labels, pairs = _read_kernel(handle, size)
+        except (ValueError, RecursionError, OverflowError, FileFormatError):
+            handle.seek(0)
+        else:
+            # locked, the array is the kernel's own: make_kernel shares it
+            return make_kernel(labels, _lock(pairs).view(np.complex128)[..., 0])
+        return _read_whole(handle, path, kernel_from_document)
 
 
 _DECODER = json.JSONDecoder()
@@ -197,12 +219,12 @@ def _nothing(text: str, pos: int):
     return None, pos
 
 
-def _read_kernel(handle) -> tuple[list, np.ndarray]:
+def _read_kernel(handle, size: int) -> tuple[list, np.ndarray]:
     """The labels and ``(n, n, 2)`` float64 ``[re, im]`` entries of a kernel
-    file, walking its top-level object as ``json.loads`` does (the last of
-    a repeated key wins) and decoding ``entries`` a row at a time.
-    ValueError unless the file is a kernel document whose entries are all
-    number pairs, OverflowError if an integer is past the float range."""
+    file of ``size`` bytes, walking its top-level object as ``json.loads``
+    does (the last of a repeated key wins) and decoding ``entries`` a row
+    at a time.  ValueError or FileFormatError unless the file is a kernel
+    document of number pairs, OverflowError past the float range."""
     window = _Window(handle)
     window.take(_nothing, "{")
     values, sep = {}, ","
@@ -211,7 +233,7 @@ def _read_kernel(handle) -> tuple[list, np.ndarray]:
         if type(key) is not str:
             raise ValueError("a key is not a string")
         if key == "entries":
-            values[key], sep = _entry_rows(window, os.fstat(handle.fileno()).st_size)
+            values[key], sep = _entry_rows(window, size)
         else:
             values[key], sep = window.take(_DECODER.raw_decode, ",}")
     labels, pairs = values.get("labels"), values.get("entries")
@@ -225,18 +247,16 @@ def _read_kernel(handle) -> tuple[list, np.ndarray]:
 
 
 def _entry_rows(window: _Window, size: int) -> tuple[np.ndarray, str]:
-    """The rows of an ``entries`` array, each checked and stored as it is
-    decoded into one array sized by the first row, and the character after
-    the array.  ValueError unless it is a square matrix of number pairs."""
+    """The rows of an ``entries`` array, each checked by ``_pair_values``
+    and stored as it is decoded into one array sized by the first row, and
+    the character after the array.  ValueError unless it is square."""
     window.take(_nothing, "[")
     pairs, i, sep = None, 0, ","
     while sep == ",":
         row, sep = window.take(_DECODER.raw_decode, ",]")
-        if type(row) is not list or set(map(type, row)) - {list} or set(map(len, row)) - {2}:
-            raise ValueError("not a row of pairs")
-        flat = list(chain.from_iterable(row))
-        if set(map(type, flat)) - {float, int}:  # a bool is neither
-            raise ValueError("not a row of number pairs")
+        if type(row) is not list:
+            raise ValueError("a row is not an array")
+        flat = _pair_values(row)
         if pairs is None:
             if 5 * len(row) ** 2 > size:  # no file this size holds that many "[0,0]" pairs
                 raise ValueError("the first row is too long for the file")
@@ -248,10 +268,6 @@ def _entry_rows(window: _Window, size: int) -> tuple[np.ndarray, str]:
     if pairs is None or i != len(pairs):
         raise ValueError("entries are not a square matrix")
     return pairs, window.take(_nothing, ",}")[1]
-
-
-def load_tree(path: str) -> GluingTree:
-    return _build(tree_from_document, load_document(path), path)
 
 
 def document_text(doc: dict) -> Iterator[str]:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from collections import deque
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +31,18 @@ def json_native(doc):
     if isinstance(doc, np.complexfloating):
         return [float(doc.real), float(doc.imag)]
     return doc
+
+
+@contextmanager
+def filled_fifo(path, data: bytes):
+    """A FIFO at ``path`` that a thread fills with ``data`` once a reader opens it."""
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    yield
+    # a pipe cannot be read again: a second open would wait for a writer forever
+    writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 def dump_document(doc: dict) -> str:

@@ -17,6 +17,7 @@ from helpers import (
     count_solver_calls,
     dump_document,
     edge_kernel_tree,
+    filled_fifo,
     json_native,
     random_glued_pair,
     random_gluing_tree,
@@ -743,6 +744,26 @@ class TestMain:
                                 f"{label!r}: it holds ',' or a line break\n")
         assert not out.exists()
 
+    def test_only_sample_checks_header_labels_and_before_the_psd_decision(self, workdir, capsys):
+        path = workdir["dir"] / "comma.json"
+        indefinite = make_kernel(["x0", "a,b"], [[1, 2], [2, 1]])
+        path.write_text(dump_document(kernel_to_document(indefinite)))
+        assert main(["sample", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("InvalidParameter: the sample header ")
+        assert main(["realize", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("NotPsd: ")
+
+    @pytest.mark.parametrize("command, loader, path", [("check", "load_kernel", "k1"),
+                                                       ("glue-tree", "load_tree", "tree")])
+    def test_each_run_calls_the_loader_the_module_holds_then(
+        self, workdir, capsys, monkeypatch, command, loader, path
+    ):
+        # a loader wrapped after import, as a tracer wraps it, is the one called
+        real, calls = getattr(cli, loader), []
+        monkeypatch.setattr(cli, loader, lambda p: calls.append(p) or real(p))
+        assert main([command, workdir[path], "--no-timestamp"]) == 0
+        assert calls == [workdir[path]]
+
     def test_sample_to_a_closed_pipe_exits_quietly(self, workdir):
         # 60 edge kernels glue to 61 labels, about 200 KB of JSON: more than a pipe holds
         tree = workdir["dir"] / "edges.json"
@@ -828,6 +849,22 @@ class TestMain:
         # time, 44 MB; with the array read shared by the kernel and
         # certified by its eigenvalues alone, 37.4 MiB
         assert maxrss_kib < 41 * 1024
+
+    def test_a_piped_check_holds_the_file_once(self, glued_400, tmp_path):
+        out, status, _ = glued_400
+        assert status == 0
+        status, by_path = _peak_rss(["check", str(out), "--no-timestamp",
+                                     "--output", str(tmp_path / "path.json")])
+        assert status == 0
+        fifo = tmp_path / "glued.fifo"
+        with filled_fifo(fifo, out.read_bytes()):
+            status, piped = _peak_rss(["check", str(fifo), "--no-timestamp",
+                                       "--output", str(tmp_path / "pipe.json")])
+        assert status == 0
+        assert (tmp_path / "pipe.json").read_bytes() == (tmp_path / "path.json").read_bytes()
+        # read whole, the pipe's text and [re, im] lists peaked 27.9 MiB above
+        # the file's 37.2 MiB; its bytes held once and walked by rows, 11.1 MiB
+        assert piped - by_path < out.stat().st_size / 1024 + 4 * 1024
 
 
 class TestGoldenOutputs:

@@ -6,7 +6,7 @@ import json
 import math
 import os
 import re
-import threading
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     draw,
     dump_document,
+    filled_fifo,
     json_native,
     random_glued_pair,
     random_gram_kernel,
@@ -397,8 +398,8 @@ def _rows_taken(path) -> bool:
     """Whether the row reader takes the file itself, with no second reading."""
     with open(path, encoding="utf-8") as handle:
         try:
-            fileio._read_kernel(handle)
-        except (ValueError, RecursionError, OverflowError):
+            fileio._read_kernel(handle, os.path.getsize(path))
+        except (ValueError, RecursionError, OverflowError, FileFormatError):
             return False
     return True
 
@@ -555,14 +556,26 @@ class TestRowReader:
             load_kernel(str(path))
 
     def test_a_pipe_is_read_once(self, tmp_path):
-        # a pipe cannot be read again: a second open would wait for a writer forever
         fifo = tmp_path / "k.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=(_COMPACT,), daemon=True)
-        writer.start()
-        assert load_kernel(str(fifo)).labels == ("a", "b")
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        # and a row at a time: the whole-document reader is never called
+        refuse = mock.patch.object(fileio, "kernel_from_document", side_effect=AssertionError)
+        with filled_fifo(fifo, _COMPACT.encode()), refuse:
+            assert load_kernel(str(fifo)).labels == ("a", "b")
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 20])
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_pipe_reads_as_the_reference(self, tmp_path, case, chunk):
+        data, taken = self.CASES[case]
+        data = data if isinstance(data, bytes) else data.encode("utf-8")
+        path = tmp_path / "k.json"
+        path.write_bytes(data)
+        expected = _outcome(_reference, str(path))
+        path.unlink()
+        # a kernel the row reader takes from a file it takes from a pipe, with no reference read
+        refuse = mock.patch.object(fileio, "kernel_from_document", side_effect=AssertionError)
+        with filled_fifo(path, data), mock.patch.object(fileio, "_CHUNK_CHARS", chunk), \
+                refuse if taken else nullcontext():
+            assert _outcome(load_kernel, str(path)) == expected
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(_kernel_files(), st.sampled_from([1, 5, 1 << 20]))
